@@ -12,11 +12,11 @@ machine-independent "how many calibration units does this cost" score.
 Per kernel the minimum of ``--repeat`` runs is used — the minimum is the
 stable statistic under CI noise.
 
-Besides the regression gate, the smoke run compares the two automata
-kernels (``REPRO_KERNEL=bitset`` vs ``classic``) on the checker
-workloads and fails when the bitset kernel is not at least
-``--min-speedup`` times faster — the structural guarantee the kernel
-exists for.  The comparison (both normalized scores and the speedups)
+Besides the regression gate, the smoke run races the checker (bitset
+kernel) against the classic reference pipeline
+(``repro.core.oracle.check_source_classic``) on the checker workloads
+and fails when the bitset kernel is not at least ``--min-speedup``
+times faster — the structural guarantee the kernel exists for.  The comparison (both normalized scores and the speedups)
 is written to ``--kernel-out`` for CI to archive.
 
 Usage::
@@ -39,8 +39,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any(Path(p).resolve() == REPO_ROOT / "src" for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.automata.kernel import forced_kernel  # noqa: E402
 from repro.core.checker import check_source  # noqa: E402
+from repro.core.oracle import check_source_classic  # noqa: E402
 from repro.engine import BatchVerifier, InferenceCache, verify_incremental  # noqa: E402
 from repro.frontend.parse import parse_module  # noqa: E402
 from repro.frontend.project import parse_project  # noqa: E402
@@ -70,20 +70,20 @@ def _calibration() -> float:
 # claims) dominates parse/lint — these same workloads back the kernel
 # comparison below, which is only meaningful when the part the kernel
 # accelerates is the bulk of the measurement.
-def _kernel_checker_clean() -> None:
+def _kernel_checker_clean(check=check_source) -> None:
     shape = HierarchyShape(
         base_operations=8, subsystems=4, composite_operations=3, seed=3
     )
     source = module_source(shape, correct=True, claim=lifecycle_claim(shape))
-    result = check_source(source)
+    result = check(source)
     assert result.ok, result.format()
 
 
-def _kernel_checker_counterexample() -> None:
+def _kernel_checker_counterexample(check=check_source) -> None:
     shape = HierarchyShape(
         base_operations=8, subsystems=5, composite_operations=3, seed=5
     )
-    result = check_source(module_source(shape, correct=False))
+    result = check(module_source(shape, correct=False))
     assert not result.ok
     assert result.by_code("invalid-subsystem-usage")
 
@@ -191,9 +191,9 @@ KERNEL_RACE = ("checker_clean", "checker_counterexample")
 
 
 def measure_kernel_race(repeat: int) -> dict[str, object]:
-    """Time the checker workloads under each ``REPRO_KERNEL`` value.
+    """Time the checker workloads on the checker and on the classic oracle.
 
-    Both kernels are normalized by the same calibration loop, so the
+    Both sides are normalized by the same calibration loop, so the
     reported ``speedup`` (classic / bitset) is machine-independent; the
     minimum of ``repeat`` runs is used on both sides.
     """
@@ -201,19 +201,19 @@ def measure_kernel_race(repeat: int) -> dict[str, object]:
         "checker_clean": _kernel_checker_clean,
         "checker_counterexample": _kernel_checker_counterexample,
     }
+    checks = {"bitset": check_source, "classic": check_source_classic}
     calibration = min(_calibration() for _ in range(repeat))
     race: dict[str, object] = {"calibration_seconds": calibration}
     for name in KERNEL_RACE:
         workload = workloads[name]
         entry: dict[str, float] = {}
-        for kernel_name in ("bitset", "classic"):
+        for side, check in checks.items():
             best = float("inf")
-            with forced_kernel(kernel_name):
-                for _ in range(repeat):
-                    started = time.perf_counter()
-                    workload()
-                    best = min(best, time.perf_counter() - started)
-            entry[kernel_name] = best / calibration
+            for _ in range(repeat):
+                started = time.perf_counter()
+                workload(check)
+                best = min(best, time.perf_counter() - started)
+            entry[side] = best / calibration
         entry["speedup"] = (
             entry["classic"] / entry["bitset"]
             if entry["bitset"]

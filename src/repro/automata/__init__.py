@@ -12,7 +12,7 @@ Pipeline pieces:
 * :func:`thompson` / :func:`nfa_to_regex` — regex ↔ automaton round trip
   (Corollary 1),
 * :mod:`repro.automata.kernel` — the integer-interned bitset kernel (the
-  default engine behind the checker; this package stays the reference
+  checker's only automata path; this package stays the reference
   oracle, see docs/kernel.md).
 """
 

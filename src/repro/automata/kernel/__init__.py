@@ -14,16 +14,14 @@ Hopcroft partition refinement over int blocks; and the inclusion check
 never materializes a product automaton at all — it is an on-the-fly
 emptiness search that short-circuits on the first counterexample state.
 
-The classic modules remain the **differential oracle**: the kernel must
-agree with them on language questions (equivalence, inclusion,
-minimized state counts) and produce the *same* length-lex-minimal
-counterexample words, so reports are byte-identical whichever kernel is
-active.  ``tests/automata/test_kernel_differential.py`` pins that
-contract on random automata and on every paper listing.
-
-Selection is runtime-switchable: ``REPRO_KERNEL=bitset|classic`` (or
-``repro check --kernel ...``), default ``bitset`` — see
-:mod:`repro.automata.kernel.dispatch` and docs/kernel.md.
+The checker runs every automata question on this kernel.  The classic
+modules remain the **differential oracle**: the kernel must agree with
+them on language questions (equivalence, inclusion, minimized state
+counts) and produce the *same* length-lex-minimal counterexample words,
+so reports are byte-identical to the classic reference pipeline
+(:mod:`repro.core.oracle`).  ``tests/automata/test_kernel_differential.py``
+pins that contract on random automata and on every paper listing; see
+docs/kernel.md.
 """
 
 from repro.automata.kernel.alphabet import Alphabet
@@ -36,14 +34,6 @@ from repro.automata.kernel.bitset import (
     project_bitnfa,
 )
 from repro.automata.kernel.determinize import determinize_bitset
-from repro.automata.kernel.dispatch import (
-    KERNEL_ENV,
-    KERNELS,
-    KernelConfigError,
-    forced_kernel,
-    kernel_name,
-    use_bitset,
-)
 from repro.automata.kernel.inclusion import (
     bitset_difference_counterexample,
     bitset_equivalent,
@@ -57,10 +47,7 @@ __all__ = [
     "Alphabet",
     "BitDFA",
     "BitNFA",
-    "KERNEL_ENV",
-    "KERNELS",
     "KernelCheck",
-    "KernelConfigError",
     "bitdfa_to_dfa",
     "bitset_difference_counterexample",
     "bitset_equivalent",
@@ -68,10 +55,7 @@ __all__ = [
     "bitset_intersection_counterexample",
     "determinize_bitset",
     "dfa_to_bitdfa",
-    "forced_kernel",
-    "kernel_name",
     "minimize_bitset",
     "nfa_to_bitnfa",
     "project_bitnfa",
-    "use_bitset",
 ]

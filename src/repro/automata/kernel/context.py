@@ -24,7 +24,10 @@ from repro.automata.kernel.bitset import (
     project_bitnfa,
 )
 from repro.automata.kernel.determinize import determinize_bitset
-from repro.automata.kernel.inclusion import bitset_intersection_counterexample
+from repro.automata.kernel.inclusion import (
+    bitset_difference_counterexample,
+    bitset_intersection_counterexample,
+)
 
 if TYPE_CHECKING:
     from repro.automata.nfa import NFA
@@ -123,6 +126,20 @@ class KernelCheck:
         return found
 
     # ------------------------------------------------------------------
+
+    def usage_counterexample(
+        self, spec: "ClassSpec", prefix: str
+    ) -> tuple[str, ...] | None:
+        """Shortest behavior trace whose ``prefix`` events are not a
+        complete lifecycle of ``spec``, or ``None`` if every trace is.
+
+        The fused product of the behavior DFA with the prefixed spec DFA
+        under the ``lift`` reading (the spec ignores events outside its
+        alphabet); no difference automaton is materialized.
+        """
+        return bitset_difference_counterexample(
+            self.behavior_dfa(), self.spec_dfa(spec, prefix), foreign="lift"
+        )
 
     def claim_counterexample(
         self, formula: "Formula", observed: frozenset[str]

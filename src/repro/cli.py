@@ -96,17 +96,6 @@ def _select_class(module: ParsedModule, name: str | None, path: str):
     return parsed
 
 
-def _apply_kernel(args: argparse.Namespace) -> None:
-    """Export ``--kernel`` into the environment (workers inherit it)."""
-    kernel = getattr(args, "kernel", None)
-    if kernel:
-        import os
-
-        from repro.automata.kernel import KERNEL_ENV
-
-        os.environ[KERNEL_ENV] = kernel
-
-
 def _install_interrupt_handler() -> None:
     """Make SIGTERM interrupt like Ctrl-C so both signals reach the
     clean ``ENGINE INTERRUPTED`` path (main thread only — signal
@@ -155,7 +144,6 @@ def _build_cache(args: argparse.Namespace):
 def _cmd_check(args: argparse.Namespace) -> int:
     import os
 
-    _apply_kernel(args)
     _install_interrupt_handler()
 
     sharded = args.shards is not None or args.shard_index is not None
@@ -356,7 +344,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_coordinate(args: argparse.Namespace) -> int:
-    _apply_kernel(args)
     _install_interrupt_handler()
 
     from repro.engine import EngineError, coordinate
@@ -372,7 +359,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir if args.cache else None,
             worker_cache_root=args.worker_cache_dir,
             remote_cache=args.remote_cache,
-            kernel=args.kernel,
             timeout_seconds=args.shard_timeout,
         )
     except EngineError as error:
@@ -396,8 +382,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
-
-    _apply_kernel(args)
 
     from repro.engine import FaultSpecError, faults
     from repro.serve import ServeConfig, ServeConfigError
@@ -443,7 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    _apply_kernel(args)
     from repro.core.limits import BudgetExceeded
     from repro.engine import (
         BatchVerifier,
@@ -829,14 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool backend (default: thread)",
     )
     check.add_argument(
-        "--kernel",
-        choices=["bitset", "classic"],
-        default=None,
-        help="automata kernel (default: the REPRO_KERNEL environment "
-        "variable, falling back to bitset); verdicts are identical, "
-        "classic is the slower reference implementation",
-    )
-    check.add_argument(
         "--cache",
         action="store_true",
         help="reuse and persist the content-addressed inference cache",
@@ -994,12 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool backend inside each shard (default: thread)",
     )
     coordinate.add_argument(
-        "--kernel",
-        choices=["bitset", "classic"],
-        default=None,
-        help="automata kernel forwarded to every shard",
-    )
-    coordinate.add_argument(
         "--cache",
         action="store_true",
         help="give the shards a shared local inference cache",
@@ -1109,12 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine worker pool backend within a job (default: thread)",
     )
     serve.add_argument(
-        "--kernel",
-        choices=["bitset", "classic"],
-        default=None,
-        help="automata kernel (default: REPRO_KERNEL, then bitset)",
-    )
-    serve.add_argument(
         "--deadline",
         type=float,
         default=120.0,
@@ -1197,12 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="thread",
         help="worker pool backend (default: thread)",
-    )
-    profile.add_argument(
-        "--kernel",
-        choices=["bitset", "classic"],
-        default=None,
-        help="automata kernel (default: REPRO_KERNEL, then bitset)",
     )
     profile.add_argument(
         "--cache",

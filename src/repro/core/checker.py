@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
-from repro.automata.kernel import BitDFA, KernelCheck, use_bitset
+from repro.automata.kernel import BitDFA, KernelCheck
 from repro.core.behavior import behavior_nfa
 from repro.core.claims import check_claims
 from repro.core.diagnostics import CheckResult, from_subset_violation
@@ -52,7 +50,8 @@ def check_parsed_class(
     exit_regexes: Mapping[str, Mapping[int, Regex]] | None = None,
     limits: Limits | None = None,
     tracer=None,
-) -> tuple[CheckResult, DFA | BitDFA | None]:
+    automata=KernelCheck,
+) -> tuple[CheckResult, BitDFA | None]:
     """Run the full pipeline on one class — a pure function.
 
     Everything the verdict depends on is in the arguments: the parsed
@@ -76,12 +75,13 @@ def check_parsed_class(
     Tracing never changes the verdict; with the null tracer the function
     is byte-for-byte the old pipeline.
 
+    ``automata`` builds the per-class facade that answers every automata
+    question: the bitset :class:`~repro.automata.kernel.KernelCheck`.
+    Only the differential oracle passes anything else
+    (:class:`repro.core.oracle.ClassicCheck`).
+
     Returns the diagnostics plus the determinized behavior DFA when the
-    check computed one (composite classes past the structural gate) —
-    a classic :class:`~repro.automata.dfa.DFA` or a kernel
-    :class:`~repro.automata.kernel.BitDFA` depending on ``REPRO_KERNEL``
-    (see :mod:`repro.automata.kernel.dispatch`); both kernels produce
-    identical diagnostics and counterexample words.
+    check computed one (composite classes past the structural gate).
     """
     limits = limits or Limits()
     tracer = tracer or NULL_TRACER
@@ -106,31 +106,21 @@ def check_parsed_class(
             deadline=deadline,
             tracer=tracer,
         )
-    kernel: KernelCheck | None = None
-    if use_bitset():
-        kernel = KernelCheck(
-            behavior,
-            max_states=limits.max_states,
-            deadline=deadline,
-            tracer=tracer,
-        )
-    dfa: DFA | BitDFA | None = None
+    kernel = automata(
+        behavior,
+        max_states=limits.max_states,
+        deadline=deadline,
+        tracer=tracer,
+    )
+    dfa = None
     if parsed.is_composite:
         with tracer.span("phase", "determinize"):
-            if kernel is not None:
-                dfa = kernel.behavior_dfa()
-            else:
-                dfa = determinize(
-                    behavior,
-                    max_states=limits.max_states,
-                    deadline=deadline,
-                    tracer=tracer,
-                )
+            dfa = kernel.behavior_dfa()
         with tracer.span("phase", "usage"):
-            result.extend(check_subsystem_usage(parsed, specs, dfa, kernel=kernel))
+            result.extend(check_subsystem_usage(parsed, specs, kernel))
     with tracer.span("phase", "claims"):
-        result.extend(check_claims(parsed, behavior, specs, kernel=kernel))
-        result.extend(check_claim_vacuity(parsed, behavior, specs, kernel=kernel))
+        result.extend(check_claims(parsed, specs, kernel))
+        result.extend(check_claim_vacuity(parsed, specs, kernel))
     return result, dfa
 
 

@@ -14,13 +14,8 @@ formula mentions (which is also how claims on *base* classes work, e.g.
 
 from __future__ import annotations
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
 from repro.automata.kernel import KernelCheck
 from repro.automata.nfa import NFA
-from repro.automata.operations import project_nfa, with_alphabet
-from repro.automata.product import intersection
-from repro.automata.shortest import shortest_accepted_word
 from repro.core.behavior import behavior_nfa
 from repro.core.spec import ClassSpec
 from repro.core.diagnostics import (
@@ -32,7 +27,6 @@ from repro.core.diagnostics import (
 from repro.frontend.model_ast import ParsedClass
 from repro.ltlf.ast import atoms as formula_atoms
 from repro.ltlf.parser import ClaimSyntaxError, parse_claim
-from repro.ltlf.translate import negation_to_dfa
 
 
 def claim_alphabet(
@@ -78,22 +72,21 @@ def claim_alphabet(
 
 def check_claims(
     parsed: ParsedClass,
-    behavior: NFA | None = None,
     specs: dict[str, "ClassSpec"] | None = None,
     kernel: KernelCheck | None = None,
 ) -> CheckResult:
     """Verify every ``@claim`` of ``parsed``.
 
-    With a :class:`~repro.automata.kernel.KernelCheck` the projection,
-    its determinization and the emptiness search run on the bitset
-    kernel (and are shared with the vacuity screen); the verdicts and
-    counterexample words are identical to the classic path.
+    ``kernel`` is the class check's automata facade (built from
+    :func:`~repro.core.behavior.behavior_nfa` when omitted); its
+    projections are shared with the vacuity screen.
     """
     result = CheckResult()
     if not parsed.claims:
         return result
-    if behavior is None:
-        behavior = behavior_nfa(parsed)
+    if kernel is None:
+        kernel = KernelCheck(behavior_nfa(parsed))
+    behavior = kernel.behavior
     for formula_text in parsed.claims:
         try:
             formula = parse_claim(formula_text)
@@ -125,17 +118,7 @@ def check_claims(
                 )
             )
             continue
-        if kernel is not None:
-            counterexample = kernel.claim_counterexample(formula, observed)
-        else:
-            projected: DFA = determinize(project_nfa(behavior, observed))
-            violation_dfa = negation_to_dfa(formula, alphabet=observed)
-            joint = projected.alphabet | violation_dfa.alphabet
-            bad = intersection(
-                with_alphabet(projected, joint),
-                with_alphabet(violation_dfa, joint),
-            )
-            counterexample = shortest_accepted_word(bad)
+        counterexample = kernel.claim_counterexample(formula, observed)
         if counterexample is not None:
             result.diagnostics.append(
                 Diagnostic(

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.determinize import determinize
 from repro.automata.kernel import (
     bitdfa_to_dfa,
     determinize_bitset,
     minimize_bitset,
     nfa_to_bitnfa,
-    use_bitset,
 )
-from repro.automata.minimize import minimize
 from repro.automata.shortest import iter_accepted_words
 from repro.core.behavior import behavior_nfa
 from repro.core.dependency import extract_dependency_graph
@@ -76,28 +73,21 @@ def collect_metrics(
     spec = ClassSpec.of(parsed)
     graph = extract_dependency_graph(parsed)
     with tracer.span("phase", "minimize"):
-        if use_bitset():
-            # Kernel path: determinize + Hopcroft on bitsets, then view
-            # the results as classic DFAs for the metric computations
-            # below (state counts agree with classic minimize — the
-            # differential harness pins this).
-            spec_minimal = bitdfa_to_dfa(
-                minimize_bitset(
-                    determinize_bitset(nfa_to_bitnfa(spec.nfa())),
-                    tracer=tracer,
-                )
+        # Determinize + Hopcroft on bitsets, then view the results as
+        # classic DFAs for the metric computations below (state counts
+        # agree with classic minimize — the differential harness pins
+        # this).
+        spec_minimal = bitdfa_to_dfa(
+            minimize_bitset(
+                determinize_bitset(nfa_to_bitnfa(spec.nfa())), tracer=tracer
             )
-            behavior_minimal = bitdfa_to_dfa(
-                minimize_bitset(
-                    determinize_bitset(nfa_to_bitnfa(behavior_nfa(parsed))),
-                    tracer=tracer,
-                )
+        )
+        behavior_minimal = bitdfa_to_dfa(
+            minimize_bitset(
+                determinize_bitset(nfa_to_bitnfa(behavior_nfa(parsed))),
+                tracer=tracer,
             )
-        else:
-            spec_minimal = minimize(spec.dfa(), tracer=tracer)
-            behavior_minimal = minimize(
-                determinize(behavior_nfa(parsed)), tracer=tracer
-            )
+        )
 
     # Constrainedness over the *live* part of the minimal spec DFA: the
     # fraction of (live state, operation) pairs whose move leads nowhere

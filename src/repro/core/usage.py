@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
-from repro.automata.kernel import BitDFA, KernelCheck, bitset_difference_counterexample
-from repro.automata.operations import inclusion_counterexample, lift_alphabet, with_alphabet
+from repro.automata.kernel import KernelCheck
 from repro.core.behavior import behavior_nfa
 from repro.core.diagnostics import (
     INVALID_SUBSYSTEM_USAGE,
@@ -79,20 +76,16 @@ def replay_against_spec(
 def find_usage_violations(
     parsed: ParsedClass,
     specs: dict[str, ClassSpec],
-    behavior: DFA | BitDFA | None = None,
     kernel: KernelCheck | None = None,
 ) -> list[UsageViolation]:
     """Run the inclusion check for every declared subsystem field.
 
-    With a :class:`~repro.automata.kernel.KernelCheck` the inclusion is
-    decided by the fused bitset product (lift applied on the fly, no
-    difference automaton materialized); the counterexample word is the
-    same length-lex-minimal one the classic pipeline computes.
+    ``kernel`` is the class check's automata facade (built from
+    :func:`~repro.core.behavior.behavior_nfa` when omitted); it decides
+    each inclusion and returns the length-lex-minimal counterexample.
     """
-    if kernel is not None and not isinstance(behavior, BitDFA):
-        behavior = kernel.behavior_dfa()
-    if behavior is None:
-        behavior = determinize(behavior_nfa(parsed))
+    if kernel is None:
+        kernel = KernelCheck(behavior_nfa(parsed))
     violations: list[UsageViolation] = []
     for declaration in parsed.subsystems:
         if declaration.field_name not in parsed.subsystem_fields:
@@ -100,18 +93,9 @@ def find_usage_violations(
         spec = specs.get(declaration.class_name)
         if spec is None:
             continue  # unknown subsystem class: diagnosed by invocation analysis
-        prefix = declaration.field_name + "."
-        if kernel is not None:
-            counterexample = bitset_difference_counterexample(
-                behavior, kernel.spec_dfa(spec, prefix), foreign="lift"
-            )
-        else:
-            spec_dfa = spec.dfa(prefix)
-            joint_alphabet = behavior.alphabet | spec_dfa.alphabet
-            lifted = lift_alphabet(spec_dfa, joint_alphabet)
-            counterexample = inclusion_counterexample(
-                with_alphabet(behavior, joint_alphabet), lifted
-            )
+        counterexample = kernel.usage_counterexample(
+            spec, declaration.field_name + "."
+        )
         if counterexample is not None:
             violations.append(
                 UsageViolation(
@@ -126,7 +110,6 @@ def find_usage_violations(
 def check_subsystem_usage(
     parsed: ParsedClass,
     specs: dict[str, ClassSpec],
-    behavior: DFA | BitDFA | None = None,
     kernel: KernelCheck | None = None,
 ) -> CheckResult:
     """The full usage check, rendered as diagnostics.
@@ -136,7 +119,7 @@ def check_subsystem_usage(
     paper's report shape.
     """
     result = CheckResult()
-    violations = find_usage_violations(parsed, specs, behavior, kernel=kernel)
+    violations = find_usage_violations(parsed, specs, kernel)
     if not violations:
         return result
     # Group by counterexample; shortest trace first for determinism.

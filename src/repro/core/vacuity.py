@@ -21,13 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
 from repro.automata.kernel import KernelCheck
-from repro.automata.nfa import NFA
-from repro.automata.operations import project_nfa, with_alphabet
-from repro.automata.product import intersection
-from repro.automata.shortest import shortest_accepted_word
 from repro.core.behavior import behavior_nfa
 from repro.core.claims import claim_alphabet
 from repro.core.diagnostics import CheckResult, Diagnostic, Severity
@@ -55,7 +49,6 @@ from repro.ltlf.ast import (
     neg,
 )
 from repro.ltlf.parser import ClaimSyntaxError, parse_claim
-from repro.ltlf.translate import negation_to_dfa
 
 
 @dataclass(frozen=True)
@@ -172,41 +165,24 @@ def strengthening_mutants(formula: Formula) -> list[tuple[str, int, str, Formula
     return mutants
 
 
-def _holds_on(projected: DFA, formula: Formula, observed) -> bool:
-    """Does ``formula`` hold on every word of ``projected``?"""
-    violation_dfa = negation_to_dfa(formula, alphabet=observed)
-    joint = projected.alphabet | violation_dfa.alphabet
-    bad = intersection(
-        with_alphabet(projected, joint), with_alphabet(violation_dfa, joint)
-    )
-    return shortest_accepted_word(bad) is None
-
-
 def find_vacuous_atoms(
     parsed: ParsedClass,
     formula: Formula,
-    behavior: NFA | None = None,
     specs: dict | None = None,
     kernel: KernelCheck | None = None,
 ) -> list[VacuityWitness]:
     """Atoms whose replacement by a constant keeps the claim universally
     true.  Only meaningful when the claim itself holds (callers check)."""
-    if behavior is None:
-        behavior = behavior_nfa(parsed)
-    observed = claim_alphabet(parsed, behavior, formula_atoms(formula), specs)
-    projected = (
-        None if kernel is not None
-        else determinize(project_nfa(behavior, observed))
+    if kernel is None:
+        kernel = KernelCheck(behavior_nfa(parsed))
+    observed = claim_alphabet(
+        parsed, kernel.behavior, formula_atoms(formula), specs
     )
     witnesses: list[VacuityWitness] = []
     for name, occurrence, label, mutant in strengthening_mutants(formula):
         if mutant == formula:
             continue
-        if kernel is not None:
-            holds = kernel.holds_on(mutant, observed)
-        else:
-            holds = _holds_on(projected, mutant, observed)
-        if holds:
+        if kernel.holds_on(mutant, observed):
             witnesses.append(
                 VacuityWitness(atom_name=name, occurrence=occurrence, replacement=label)
             )
@@ -215,7 +191,6 @@ def find_vacuous_atoms(
 
 def check_claim_vacuity(
     parsed: ParsedClass,
-    behavior: NFA | None = None,
     specs: dict | None = None,
     kernel: KernelCheck | None = None,
 ) -> CheckResult:
@@ -227,8 +202,9 @@ def check_claim_vacuity(
     result = CheckResult()
     if not parsed.claims:
         return result
-    if behavior is None:
-        behavior = behavior_nfa(parsed)
+    if kernel is None:
+        kernel = KernelCheck(behavior_nfa(parsed))
+    behavior = kernel.behavior
     for formula_text in parsed.claims:
         try:
             formula = parse_claim(formula_text)
@@ -237,16 +213,9 @@ def check_claim_vacuity(
         observed = claim_alphabet(parsed, behavior, formula_atoms(formula), specs)
         if formula_atoms(formula) - observed - behavior.alphabet:
             continue  # unknown atoms: reported by check_claims
-        if kernel is not None:
-            holds = kernel.holds_on(formula, observed)
-        else:
-            projected = determinize(project_nfa(behavior, observed))
-            holds = _holds_on(projected, formula, observed)
-        if not holds:
+        if not kernel.holds_on(formula, observed):
             continue  # failing claims are not vacuous, they are wrong
-        for witness in find_vacuous_atoms(
-            parsed, formula, behavior, specs, kernel=kernel
-        ):
+        for witness in find_vacuous_atoms(parsed, formula, specs, kernel):
             result.diagnostics.append(
                 Diagnostic(
                     severity=Severity.WARNING,

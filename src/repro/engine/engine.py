@@ -63,14 +63,12 @@ from repro.core.diagnostics import (
     engine_failure,
 )
 from repro.core.limits import BudgetExceeded, Limits
-from repro.core.model_io import dfa_to_dict
 from repro.core.spec import ClassSpec
 from repro.engine import faults
 from repro.engine.cache import InferenceCache
 from repro.engine.fingerprint import class_key, method_key
 from repro.engine.metrics import ClassTiming, EngineMetrics
 from repro.engine.scheduler import prune_waves, schedule
-from repro.automata.kernel import BitDFA
 from repro.engine.serialize import (
     bitdfa_to_flat,
     diagnostics_from_list,
@@ -195,18 +193,11 @@ def _check_class_task(
         if trace:
             outcome["phases"] = tracer.phase_totals()
         return outcome
-    # Classic DFAs keep the structured model_io payload; kernel BitDFAs
-    # ship as flat int arrays (no state-name graphs cross the pool).
-    dfa_payload = dfa_flat = None
-    if isinstance(dfa, BitDFA):
-        dfa_flat = bitdfa_to_flat(dfa)
-    elif dfa is not None:
-        dfa_payload = dfa_to_dict(dfa)
     outcome = {
         "class": parsed.name,
         "diagnostics": diagnostics_to_list(result.diagnostics),
-        "dfa": dfa_payload,
-        "dfa_flat": dfa_flat,
+        # Flat int arrays: no state-name graphs cross the pool.
+        "dfa_flat": None if dfa is None else bitdfa_to_flat(dfa),
         "seconds": time.perf_counter() - started,
         "method_hits": hits,
         "method_misses": misses,
@@ -944,8 +935,7 @@ class BatchVerifier:
                         {
                             "class": name,
                             "diagnostics": outcome["diagnostics"],
-                            "dfa": outcome["dfa"],
-                            "dfa_flat": outcome.get("dfa_flat"),
+                            "dfa_flat": outcome["dfa_flat"],
                             "seconds": outcome["seconds"],
                         },
                     )
@@ -1040,29 +1030,20 @@ def cached_behavior_dfa(
 
     Only composite classes that passed the structural gate carry one
     (base-class checks never determinize).  Returns ``None`` on a cache
-    miss or when no DFA was recorded.  Verdicts computed under either
-    kernel decode — classic payloads via :mod:`repro.core.model_io`,
-    bitset payloads via the flat-array codec — and both come back as a
-    classic :class:`~repro.automata.dfa.DFA` for downstream consumers.
+    miss, when no DFA was recorded, or when the flat payload does not
+    decode; the DFA comes back as a classic
+    :class:`~repro.automata.dfa.DFA` for downstream consumers.
     """
     from repro.automata.kernel import bitdfa_to_dfa
-    from repro.core.model_io import ModelFormatError, dfa_from_dict
     from repro.engine.serialize import FlatFormatError, bitdfa_from_flat
 
     payload = cache.get("class", class_key(parsed, classes_in_scope))
-    if payload is None:
+    if payload is None or payload.get("dfa_flat") is None:
         return None
-    if payload.get("dfa") is not None:
-        try:
-            return dfa_from_dict(payload["dfa"])
-        except ModelFormatError:
-            return None
-    if payload.get("dfa_flat") is not None:
-        try:
-            return bitdfa_to_dfa(bitdfa_from_flat(payload["dfa_flat"]))
-        except FlatFormatError:
-            return None
-    return None
+    try:
+        return bitdfa_to_dfa(bitdfa_from_flat(payload["dfa_flat"]))
+    except FlatFormatError:
+        return None
 
 
 def verify_path(

@@ -3,11 +3,10 @@
 The cached value of a class check is its diagnostic list; round trips
 must be *exact* (``from_dict(to_dict(d)) == d``) so a warm-cache run
 renders byte-identical reports.  Diagnostics are flat frozen dataclasses,
-so this is a field-by-field mapping with tuples flattened to lists;
-classic DFA payloads reuse :mod:`repro.core.model_io`, and bitset-kernel
-DFAs ship as *flat arrays* (``bitdfa_to_flat``) — a symbol list plus a
-list of ints — which is what lets process-pool workers return automata
-without pickling frozenset-of-tuples state graphs.
+so this is a field-by-field mapping with tuples flattened to lists.
+Behavior DFAs ship as *flat arrays* (``bitdfa_to_flat``) — a symbol
+list plus a list of ints — which is what lets process-pool workers
+return automata without pickling frozenset-of-tuples state graphs.
 """
 
 from __future__ import annotations

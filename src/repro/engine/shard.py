@@ -340,7 +340,6 @@ def coordinate(
     cache_dir: str | Path | None = None,
     worker_cache_root: str | Path | None = None,
     remote_cache: str | None = None,
-    kernel: str | None = None,
     timeout_seconds: float = 600.0,
 ) -> CoordinatedRun:
     """Fan one check out to ``shards`` worker subprocesses and merge.
@@ -365,8 +364,6 @@ def coordinate(
                 "--shard-out", str(out_path),
                 "--jobs", str(jobs), "--executor", executor,
             ]
-            if kernel is not None:
-                command += ["--kernel", kernel]
             worker_cache: Path | None = None
             if worker_cache_root is not None:
                 worker_cache = Path(worker_cache_root) / f"worker-{index}"

@@ -2,17 +2,15 @@
 
 The differential harness (test_kernel_differential.py) pins the kernel
 against the classic oracle on random inputs; these tests cover the
-kernel's own contracts — representations, budgets, dispatch — directly.
+kernel's own contracts — representations, budgets, memoization — directly.
 """
 
 import pytest
 
 from repro.automata.kernel import (
-    KERNEL_ENV,
     Alphabet,
     BitDFA,
     KernelCheck,
-    KernelConfigError,
     bitdfa_to_dfa,
     bitset_difference_counterexample,
     bitset_equivalent,
@@ -20,12 +18,9 @@ from repro.automata.kernel import (
     bitset_intersection_counterexample,
     determinize_bitset,
     dfa_to_bitdfa,
-    forced_kernel,
-    kernel_name,
     minimize_bitset,
     nfa_to_bitnfa,
     project_bitnfa,
-    use_bitset,
 )
 from repro.automata.nfa import NFABuilder
 from repro.core.limits import BudgetExceeded
@@ -49,52 +44,20 @@ def make_nfa(transitions, *, initial, accepting, alphabet=(), epsilon=()):
 
 
 # ----------------------------------------------------------------------
-# Dispatch
+# The checker's automata
 # ----------------------------------------------------------------------
 
-def test_default_kernel_is_bitset(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert kernel_name() == "bitset"
-    assert use_bitset()
+def test_default_kernel_is_bitset():
+    """The checker determinizes composites on the bitset kernel."""
+    from repro.core.checker import Checker, check_parsed_class
+    from repro.frontend.parse import parse_module
+    from repro.paper import SECTION_2_MODULE
 
-
-def test_env_selects_classic(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "classic")
-    assert kernel_name() == "classic"
-    assert not use_bitset()
-
-
-def test_env_is_normalized(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "  Bitset ")
-    assert kernel_name() == "bitset"
-
-
-def test_junk_env_raises(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "turbo")
-    with pytest.raises(KernelConfigError):
-        kernel_name()
-
-
-def test_forced_kernel_restores_environment(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "classic")
-    with forced_kernel("bitset"):
-        assert use_bitset()
-    assert kernel_name() == "classic"
-
-
-def test_forced_kernel_restores_unset(monkeypatch):
-    import os
-
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    with forced_kernel("classic"):
-        assert not use_bitset()
-    assert KERNEL_ENV not in os.environ
-
-
-def test_forced_kernel_rejects_junk():
-    with pytest.raises(KernelConfigError):
-        with forced_kernel("warp"):
-            pass  # pragma: no cover
+    module, violations = parse_module(SECTION_2_MODULE)
+    specs = Checker(module, violations).specs
+    composite = next(parsed for parsed in module.classes if parsed.is_composite)
+    _result, dfa = check_parsed_class(composite, specs)
+    assert isinstance(dfa, BitDFA)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.automata.kernel import (
     bitset_intersection_counterexample,
     determinize_bitset,
     dfa_to_bitdfa,
-    forced_kernel,
     minimize_bitset,
     nfa_to_bitnfa,
     project_bitnfa,
@@ -38,6 +37,7 @@ from repro.automata.operations import (
 from repro.automata.product import intersection
 from repro.automata.shortest import shortest_accepted_word
 from repro.core.checker import check_source
+from repro.core.oracle import check_source_classic
 from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
 from repro.workloads.hierarchy import (
     HierarchyShape,
@@ -217,24 +217,24 @@ WORKLOAD_SHAPES = [
 ]
 
 
-def _report(source: str, kernel: str) -> str:
-    with forced_kernel(kernel):
-        return check_source(source).format()
+def _reports(source: str) -> tuple[str, str]:
+    """The checker's report and the classic oracle's, for comparison."""
+    return check_source(source).format(), check_source_classic(source).format()
 
 
 def test_paper_reports_byte_identical_across_kernels():
     for name, source in PAPER_SOURCES.items():
-        assert _report(source, "bitset") == _report(source, "classic"), name
+        kernel, classic = _reports(source)
+        assert kernel == classic, name
 
 
 def test_workload_reports_byte_identical_across_kernels():
     for shape, correct in WORKLOAD_SHAPES:
         claim = lifecycle_claim(shape) if correct else None
-        source = module_source(shape, correct=correct, claim=claim)
-        assert _report(source, "bitset") == _report(source, "classic"), (
-            shape,
-            correct,
+        kernel, classic = _reports(
+            module_source(shape, correct=correct, claim=claim)
         )
+        assert kernel == classic, (shape, correct)
 
 
 def test_minimized_dfa_round_trip_preserves_language():

@@ -1,24 +1,27 @@
 """Flat bitset-DFA payloads must round-trip exactly (cache correctness).
 
-Under the bitset kernel, process-pool workers ship the behavior DFA back
-as flat int arrays; the cache stores them under ``dfa_flat``.  The codec
-must be exact (same language, same structure) and defensive (malformed
-payloads decode to a cache miss, never a crash).
+Process-pool workers ship the behavior DFA back as flat int arrays; the
+cache stores them under ``dfa_flat``.  The codec must be exact (same
+language, same structure) and defensive (malformed payloads decode to a
+cache miss, never a crash).
 """
 
 import json
 
 import pytest
 
+from repro.automata.determinize import determinize
 from repro.automata.kernel import (
     bitdfa_to_dfa,
     bitset_equivalent,
     determinize_bitset,
-    forced_kernel,
+    dfa_to_bitdfa,
     nfa_to_bitnfa,
 )
 from repro.core.behavior import behavior_nfa
+from repro.core.oracle import check_source_classic
 from repro.engine import BatchVerifier, InferenceCache, cached_behavior_dfa
+from repro.engine.fingerprint import class_key
 from repro.engine.serialize import (
     FlatFormatError,
     bitdfa_from_flat,
@@ -90,56 +93,50 @@ class TestFlatRoundTrip:
 
 class TestCachePayloads:
     SHAPE = HierarchyShape(base_operations=3, subsystems=2, seed=2)
+    SOURCE = project_source(SHAPE, pairs=1)
 
-    def _run(self, tmp_path, kernel):
-        module, violations = parse_module(project_source(self.SHAPE, pairs=1))
+    def _run(self, tmp_path):
+        module, violations = parse_module(self.SOURCE)
         cache = InferenceCache(tmp_path)
-        with forced_kernel(kernel):
-            batch = BatchVerifier(module, violations, cache=cache).run()
+        batch = BatchVerifier(module, violations, cache=cache).run()
         classes = {parsed.name: parsed for parsed in module.classes}
         return batch, cache, classes
 
     def test_bitset_run_stores_flat_payloads(self, tmp_path):
-        _, cache, classes = self._run(tmp_path, "bitset")
+        _, cache, classes = self._run(tmp_path)
         composite = cached_behavior_dfa(cache, classes["Controller0"], classes)
         assert composite is not None
         assert composite.accepts(())
         assert cached_behavior_dfa(cache, classes["Device0"], classes) is None
 
-    def test_classic_run_still_stores_structured_payloads(self, tmp_path):
-        _, cache, classes = self._run(tmp_path, "classic")
-        composite = cached_behavior_dfa(cache, classes["Controller0"], classes)
-        assert composite is not None
-        assert composite.accepts(())
+    def test_cache_entries_carry_only_the_flat_payload(self, tmp_path):
+        _, cache, classes = self._run(tmp_path)
+        entry = cache.get(
+            "class", class_key(classes["Controller0"], classes)
+        )
+        assert entry["dfa_flat"] is not None
+        assert "dfa" not in entry
 
     def test_kernels_cache_language_equal_dfas(self, tmp_path):
-        _, bit_cache, classes = self._run(tmp_path / "bit", "bitset")
-        _, classic_cache, _ = self._run(tmp_path / "classic", "classic")
-        from repro.automata.kernel import dfa_to_bitdfa
-
-        bit = cached_behavior_dfa(bit_cache, classes["Controller0"], classes)
-        classic = cached_behavior_dfa(
-            classic_cache, classes["Controller0"], classes
-        )
-        assert bit is not None and classic is not None
-        assert bitset_equivalent(dfa_to_bitdfa(bit), dfa_to_bitdfa(classic))
+        _, cache, classes = self._run(tmp_path)
+        cached = cached_behavior_dfa(cache, classes["Controller0"], classes)
+        classic = determinize(behavior_nfa(classes["Controller0"]))
+        assert cached is not None
+        assert bitset_equivalent(dfa_to_bitdfa(cached), dfa_to_bitdfa(classic))
 
     def test_verdicts_identical_across_kernels(self, tmp_path):
-        bit_batch, _, _ = self._run(tmp_path / "bit", "bitset")
-        classic_batch, _, _ = self._run(tmp_path / "classic", "classic")
-        assert bit_batch.merged().format() == classic_batch.merged().format()
+        batch, _, _ = self._run(tmp_path)
+        classic = check_source_classic(self.SOURCE)
+        assert batch.merged().format() == classic.format()
 
 
 def test_worker_outcome_round_trips_through_processes():
-    """A process-pool engine run under the bitset kernel: flat payloads
-    must cross the pickle boundary and the run must stay green."""
+    """A process-pool engine run: flat payloads must cross the pickle
+    boundary and the run must stay green."""
     module, violations = parse_module(
         project_source(HierarchyShape(base_operations=3, subsystems=2, seed=4), pairs=1)
     )
-    with forced_kernel("bitset"):
-        batch = BatchVerifier(
-            module, violations, jobs=2, executor="process"
-        ).run()
+    batch = BatchVerifier(module, violations, jobs=2, executor="process").run()
     assert batch.ok
 
 
