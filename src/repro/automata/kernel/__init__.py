@@ -14,8 +14,11 @@ Hopcroft partition refinement over int blocks; and the inclusion check
 never materializes a product automaton at all — it is an on-the-fly
 emptiness search that short-circuits on the first counterexample state.
 
-The checker runs every automata question on this kernel.  The classic
-modules remain the **differential oracle**: the kernel must agree with
+The checker builds its automata straight into this kernel — behavior
+automata by splicing Thompson fragments (:mod:`.thompson`), spec
+automata from one arc enumeration, claim automata by LTLf progression —
+and runs every automata question on it.  The classic modules remain the
+**differential oracle**: the kernel must agree with
 them on language questions (equivalence, inclusion, minimized state
 counts) and produce the *same* length-lex-minimal counterexample words,
 so reports are byte-identical to the classic reference pipeline
@@ -28,6 +31,7 @@ from repro.automata.kernel.alphabet import Alphabet
 from repro.automata.kernel.bitset import (
     BitDFA,
     BitNFA,
+    BitNFABuilder,
     bitdfa_to_dfa,
     dfa_to_bitdfa,
     nfa_to_bitnfa,
@@ -41,12 +45,14 @@ from repro.automata.kernel.inclusion import (
     bitset_intersection_counterexample,
 )
 from repro.automata.kernel.minimize import minimize_bitset
+from repro.automata.kernel.thompson import thompson_bitnfa
 from repro.automata.kernel.context import KernelCheck
 
 __all__ = [
     "Alphabet",
     "BitDFA",
     "BitNFA",
+    "BitNFABuilder",
     "KernelCheck",
     "bitdfa_to_dfa",
     "bitset_difference_counterexample",
@@ -58,4 +64,5 @@ __all__ = [
     "minimize_bitset",
     "nfa_to_bitnfa",
     "project_bitnfa",
+    "thompson_bitnfa",
 ]

@@ -8,10 +8,12 @@ of the subset construction is just ``OR`` over set bits.  A
 ``delta`` array of length ``n*k`` (``-1`` = missing move = reject) and
 an accepting bit mask.
 
-Conversions to and from the classic object automata keep the kernel
-interchangeable with the oracle implementation; state *names* are
-dropped (the checker's verdicts never depend on them — counterexample
-words and language questions are name-free).
+The checker's automata are built straight into these shapes
+(:class:`BitNFABuilder`, :mod:`repro.automata.kernel.thompson`,
+``ClassSpec.bitnfa``, ``repro.ltlf.translate.formula_to_bitdfa``).
+:func:`bitdfa_to_dfa` is the classic-object view the exporters read;
+:func:`nfa_to_bitnfa` / :func:`dfa_to_bitdfa` intern arbitrary classic
+automata and serve the differential tests only.
 """
 
 from __future__ import annotations
@@ -78,10 +80,14 @@ class BitNFA:
                 nontrivial |= 1 << s
         closed: list[list[int]] = []
         for row in succ:
-            closed_row: list[int] = []
-            for mask in row:
+            if not any(row):
+                # Most states of a Thompson splice move on no symbol;
+                # their row is shared, as in the fast path above.
+                closed.append(row)
+                continue
+            closed_row = list(row)
+            for symbol_id, mask in enumerate(row):
                 if not mask & nontrivial:
-                    closed_row.append(mask)
                     continue
                 folded = mask & ~nontrivial
                 mask &= nontrivial
@@ -89,7 +95,7 @@ class BitNFA:
                     low = mask & -mask
                     folded |= closure[low.bit_length() - 1]
                     mask ^= low
-                closed_row.append(folded)
+                closed_row[symbol_id] = folded
             closed.append(closed_row)
         self.closed_succ = closed
         if initial & nontrivial:
@@ -128,6 +134,50 @@ class BitNFA:
             if not current:
                 return False
         return bool(current & self.accepting)
+
+
+class BitNFABuilder:
+    """Assembles a :class:`BitNFA` state by state.
+
+    States are the ints handed out by :meth:`add_state`; symbol moves
+    are kept as triples and laid out per symbol id by :meth:`build`,
+    once the alphabet is known.
+    """
+
+    __slots__ = ("eps", "moves")
+
+    def __init__(self) -> None:
+        self.eps: list[int] = []
+        self.moves: list[tuple[int, str, int]] = []
+
+    @property
+    def n(self) -> int:
+        """States added so far."""
+        return len(self.eps)
+
+    def add_state(self) -> int:
+        self.eps.append(0)
+        return len(self.eps) - 1
+
+    def add_transition(self, source: int, symbol: str, target: int) -> None:
+        self.moves.append((source, symbol, target))
+
+    def add_epsilon(self, source: int, target: int) -> None:
+        self.eps[source] |= 1 << target
+
+    def symbols(self) -> set[str]:
+        """The symbols the moves added so far read."""
+        return {symbol for _source, symbol, _target in self.moves}
+
+    def build(self, initial: int, accepting: int, alphabet: Alphabet) -> BitNFA:
+        """The automaton with ``initial``/``accepting`` state masks over
+        ``alphabet``, which must contain every symbol of the moves."""
+        id_of = alphabet.id_of
+        k = len(alphabet)
+        succ = [[0] * k for _ in self.eps]
+        for source, symbol, target in self.moves:
+            succ[source][id_of(symbol)] |= 1 << target
+        return BitNFA(alphabet, len(self.eps), succ, self.eps, initial, accepting)
 
 
 class BitDFA:
@@ -198,25 +248,29 @@ class BitDFA:
 def _closures(n: int, eps: list[int]) -> list[int]:
     """Epsilon closure masks: ``closure[s]`` ⊇ ``{s}`` ∪ eps-reachable.
 
-    Fixpoint by repeated mask folding; each round at least doubles the
-    reachable path length, so rounds are logarithmic in the longest
-    epsilon chain.
+    Semi-naive fixpoint: each round folds into ``closure[s]`` the
+    closures of the members it has not folded yet, and only states
+    whose closure grew take part in the next round.  A state that did
+    not grow contains its members' epsilon successors, so its closure
+    is complete.
     """
     closure = [(1 << s) | eps[s] for s in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
+    folded = [1 << s for s in range(n)]
+    active = [s for s in range(n) if eps[s]]
+    while active:
+        grown = []
+        for s in active:
             current = closure[s]
-            folded = current
-            mask = current
+            mask = current & ~folded[s]
+            folded[s] = current
             while mask:
                 low = mask & -mask
-                folded |= closure[low.bit_length() - 1]
+                current |= closure[low.bit_length() - 1]
                 mask ^= low
-            if folded != current:
-                closure[s] = folded
-                changed = True
+            if current != closure[s]:
+                closure[s] = current
+                grown.append(s)
+        active = grown
     return closure
 
 
@@ -225,7 +279,8 @@ def _closures(n: int, eps: list[int]) -> list[int]:
 # ----------------------------------------------------------------------
 
 def nfa_to_bitnfa(nfa: NFA, alphabet: Alphabet | None = None) -> BitNFA:
-    """Intern a classic :class:`~repro.automata.nfa.NFA` into bitsets.
+    """Intern a classic :class:`~repro.automata.nfa.NFA` into bitsets
+    (the differential tests' bridge from the oracle to the kernel).
 
     ``alphabet`` (optional) supplies a shared interner; it must contain
     every symbol of ``nfa``.  State names are dropped — the id order is

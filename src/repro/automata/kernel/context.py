@@ -7,22 +7,19 @@ re-translates over the same observed alphabet, and each subsystem field
 re-determinizes its spec.  A ``KernelCheck`` is the bitset kernel's
 answer: it owns the class's :class:`~repro.automata.kernel.bitset.BitNFA`
 and memoizes every derived DFA for the lifetime of one
-``check_parsed_class`` call.  Memoization is a pure cache — every entry
-is a deterministic function of the behavior NFA and the key — so
-verdicts are unchanged; only the wall clock moves.
+``check_parsed_class`` call.  Every machine is built straight into
+bitsets — spec automata by ``ClassSpec.bitnfa``, negated claims by
+LTLf progression — so no classic automaton is built on the way.
+Memoization is a pure cache — every entry is a deterministic function
+of the behavior NFA and the key — so verdicts are unchanged; only the
+wall clock moves.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.automata.kernel.bitset import (
-    BitDFA,
-    BitNFA,
-    dfa_to_bitdfa,
-    nfa_to_bitnfa,
-    project_bitnfa,
-)
+from repro.automata.kernel.bitset import BitDFA, BitNFA, project_bitnfa
 from repro.automata.kernel.determinize import determinize_bitset
 from repro.automata.kernel.inclusion import (
     bitset_difference_counterexample,
@@ -30,7 +27,6 @@ from repro.automata.kernel.inclusion import (
 )
 
 if TYPE_CHECKING:
-    from repro.automata.nfa import NFA
     from repro.core.spec import ClassSpec
     from repro.ltlf.ast import Formula
 
@@ -41,13 +37,13 @@ class KernelCheck:
     ``max_states`` and ``deadline`` carry the check's resource budget
     into the behavior determinization (the step the budget classically
     guards); derived machines (spec DFAs, projections, negated-formula
-    DFAs) run under the kernel's default cap, exactly as they do on the
-    classic path.
+    DFAs) run under their sites' default caps, exactly as they do on
+    the classic path.  The deadline also bounds the LTLf progression.
     """
 
     def __init__(
         self,
-        behavior: "NFA",
+        behavior: BitNFA,
         *,
         max_states: int | None = None,
         deadline: float | None = None,
@@ -57,7 +53,6 @@ class KernelCheck:
         self.max_states = max_states
         self.deadline = deadline
         self.tracer = tracer
-        self._behavior_bit: BitNFA | None = None
         self._behavior_dfa: BitDFA | None = None
         self._spec_dfas: dict[tuple[str, str], BitDFA] = {}
         self._projections: dict[frozenset[str], BitDFA] = {}
@@ -65,18 +60,11 @@ class KernelCheck:
 
     # ------------------------------------------------------------------
 
-    @property
-    def behavior_bit(self) -> BitNFA:
-        """The interned behavior NFA (built on first use)."""
-        if self._behavior_bit is None:
-            self._behavior_bit = nfa_to_bitnfa(self.behavior)
-        return self._behavior_bit
-
     def behavior_dfa(self) -> BitDFA:
         """The determinized behavior, under the check's budget."""
         if self._behavior_dfa is None:
             self._behavior_dfa = determinize_bitset(
-                self.behavior_bit,
+                self.behavior,
                 max_states=self.max_states,
                 deadline=self.deadline,
                 tracer=self.tracer,
@@ -88,7 +76,7 @@ class KernelCheck:
         key = (spec.name, prefix)
         found = self._spec_dfas.get(key)
         if found is None:
-            found = determinize_bitset(nfa_to_bitnfa(spec.nfa(prefix)))
+            found = determinize_bitset(spec.bitnfa(prefix))
             self._spec_dfas[key] = found
         return found
 
@@ -103,25 +91,26 @@ class KernelCheck:
         found = self._projections.get(observed)
         if found is None:
             found = determinize_bitset(
-                project_bitnfa(self.behavior_bit, observed)
+                project_bitnfa(self.behavior, observed)
             )
             self._projections[observed] = found
         return found
 
     def negation_dfa(self, formula: "Formula", observed: frozenset[str]) -> BitDFA:
-        """The (bitset view of the) DFA of ``¬formula`` over ``observed``.
-
-        Translation itself stays on the classic formula-progression
-        machinery (:mod:`repro.ltlf.translate`); only the result is
-        interned.  Memoized because the vacuity hold-check re-asks about
-        the very formula the claim check just translated.
+        """The DFA of ``¬formula`` over ``observed``, by progression
+        (:func:`repro.ltlf.translate.negation_to_bitdfa`) under the
+        check's deadline.  Memoized because the vacuity hold-check
+        re-asks about the very formula the claim check just translated.
         """
         key = (formula, observed)
         found = self._negations.get(key)
         if found is None:
-            from repro.ltlf.translate import negation_to_dfa
+            # Lazy: repro.ltlf sits above the automata layer.
+            from repro.ltlf.translate import negation_to_bitdfa
 
-            found = dfa_to_bitdfa(negation_to_dfa(formula, alphabet=observed))
+            found = negation_to_bitdfa(
+                formula, alphabet=observed, deadline=self.deadline
+            )
             self._negations[key] = found
         return found
 

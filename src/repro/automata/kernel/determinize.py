@@ -10,6 +10,7 @@ hashing a frozenset of structured state names.
 from __future__ import annotations
 
 from collections import deque
+from operator import or_
 
 from repro.automata.kernel.bitset import BitDFA, BitNFA
 
@@ -48,6 +49,14 @@ def determinize_bitset(
     accepting_mask = bitnfa.accepting
     initial = bitnfa.initial
 
+    # States that move on some symbol: the only members a fold reads
+    # (in a Thompson splice most states only carry epsilon glue).
+    live = 0
+    for state, row in enumerate(closed_succ):
+        if any(row):
+            live |= 1 << state
+    nowhere = [0] * k
+
     ids: dict[int, int] = {initial: 0}
     delta: list[int] = []
     accepting = 0
@@ -61,21 +70,22 @@ def determinize_bitset(
             check_deadline(deadline, "subset construction")
         if subset & accepting_mask:
             accepting |= 1 << ids[subset]
-        # Fold the per-state successor rows once per subset (not once
-        # per symbol): singleton subsets — the common case for spec
-        # automata — read their row directly.
-        low = subset & -subset
-        if subset == low:
+        # Fold the live members' successor rows once per subset (not
+        # once per symbol): a single live member — the common case —
+        # has its row read directly.
+        mask = subset & live
+        if mask:
+            low = mask & -mask
             successors = closed_succ[low.bit_length() - 1]
-        else:
-            successors = list(closed_succ[low.bit_length() - 1])
-            mask = subset ^ low
+            mask ^= low
             while mask:
                 low = mask & -mask
-                row = closed_succ[low.bit_length() - 1]
-                for symbol_id in range(k):
-                    successors[symbol_id] |= row[symbol_id]
+                successors = list(
+                    map(or_, successors, closed_succ[low.bit_length() - 1])
+                )
                 mask ^= low
+        else:
+            successors = nowhere
         for symbol_id in range(k):
             successor = successors[symbol_id]
             if not successor:

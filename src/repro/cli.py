@@ -600,7 +600,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.automata.determinize import determinize
+    from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
     from repro.core.model_io import dump_dependency_graph, dump_dfa, dump_spec
     from repro.core.spec import ClassSpec
 
@@ -611,7 +611,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     elif args.what == "deps":
         print(dump_dependency_graph(extract_dependency_graph(parsed)))
     else:  # behavior DFA
-        print(dump_dfa(determinize(behavior_nfa(parsed))))
+        print(dump_dfa(bitdfa_to_dfa(determinize_bitset(behavior_nfa(parsed)))))
     return 0
 
 
@@ -759,13 +759,14 @@ def _cmd_viz(args: argparse.Namespace) -> int:
 
 
 def _cmd_nusmv(args: argparse.Namespace) -> int:
-    from repro.automata.determinize import determinize
+    from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
     from repro.ltlf.parser import parse_claim
     from repro.nusmv.emit import emit_model
 
     module, _violations = _load(args.file)
     parsed = _select_class(module, args.cls, args.file)
-    dfa = determinize(behavior_nfa(parsed)).renumbered()
+    # Kernel state ids are BFS discovery order: already renumbered.
+    dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(parsed)))
     claims = [parse_claim(text) for text in parsed.claims]
     print(emit_model(dfa, claims), end="")
     return 0

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.automata.nfa import NFA, NFABuilder
-from repro.automata.thompson import thompson
+from repro.automata.kernel.alphabet import Alphabet
+from repro.automata.kernel.bitset import BitNFA, BitNFABuilder
+from repro.automata.kernel.thompson import add_thompson
 from repro.core.limits import charge_states, check_deadline
-from repro.core.spec import START_STATE, ClassSpec, exit_state
+from repro.core.spec import START_STATE, exit_state
 from repro.frontend.model_ast import OperationDef, ParsedClass
 from repro.lang.inference import exit_behaviors
 from repro.regex.ast import EPSILON, Regex
@@ -63,37 +64,56 @@ def behavior_nfa(
     max_states: int | None = None,
     deadline: float | None = None,
     tracer=None,
-) -> NFA:
-    """Build the behavior automaton of ``parsed``.
+) -> BitNFA:
+    """Build the behavior automaton of ``parsed`` as a kernel
+    :class:`~repro.automata.kernel.BitNFA`.
 
     ``exit_regexes`` optionally supplies precomputed (e.g. cached)
     inferred behaviors per operation name; operations not covered fall
     back to on-the-fly inference.  The construction itself is a pure
     function of the parsed class and those regexes.
 
+    The states are those of the classic construction
+    (:func:`repro.core.oracle.classic_behavior_nfa`) — ``start``, one
+    ``entered`` state per operation, each exit's Thompson fragment and
+    one state per exit — numbered as they are added; a name that
+    recurs (an operation defined twice) reuses its state, as in the
+    classic automaton.
+
     ``max_states`` / ``deadline`` bound the splicing: after each
-    operation's fragments are added the builder's state count is charged
-    against the budget (:class:`repro.core.limits.BudgetExceeded` on a
-    trip).  ``None`` leaves the construction unbounded, as before — the
-    automaton is linear in the spec anyway; the budget exists so the
-    engine can enforce one cap uniformly across the whole check.
+    operation's fragments are added the state count is charged against
+    the budget (:class:`repro.core.limits.BudgetExceeded` on a trip).
+    ``None`` leaves the construction unbounded — the automaton is
+    linear in the spec anyway; the budget exists so the engine can
+    enforce one cap uniformly across the whole check.
 
     ``tracer`` (optional, same plumbing point as the budget) annotates
     the enclosing span with the built automaton's size; it never alters
     the construction.
     """
-    spec = ClassSpec.of(parsed)
-    builder = NFABuilder()
-    builder.mark_initial(START_STATE)
-    builder.mark_accepting(START_STATE)
+    builder = BitNFABuilder()
+    named: dict[object, int] = {}
 
-    entered = {op.name: ("entered", op.name) for op in parsed.operations}
+    def state(name) -> int:
+        found = named.get(name)
+        if found is None:
+            found = named[name] = builder.add_state()
+        return found
 
-    # Splice each operation's per-exit body fragments once.
+    start = state(START_STATE)
+    entered: dict[str, int] = {}
+    exits: dict[tuple[str, int], int] = {}
+    #: (operation, exit id) -> the states of its body fragment, by
+    #: allocation order; a repeated operation name splices into them.
+    bodies: dict[tuple[str, int], list[int]] = {}
+
+    # Splice each operation's per-exit body fragments once; states are
+    # added in the classic construction's order, so the budget is
+    # charged the same counts.
     cap = None if max_states is None or max_states <= 0 else max_states
     for operation in parsed.operations:
         check_deadline(deadline, "behavior construction")
-        builder.add_state(entered[operation.name])
+        entered[operation.name] = state(("entered", operation.name))
         supplied = None if exit_regexes is None else exit_regexes.get(operation.name)
         if supplied is None:
             per_exit = operation_exit_regexes(operation)
@@ -103,54 +123,58 @@ def behavior_nfa(
                 for point in operation.returns
             }
         for point in operation.returns:
-            fragment = thompson(per_exit[point.exit_id])
-            rename = {
-                state: ("body", operation.name, point.exit_id, state)
-                for state in fragment.states
-            }
-            builder.add_states(rename.values())
-            for source, symbol, target in fragment.iter_transitions():
-                if symbol is None:
-                    builder.add_epsilon(rename[source], rename[target])
-                else:
-                    builder.add_transition(rename[source], symbol, rename[target])
-            for state in fragment.initial_states:
-                builder.add_epsilon(entered[operation.name], rename[state])
-            target_exit = exit_state(operation.name, point.exit_id)
-            builder.add_state(target_exit)
-            for state in fragment.accepting_states:
-                builder.add_epsilon(rename[state], target_exit)
-        charge_states(builder.state_count, cap, "behavior construction")
-
-    def connect(source, operation: OperationDef) -> None:
-        builder.add_transition(source, operation.name, entered[operation.name])
+            key = (operation.name, point.exit_id)
+            entry, body_exit = add_thompson(
+                builder,
+                per_exit[point.exit_id],
+                _allocator(builder, bodies.setdefault(key, [])),
+            )
+            builder.add_epsilon(entered[operation.name], entry)
+            exits[key] = state(exit_state(*key))
+            builder.add_epsilon(body_exit, exits[key])
+        charge_states(builder.n, cap, "behavior construction")
 
     # Wire the spec structure: initial ops from start, next-method sets
     # from each exit, and acceptance at exits of final ops.
-    for operation in spec.initial_operations():
-        connect(START_STATE, operation)
+    accepting = 1 << start
     for operation in parsed.operations:
+        if operation.kind.is_initial:
+            builder.add_transition(start, operation.name, entered[operation.name])
         for point in operation.returns:
-            source = exit_state(operation.name, point.exit_id)
+            source = exits[(operation.name, point.exit_id)]
             for next_name in point.next_methods:
-                next_operation = spec.operation(next_name)
-                if next_operation is not None:
-                    connect(source, next_operation)
-        if operation.kind.is_final:
-            for point in operation.returns:
-                builder.mark_accepting(exit_state(operation.name, point.exit_id))
+                if next_name in entered:
+                    builder.add_transition(source, next_name, entered[next_name])
+            if operation.kind.is_final:
+                accepting |= 1 << source
 
     # Keep the full event vocabulary in the alphabet even when parts are
     # unreachable, so later products and lifts line up.
+    symbols = builder.symbols()
     for operation in parsed.operations:
-        builder.alphabet.add(operation.name)
-        builder.alphabet.update(operation.calls)
+        symbols.add(operation.name)
+        symbols.update(operation.calls)
     if tracer is not None and tracer.enabled:
         tracer.annotate(
-            nfa_states=builder.state_count,
+            nfa_states=builder.n,
             operations=len(parsed.operations),
         )
-    return builder.build()
+    return builder.build(1 << start, accepting, Alphabet(symbols))
+
+
+def _allocator(builder: BitNFABuilder, slots: list[int]):
+    """A ``fresh`` for :func:`add_thompson` that hands out ``slots``
+    first, then new states (appended to ``slots``)."""
+    used = 0
+
+    def fresh() -> int:
+        nonlocal used
+        if used == len(slots):
+            slots.append(builder.add_state())
+        used += 1
+        return slots[used - 1]
+
+    return fresh
 
 
 def subsystem_alphabet(parsed: ParsedClass, field_name: str) -> frozenset[str]:

@@ -76,9 +76,12 @@ def check_parsed_class(
     is byte-for-byte the old pipeline.
 
     ``automata`` builds the per-class facade that answers every automata
-    question: the bitset :class:`~repro.automata.kernel.KernelCheck`.
-    Only the differential oracle passes anything else
-    (:class:`repro.core.oracle.ClassicCheck`).
+    question: the bitset :class:`~repro.automata.kernel.KernelCheck`,
+    over the :class:`~repro.automata.kernel.BitNFA` that
+    :func:`~repro.core.behavior.behavior_nfa` builds.  Only the
+    differential oracle passes anything else
+    (:class:`repro.core.oracle.ClassicCheck`), and such a facade names
+    the constructor of its own behavior automaton as ``behavior_nfa``.
 
     Returns the diagnostics plus the determinized behavior DFA when the
     check computed one (composite classes past the structural gate).
@@ -98,8 +101,9 @@ def check_parsed_class(
         # The behavior automaton would be built from a broken spec;
         # usage/claim verdicts on it would be noise.
         return result, None
+    construct = behavior_nfa if automata is KernelCheck else automata.behavior_nfa
     with tracer.span("phase", "infer"):
-        behavior = behavior_nfa(
+        behavior = construct(
             parsed,
             exit_regexes=exit_regexes,
             max_states=limits.max_states,

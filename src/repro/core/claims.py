@@ -14,8 +14,7 @@ formula mentions (which is also how claims on *base* classes work, e.g.
 
 from __future__ import annotations
 
-from repro.automata.kernel import KernelCheck
-from repro.automata.nfa import NFA
+from repro.automata.kernel import BitNFA, KernelCheck
 from repro.core.behavior import behavior_nfa
 from repro.core.spec import ClassSpec
 from repro.core.diagnostics import (
@@ -31,7 +30,7 @@ from repro.ltlf.parser import ClaimSyntaxError, parse_claim
 
 def claim_alphabet(
     parsed: ParsedClass,
-    behavior: NFA,
+    behavior: BitNFA,
     formula_atom_names: frozenset[str],
     specs: dict[str, "ClassSpec"] | None = None,
 ) -> frozenset[str]:
@@ -103,7 +102,7 @@ def check_claims(
             continue
         atom_names = formula_atoms(formula)
         observed = claim_alphabet(parsed, behavior, atom_names, specs)
-        unknown_atoms = atom_names - observed - behavior.alphabet
+        unknown_atoms = atom_names - observed - set(behavior.alphabet)
         if unknown_atoms:
             result.diagnostics.append(
                 Diagnostic(

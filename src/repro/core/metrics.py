@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.kernel import (
-    bitdfa_to_dfa,
-    determinize_bitset,
-    minimize_bitset,
-    nfa_to_bitnfa,
-)
+from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset, minimize_bitset
 from repro.automata.shortest import iter_accepted_words
 from repro.core.behavior import behavior_nfa
 from repro.core.dependency import extract_dependency_graph
@@ -78,14 +73,11 @@ def collect_metrics(
         # agree with classic minimize — the differential harness pins
         # this).
         spec_minimal = bitdfa_to_dfa(
-            minimize_bitset(
-                determinize_bitset(nfa_to_bitnfa(spec.nfa())), tracer=tracer
-            )
+            minimize_bitset(determinize_bitset(spec.bitnfa()), tracer=tracer)
         )
         behavior_minimal = bitdfa_to_dfa(
             minimize_bitset(
-                determinize_bitset(nfa_to_bitnfa(behavior_nfa(parsed))),
-                tracer=tracer,
+                determinize_bitset(behavior_nfa(parsed)), tracer=tracer
             )
         )
 

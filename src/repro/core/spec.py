@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
+from repro.automata.kernel.alphabet import Alphabet
+from repro.automata.kernel.bitset import BitNFA, BitNFABuilder
 from repro.automata.nfa import NFA, NFABuilder
 from repro.frontend.model_ast import OperationDef, ParsedClass, ReturnPoint
 
@@ -74,24 +76,50 @@ class ClassSpec:
     # Automata
     # ------------------------------------------------------------------
 
-    def nfa(self, prefix: str = "") -> NFA:
-        """The specification automaton, with events ``prefix + op name``.
+    def states(self) -> tuple:
+        """The automaton's states: ``start``, then each exit state in
+        declaration order (a repeated exit is listed once)."""
+        return tuple(
+            dict.fromkeys(
+                [START_STATE]
+                + [
+                    exit_state(operation.name, point.exit_id)
+                    for operation in self.operations
+                    for point in operation.returns
+                ]
+            )
+        )
 
-        ``prefix`` is how a composite's subsystem instance scopes its
-        events: ``Valve`` used as field ``a`` has events ``a.test`` etc.
+    def accepting_states(self) -> frozenset:
+        """``start`` (the empty lifecycle) and every exit of a final
+        operation."""
+        return frozenset(
+            [START_STATE]
+            + [
+                exit_state(operation.name, point.exit_id)
+                for operation in self.final_operations()
+                for point in operation.returns
+            ]
+        )
+
+    def arcs(self, prefix: str = "") -> list[tuple[object, str, object]]:
+        """Every transition ``(source, event, target)`` of the automaton.
+
+        Event ``prefix + m`` leads to each exit of operation ``m`` — from
+        ``start`` when ``m`` is initial, and from every exit whose
+        next-method set lists ``m``.  Both :meth:`nfa` and
+        :meth:`bitnfa` are built from this one enumeration.
         """
-        builder = NFABuilder()
-        builder.mark_initial(START_STATE)
-        builder.mark_accepting(START_STATE)  # the empty lifecycle
+        by_name: dict[str, OperationDef] = {}
         for operation in self.operations:
-            for point in operation.returns:
-                builder.add_state(exit_state(operation.name, point.exit_id))
+            by_name.setdefault(operation.name, operation)
+        arcs: list[tuple[object, str, object]] = []
 
         def connect(source, operation: OperationDef) -> None:
             label = prefix + operation.name
             for point in operation.returns:
-                builder.add_transition(
-                    source, label, exit_state(operation.name, point.exit_id)
+                arcs.append(
+                    (source, label, exit_state(operation.name, point.exit_id))
                 )
 
         for operation in self.initial_operations():
@@ -100,17 +128,46 @@ class ClassSpec:
             for point in operation.returns:
                 source = exit_state(operation.name, point.exit_id)
                 for next_name in point.next_methods:
-                    next_operation = self.operation(next_name)
+                    next_operation = by_name.get(next_name)
                     if next_operation is not None:
                         connect(source, next_operation)
-            if operation.kind.is_final:
-                for point in operation.returns:
-                    builder.mark_accepting(exit_state(operation.name, point.exit_id))
+        return arcs
+
+    def nfa(self, prefix: str = "") -> NFA:
+        """The specification automaton, with events ``prefix + op name``.
+
+        ``prefix`` is how a composite's subsystem instance scopes its
+        events: ``Valve`` used as field ``a`` has events ``a.test`` etc.
+        """
+        builder = NFABuilder()
+        builder.add_states(self.states())
+        builder.mark_initial(START_STATE)
+        for state in self.accepting_states():
+            builder.mark_accepting(state)
+        for source, label, target in self.arcs(prefix):
+            builder.add_transition(source, label, target)
         # Ensure every operation name is in the alphabet even when it is
         # unreachable (diagnosed separately) so products line up.
-        for operation in self.operations:
-            builder.alphabet.add(prefix + operation.name)
+        builder.alphabet.update(prefix + name for name in self.operation_names())
         return builder.build()
+
+    def bitnfa(self, prefix: str = "", alphabet: Alphabet | None = None) -> BitNFA:
+        """:meth:`nfa` as an epsilon-free kernel automaton, states
+        numbered in :meth:`states` order.
+
+        ``alphabet`` optionally supplies a shared interner; it must
+        contain every ``prefix + op name``.
+        """
+        if alphabet is None:
+            alphabet = Alphabet(prefix + name for name in self.operation_names())
+        builder = BitNFABuilder()
+        index = {state: builder.add_state() for state in self.states()}
+        for source, label, target in self.arcs(prefix):
+            builder.add_transition(index[source], label, index[target])
+        accepting = 0
+        for state in self.accepting_states():
+            accepting |= 1 << index[state]
+        return builder.build(1 << index[START_STATE], accepting, alphabet)
 
     def dfa(self, prefix: str = "") -> DFA:
         """Determinized specification automaton."""

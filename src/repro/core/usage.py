@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.kernel import KernelCheck
+from repro.automata.kernel import KernelCheck, determinize_bitset
 from repro.core.behavior import behavior_nfa
 from repro.core.diagnostics import (
     INVALID_SUBSYSTEM_USAGE,
@@ -55,17 +55,18 @@ def replay_against_spec(
     projected = [
         label[len(prefix):] for label in trace if label.startswith(prefix)
     ]
-    dfa = spec.dfa()
-    state = dfa.initial_state
+    dfa = determinize_bitset(spec.bitnfa())
+    state = dfa.initial
     consumed: list[str] = []
     for method in projected:
-        successor = dfa.successor(state, method)
-        if successor is None:
+        symbol_id = dfa.alphabet.get(method)
+        successor = -1 if symbol_id < 0 else dfa.successor(state, symbol_id)
+        if successor < 0:
             rendered = consumed + [f">{method}< (not allowed)"]
             return ", ".join(rendered)
         consumed.append(method)
         state = successor
-    if state not in dfa.accepting_states:
+    if not dfa.accepting >> state & 1:
         if consumed:
             consumed[-1] = f">{consumed[-1]}< (not final)"
             return ", ".join(consumed)

@@ -211,7 +211,7 @@ def check_claim_vacuity(
         except ClaimSyntaxError:
             continue  # reported by check_claims
         observed = claim_alphabet(parsed, behavior, formula_atoms(formula), specs)
-        if formula_atoms(formula) - observed - behavior.alphabet:
+        if formula_atoms(formula) - observed - set(behavior.alphabet):
             continue  # unknown atoms: reported by check_claims
         if not kernel.holds_on(formula, observed):
             continue  # failing claims are not vacuous, they are wrong

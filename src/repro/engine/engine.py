@@ -929,6 +929,9 @@ class BatchVerifier:
                         if operation is not None:
                             self.cache.put("method", method_key(operation), payload)
                             cache_writes += 1
+                    # A pure function of the key: concurrent writers of
+                    # one entry must produce identical bytes, so no
+                    # timings go in.
                     self.cache.put(
                         "class",
                         key,
@@ -936,7 +939,6 @@ class BatchVerifier:
                             "class": name,
                             "diagnostics": outcome["diagnostics"],
                             "dfa_flat": outcome["dfa_flat"],
-                            "seconds": outcome["seconds"],
                         },
                     )
                     cache_writes += 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.automata.kernel.alphabet import Alphabet
-from repro.automata.kernel.bitset import BitDFA, dfa_to_bitdfa, nfa_to_bitnfa
+from repro.automata.kernel.bitset import BitDFA
 from repro.automata.kernel.determinize import determinize_bitset
 from repro.automata.kernel.inclusion import bitset_difference_counterexample
 from repro.automata.kernel.minimize import minimize_bitset
@@ -74,7 +74,7 @@ class DiffResult:
 
 def static_bitdfa(spec: ClassSpec) -> BitDFA:
     """The specification automaton as a kernel DFA."""
-    return determinize_bitset(nfa_to_bitnfa(spec.nfa()))
+    return determinize_bitset(spec.bitnfa())
 
 
 def diff_mined(
@@ -84,10 +84,9 @@ def diff_mined(
     # One shared interner keeps symbol ids aligned across both machines;
     # the mined alphabet is the spec vocabulary by construction, but a
     # corpus loaded from JSON may carry a subset — the union covers both.
-    symbols = sorted(set(mined.dfa.alphabet) | set(spec.nfa().alphabet))
-    alphabet = Alphabet(symbols)
-    mined_bit = dfa_to_bitdfa(mined.dfa, alphabet)
-    static_bit = determinize_bitset(nfa_to_bitnfa(spec.nfa(), alphabet))
+    alphabet = Alphabet(set(mined.dfa.alphabet) | set(spec.operation_names()))
+    mined_bit = mined.bitdfa(alphabet)
+    static_bit = determinize_bitset(spec.bitnfa(alphabet=alphabet))
 
     unsound = bitset_difference_counterexample(mined_bit, static_bit)
     missed = bitset_difference_counterexample(static_bit, mined_bit)

@@ -35,6 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.automata.dfa import DFA
+from repro.automata.kernel.alphabet import Alphabet
+from repro.automata.kernel.bitset import BitDFA
 from repro.mine.corpus import TraceCorpus
 from repro.mine.pta import PrefixTreeAcceptor
 from repro.obs.tracer import NULL_TRACER
@@ -76,6 +78,19 @@ class MinedModel:
 
     def accepts(self, word) -> bool:
         return self.dfa.accepts(word)
+
+    def bitdfa(self, alphabet: Alphabet) -> BitDFA:
+        """:attr:`dfa` on the kernel, over ``alphabet`` (a superset of
+        its own); its dense int states keep their numbers."""
+        k = len(alphabet)
+        n = len(self.dfa.states)
+        delta = [-1] * (n * k)
+        for (source, symbol), target in self.dfa.transitions.items():
+            delta[source * k + alphabet.id_of(symbol)] = target
+        accepting = 0
+        for state in self.dfa.accepting_states:
+            accepting |= 1 << state
+        return BitDFA(alphabet, n, delta, self.dfa.initial_state, accepting)
 
 
 class _Quotient:

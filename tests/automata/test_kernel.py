@@ -60,6 +60,36 @@ def test_default_kernel_is_bitset():
     assert isinstance(dfa, BitDFA)
 
 
+def test_check_builds_no_classic_automaton(monkeypatch):
+    """Behavior, spec and claim automata are all built straight into
+    bitsets: a check constructs no classic NFA or DFA."""
+    from repro.automata.dfa import DFA
+    from repro.automata.nfa import NFA
+    from repro.core.checker import check_source
+    from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
+    from repro.workloads.hierarchy import (
+        HierarchyShape,
+        lifecycle_claim,
+        module_source,
+    )
+
+    def refuse(self):
+        raise AssertionError(f"classic {type(self).__name__} built")
+
+    shape = HierarchyShape(base_operations=6, subsystems=3, seed=11)
+    sources = [
+        GOOD_MODULE,
+        SECTION_2_MODULE,
+        SECTOR_MODULE,
+        module_source(shape, correct=False, claim=lifecycle_claim(shape)),
+    ]
+    monkeypatch.setattr(NFA, "__post_init__", refuse)
+    monkeypatch.setattr(DFA, "__post_init__", refuse)
+    reports = [check_source(source).format() for source in sources]
+    assert any("INVALID SUBSYSTEM USAGE" in report for report in reports)
+    assert any("FAIL TO MEET REQUIREMENT" in report for report in reports)
+
+
 # ----------------------------------------------------------------------
 # Representations
 # ----------------------------------------------------------------------
@@ -286,13 +316,13 @@ def test_kernel_check_memoizes_projections():
         initial=["s"],
         accepting=["u"],
     )
-    ctx = KernelCheck(nfa)
+    ctx = KernelCheck(nfa_to_bitnfa(nfa))
     observed = frozenset({"a", "b"})
     assert ctx.projected_dfa(observed) is ctx.projected_dfa(observed)
     assert ctx.behavior_dfa() is ctx.behavior_dfa()
 
 
 def test_kernel_check_budget_flows_to_behavior_dfa():
-    ctx = KernelCheck(_chain_nfa(64), max_states=4)
+    ctx = KernelCheck(nfa_to_bitnfa(_chain_nfa(64)), max_states=4)
     with pytest.raises(BudgetExceeded):
         ctx.behavior_dfa()

@@ -3,11 +3,13 @@
 The classic modules stay in the tree as the executable specification of
 the kernel; this harness pins the two implementations against each other
 on random NFAs (language equivalence, minimized state counts,
-counterexample words) and on every paper listing and workload generator
-(byte-identical reports).  The nightly CI job re-runs this file with a
-much larger Hypothesis budget: explicit ``max_examples`` would override
-any profile, so budgets here are scaled by ``REPRO_FUZZ_MULTIPLIER``
-(the nightly workflow sets it to 20).
+counterexample words), pins the kernel's direct constructors (Thompson,
+behavior splice, spec automata) to the classic constructions they
+replace, and checks every paper listing and workload generator
+(byte-identical reports, identical budget trips).  The nightly CI job
+re-runs this file with a much larger Hypothesis budget: explicit
+``max_examples`` would override any profile, so budgets here are scaled
+by ``REPRO_FUZZ_MULTIPLIER`` (the nightly workflow sets it to 20).
 """
 
 import os
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.determinize import determinize
 from repro.automata.kernel import (
+    KernelCheck,
     bitdfa_to_dfa,
     bitset_difference_counterexample,
     bitset_equivalent,
@@ -25,6 +28,7 @@ from repro.automata.kernel import (
     minimize_bitset,
     nfa_to_bitnfa,
     project_bitnfa,
+    thompson_bitnfa,
 )
 from repro.automata.minimize import minimize
 from repro.automata.nfa import NFA, NFABuilder
@@ -36,9 +40,20 @@ from repro.automata.operations import (
 )
 from repro.automata.product import intersection
 from repro.automata.shortest import shortest_accepted_word
-from repro.core.checker import check_source
-from repro.core.oracle import check_source_classic
+from repro.automata.thompson import thompson
+from repro.core.behavior import behavior_nfa
+from repro.core.checker import Checker, check_parsed_class, check_source
+from repro.core.limits import BudgetExceeded, Limits
+from repro.core.oracle import (
+    ClassicCheck,
+    check_source_classic,
+    classic_behavior_nfa,
+)
+from repro.core.spec import ClassSpec
+from repro.engine.serialize import bitdfa_to_flat
+from repro.frontend.parse import parse_module
 from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
+from repro.regex.ast import EMPTY, EPSILON, Concat, Regex, Star, Union, symbol
 from repro.workloads.hierarchy import (
     HierarchyShape,
     lifecycle_claim,
@@ -239,15 +254,11 @@ def test_workload_reports_byte_identical_across_kernels():
 
 def test_minimized_dfa_round_trip_preserves_language():
     for source in PAPER_SOURCES.values():
-        from repro.core.behavior import behavior_nfa
-        from repro.frontend.parse import parse_module
-
         module, _ = parse_module(source)
         for parsed in module.classes:
-            behavior = behavior_nfa(parsed)
-            classic_minimal = minimize(determinize(behavior))
+            classic_minimal = minimize(determinize(classic_behavior_nfa(parsed)))
             kernel_minimal = minimize_bitset(
-                determinize_bitset(nfa_to_bitnfa(behavior))
+                determinize_bitset(behavior_nfa(parsed))
             )
             assert len(classic_minimal.states) == kernel_minimal.n
             assert bitset_equivalent(
@@ -256,3 +267,91 @@ def test_minimized_dfa_round_trip_preserves_language():
             # And the classic view of the kernel result is usable.
             round_tripped = bitdfa_to_dfa(kernel_minimal)
             assert round_tripped.accepts(()) == classic_minimal.accepts(())
+
+
+# ----------------------------------------------------------------------
+# Direct constructors == the classic constructions they replace
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def regexes(draw) -> Regex:
+    """Raw regex trees (no smart-constructor simplification), so every
+    Thompson fragment shape — nested stars, empty and epsilon leaves —
+    occurs."""
+    return draw(
+        st.recursive(
+            st.sampled_from([EMPTY, EPSILON] + [symbol(a) for a in ALPHABET]),
+            lambda children: st.one_of(
+                st.tuples(children, children).map(lambda pair: Concat(*pair)),
+                st.tuples(children, children).map(lambda pair: Union(*pair)),
+                children.map(Star),
+            ),
+            max_leaves=12,
+        )
+    )
+
+
+def _flat_dfa(bitnfa) -> dict:
+    return bitdfa_to_flat(determinize_bitset(bitnfa))
+
+
+@given(regexes())
+@settings(max_examples=_examples(150), deadline=None)
+def test_direct_thompson_matches_classic(regex):
+    direct = thompson_bitnfa(regex, ALPHABET)
+    classic = nfa_to_bitnfa(thompson(regex, frozenset(ALPHABET)))
+    assert direct.n == classic.n
+    assert _flat_dfa(direct) == _flat_dfa(classic)
+
+
+def _listing_and_workload_modules():
+    for source in PAPER_SOURCES.values():
+        yield parse_module(source)
+    for shape, correct in WORKLOAD_SHAPES:
+        claim = lifecycle_claim(shape) if correct else None
+        yield parse_module(module_source(shape, correct=correct, claim=claim))
+
+
+def test_behavior_matches_classic_construction():
+    for module, _violations in _listing_and_workload_modules():
+        for parsed in module.classes:
+            direct = behavior_nfa(parsed)
+            classic = classic_behavior_nfa(parsed)
+            assert direct.n == len(classic.states), parsed.name
+            assert _flat_dfa(direct) == _flat_dfa(nfa_to_bitnfa(classic)), parsed.name
+
+
+def test_spec_automata_match_classic_construction():
+    for module, _violations in _listing_and_workload_modules():
+        for parsed in module.classes:
+            spec = ClassSpec.of(parsed)
+            for prefix in ("", "field."):
+                assert _flat_dfa(spec.bitnfa(prefix)) == _flat_dfa(
+                    nfa_to_bitnfa(spec.nfa(prefix))
+                ), (parsed.name, prefix)
+
+
+def test_budget_trips_match_the_oracle():
+    """Every paper class under every state budget up to its behavior
+    size + 40: kernel and oracle both finish with equal reports, or both
+    trip with the same message (what ``ENGINE BUDGET`` prints)."""
+
+    def outcome(parsed, specs, max_states, automata):
+        try:
+            result, _dfa = check_parsed_class(
+                parsed, specs, limits=Limits(max_states=max_states),
+                automata=automata,
+            )
+        except BudgetExceeded as trip:
+            return "budget", str(trip)
+        return "report", result.format()
+
+    for source in PAPER_SOURCES.values():
+        module, violations = parse_module(source)
+        specs = Checker(module, violations).specs
+        for parsed in module.classes:
+            for max_states in range(1, behavior_nfa(parsed).n + 41):
+                kernel = outcome(parsed, specs, max_states, KernelCheck)
+                classic = outcome(parsed, specs, max_states, ClassicCheck)
+                assert kernel == classic, (parsed.name, max_states)

@@ -1,6 +1,6 @@
 """The behavior automaton: spec structure with inferred bodies spliced in."""
 
-from repro.automata.determinize import determinize
+from repro.automata.kernel import bitset_equivalent, determinize_bitset
 from repro.core.behavior import behavior_nfa, operation_exit_regexes, subsystem_alphabet
 from repro.regex.ast import format_regex
 
@@ -78,11 +78,9 @@ class TestBaseClassBehavior:
     def test_degenerates_to_spec(self, valve):
         from repro.core.spec import ClassSpec
 
-        behavior = determinize(behavior_nfa(valve))
-        spec = ClassSpec.of(valve).dfa()
-        from repro.automata.operations import equivalent
-
-        assert equivalent(behavior, spec)
+        behavior = determinize_bitset(behavior_nfa(valve))
+        spec = determinize_bitset(ClassSpec.of(valve).bitnfa())
+        assert bitset_equivalent(behavior, spec)
 
 
 class TestSubsystemAlphabet:

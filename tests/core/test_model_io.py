@@ -6,7 +6,7 @@ import pytest
 
 from repro.automata.determinize import determinize
 from repro.automata.operations import equivalent
-from repro.core.behavior import behavior_nfa
+from repro.core.oracle import classic_behavior_nfa
 from repro.core.dependency import extract_dependency_graph
 from repro.core.model_io import (
     ModelFormatError,
@@ -66,12 +66,12 @@ class TestDependencyGraphRoundTrip:
 
 class TestDfaRoundTrip:
     def test_behavior_dfa_round_trip(self, bad_sector):
-        dfa = determinize(behavior_nfa(bad_sector))
+        dfa = determinize(classic_behavior_nfa(bad_sector))
         loaded = load_dfa(dump_dfa(dfa))
         assert equivalent(dfa, loaded)
 
     def test_renumbering_makes_output_json_stable(self, bad_sector):
-        dfa = determinize(behavior_nfa(bad_sector))
+        dfa = determinize(classic_behavior_nfa(bad_sector))
         assert dump_dfa(dfa) == dump_dfa(dfa.renumbered())
 
 

@@ -16,10 +16,9 @@ from repro.automata.kernel import (
     bitset_equivalent,
     determinize_bitset,
     dfa_to_bitdfa,
-    nfa_to_bitnfa,
 )
 from repro.core.behavior import behavior_nfa
-from repro.core.oracle import check_source_classic
+from repro.core.oracle import check_source_classic, classic_behavior_nfa
 from repro.engine import BatchVerifier, InferenceCache, cached_behavior_dfa
 from repro.engine.fingerprint import class_key
 from repro.engine.serialize import (
@@ -35,7 +34,7 @@ from repro.workloads.hierarchy import HierarchyShape, project_source
 def _behavior_bitdfas(source):
     module, _ = parse_module(source)
     for parsed in module.classes:
-        yield determinize_bitset(nfa_to_bitnfa(behavior_nfa(parsed)))
+        yield determinize_bitset(behavior_nfa(parsed))
 
 
 class TestFlatRoundTrip:
@@ -120,7 +119,7 @@ class TestCachePayloads:
     def test_kernels_cache_language_equal_dfas(self, tmp_path):
         _, cache, classes = self._run(tmp_path)
         cached = cached_behavior_dfa(cache, classes["Controller0"], classes)
-        classic = determinize(behavior_nfa(classes["Controller0"]))
+        classic = determinize(classic_behavior_nfa(classes["Controller0"]))
         assert cached is not None
         assert bitset_equivalent(dfa_to_bitdfa(cached), dfa_to_bitdfa(classic))
 

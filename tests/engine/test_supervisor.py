@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core.checker import Checker
+from repro.automata.kernel import KernelCheck
+from repro.core.checker import Checker, check_parsed_class
+from repro.core.limits import BudgetExceeded, Limits
+from repro.core.oracle import ClassicCheck
 from repro.engine import (
     BatchVerifier,
     EngineAborted,
@@ -11,6 +14,8 @@ from repro.engine import (
 )
 from repro.engine import faults
 from repro.frontend.parse import parse_module
+from repro.ltlf import translate
+from repro.paper import SECTION_2_MODULE
 from repro.workloads.hierarchy import HierarchyShape, project_source
 
 SHAPE = HierarchyShape(base_operations=4, subsystems=2, seed=13)
@@ -86,6 +91,62 @@ class TestBudgetQuarantine:
         batch = BatchVerifier(module, violations, max_states=100_000).run()
         assert batch.quarantined() == ()
         assert batch.merged().format() == _reference(module, violations)
+
+
+class TestClaimTranslationBudget:
+    """A claim's LTLf progression is budgeted like every other step: an
+    overflow is a deterministic ``ENGINE BUDGET`` verdict (never retried
+    as a crash) and the class deadline bounds it."""
+
+    @staticmethod
+    def _claimed(module):
+        return [parsed for parsed in module.classes if parsed.claims]
+
+    @staticmethod
+    def _verdicts(parsed, specs, limits):
+        """The kernel's and the oracle's ``BudgetExceeded`` trips."""
+        trips = []
+        for automata in (KernelCheck, ClassicCheck):
+            with pytest.raises(BudgetExceeded) as trip:
+                check_parsed_class(parsed, specs, limits=limits, automata=automata)
+            trips.append((trip.value.resource, str(trip.value)))
+        return trips
+
+    def test_overflow_is_one_attempt_engine_budget(
+        self, monkeypatch, no_ambient_faults
+    ):
+        monkeypatch.setattr(translate, "MAX_PROGRESSION_STATES", 2)
+        module, violations = _parse(SECTION_2_MODULE)
+        claimed = self._claimed(module)
+        assert claimed
+        batch = BatchVerifier(module, violations, retries=2, backoff=0.0).run()
+        assert set(batch.quarantined()) == {parsed.name for parsed in claimed}
+        assert batch.metrics.retries == 0
+        assert batch.metrics.budget_trips == len(claimed)
+        specs = Checker(module, violations).specs
+        for parsed in claimed:
+            report = batch.result_for(parsed.name).format()
+            assert "ENGINE BUDGET" in report
+            assert "after 1 attempt:" in report
+            assert "ENGINE CRASH" not in report
+            kernel, classic = self._verdicts(parsed, specs, Limits())
+            assert kernel == classic
+            assert kernel[0] == "states"
+            assert kernel[1] in report
+
+    def test_tiny_timeout_is_engine_timeout(self, no_ambient_faults):
+        module, violations = _parse(SECTION_2_MODULE)
+        batch = BatchVerifier(
+            module, violations, timeout=1e-9, retries=2, backoff=0.0
+        ).run()
+        assert set(batch.quarantined()) == set(_class_names(module))
+        assert "ENGINE TIMEOUT" in batch.merged().format()
+        assert "ENGINE CRASH" not in batch.merged().format()
+        specs = Checker(module, violations).specs
+        for parsed in self._claimed(module):
+            kernel, classic = self._verdicts(parsed, specs, Limits(timeout=1e-9))
+            assert kernel == classic
+            assert kernel[0] == "wall-clock"
 
 
 class TestRetries:

@@ -88,9 +88,9 @@ class TestClaimCheckingViaRegexes:
         from repro.automata.product import intersection
         from repro.automata.shortest import shortest_accepted_word
         from repro.automata.thompson import thompson
-        from repro.core.behavior import behavior_nfa
+        from repro.core.oracle import classic_behavior_nfa
 
-        behavior = behavior_nfa(bad_sector)
+        behavior = classic_behavior_nfa(bad_sector)
         observed = sorted(l for l in behavior.alphabet if "." in l)
         projected = determinize(project_nfa(behavior, observed))
 

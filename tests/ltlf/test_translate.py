@@ -19,6 +19,7 @@ from repro.ltlf.parser import parse_claim
 from repro.ltlf.semantics import evaluate
 from repro.ltlf.translate import (
     TranslationOverflowError,
+    formula_to_bitdfa,
     formula_to_dfa,
     negation_to_dfa,
 )
@@ -82,6 +83,34 @@ class TestFormulaToDfa:
         )
         with pytest.raises(TranslationOverflowError):
             formula_to_dfa(formula, ALPHABET, max_states=2)
+
+    def test_overflow_is_a_state_budget_trip(self):
+        from repro.core.limits import BudgetExceeded
+
+        formula = conj([Eventually(atom(name)) for name in ("a", "b", "c")])
+        with pytest.raises(BudgetExceeded) as trip:
+            formula_to_bitdfa(formula, ALPHABET, max_states=2)
+        assert trip.value.resource == "states"
+
+    def test_expired_deadline_stops_progression(self):
+        import time
+
+        from repro.core.limits import BudgetExceeded
+
+        with pytest.raises(BudgetExceeded) as trip:
+            formula_to_bitdfa(
+                parse_claim("(!a) W b"), ALPHABET, deadline=time.monotonic() - 1
+            )
+        assert trip.value.resource == "wall-clock"
+
+    def test_classic_view_is_the_bfs_numbered_kernel_dfa(self):
+        formula = parse_claim("G (a -> X b)")
+        bit = formula_to_bitdfa(formula, ALPHABET)
+        dfa = formula_to_dfa(formula, ALPHABET)
+        assert dfa.initial_state == bit.initial == 0
+        assert len(dfa.states) == bit.n
+        for trace in all_traces(3):
+            assert dfa.accepts(trace) == bit.accepts(trace)
 
 
 class TestNegationToDfa:

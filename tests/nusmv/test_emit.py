@@ -1,6 +1,7 @@
 """NuSMV emission: structure, determinism, and the ω-lifting encoding."""
 
 from repro.automata.determinize import determinize
+from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
 from repro.automata.thompson import thompson
 from repro.core.behavior import behavior_nfa
 from repro.ltlf.parser import parse_claim
@@ -56,7 +57,7 @@ class TestEmitDfa:
         assert emit_dfa(simple_dfa()) == emit_dfa(simple_dfa())
 
     def test_golden_structure_for_bad_sector(self, bad_sector):
-        dfa = determinize(behavior_nfa(bad_sector)).renumbered()
+        dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(bad_sector)))
         text = emit_dfa(dfa)
         # Every event of the behavior automaton appears, mangled.
         for event in ("open_a", "open_b", "a_test", "b_close"):

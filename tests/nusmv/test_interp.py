@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from repro.automata.determinize import determinize
+from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
 from repro.automata.thompson import thompson
 from repro.core.behavior import behavior_nfa
 from repro.nusmv.emit import emit_dfa
@@ -55,7 +56,7 @@ class TestSemanticAgreement:
                 ), (regex_text, word)
 
     def test_bad_sector_behavior_model(self, bad_sector):
-        dfa = determinize(behavior_nfa(bad_sector)).renumbered()
+        dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(bad_sector)))
         text = emit_dfa(dfa)
         positives = [
             ("open_a", "a.test", "a.open"),

@@ -50,6 +50,26 @@ class TestCheckBatch:
         assert main(["check", section2, "--jobs", "4"]) == 1
         assert capsys.readouterr().out == serial
 
+    def test_cold_cache_runs_write_identical_class_entries(
+        self, section2, tmp_path
+    ):
+        """Class entries are a pure function of their key: two cold runs
+        into fresh directories leave byte-identical ``class/`` trees."""
+        trees = []
+        for run in ("first", "second"):
+            cache_dir = tmp_path / run
+            assert main(["check", section2, "--cache", "--cache-dir", str(cache_dir)]) == 1
+            root = cache_dir / "class"
+            trees.append(
+                {
+                    path.relative_to(root): path.read_bytes()
+                    for path in sorted(root.rglob("*"))
+                    if path.is_file()
+                }
+            )
+        assert trees[0]
+        assert trees[0] == trees[1]
+
     def test_cache_warm_run_identical_and_fully_hit(self, good, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         args = ["check", good, "--cache", "--cache-dir", cache_dir, "--stats"]

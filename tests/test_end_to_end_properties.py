@@ -53,14 +53,14 @@ def test_counterexample_is_a_genuine_violation(shape):
     automaton accepts, and (b) fails the replay against the named
     subsystem's specification."""
     from repro.automata.determinize import determinize
-    from repro.core.behavior import behavior_nfa
+    from repro.core.oracle import classic_behavior_nfa
 
     source = module_source(shape, correct=False)
     module, violations = parse_module(source)
     checker = Checker(module, violations)
     result = checker.check()
     composite = module.get_class("Controller")
-    behavior = determinize(behavior_nfa(composite))
+    behavior = determinize(classic_behavior_nfa(composite))
     for diagnostic in result.by_code("invalid-subsystem-usage"):
         trace = diagnostic.counterexample
         assert trace is not None

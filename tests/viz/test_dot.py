@@ -72,9 +72,9 @@ class TestFigure3Dependency:
 
 class TestGenericAutomata:
     def test_nfa_dot_epsilon_dashed(self, bad_sector):
-        from repro.core.behavior import behavior_nfa
+        from repro.core.oracle import classic_behavior_nfa
 
-        dot = nfa_dot(behavior_nfa(bad_sector), "behavior")
+        dot = nfa_dot(classic_behavior_nfa(bad_sector), "behavior")
         assert "style=dashed" in dot
         assert 'label="ε"' in dot
 
