@@ -141,6 +141,68 @@ def _build_cache(args: argparse.Namespace):
     return InferenceCache(args.cache_dir) if args.cache else None
 
 
+def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    """The observability flags that ``check`` and ``mine`` share."""
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="print the span tree after the report",
+    )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write the trace as a JSONL event log",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="write machine-readable run metrics as JSON",
+    )
+    parser.add_argument(
+        "--prom-out",
+        default=None,
+        metavar="FILE",
+        help="write the run metrics in Prometheus text format",
+    )
+
+
+def _obs_tracer(args: argparse.Namespace):
+    """A tracer when any observability flag asks for one, else ``None``."""
+    from repro.obs import Tracer
+
+    if args.trace or args.trace_out or args.metrics_out or args.prom_out:
+        return Tracer()
+    return None
+
+
+def _write_obs(args: argparse.Namespace, tracer, metrics: dict) -> None:
+    """Write what the observability flags ask for: the span tree after
+    the report, the JSONL trace, and the metrics payload over
+    ``metrics`` as JSON and as Prometheus text."""
+    from repro.obs import (
+        metrics_payload,
+        render_trace,
+        write_metrics_json,
+        write_prometheus,
+        write_trace_jsonl,
+    )
+
+    if tracer is None:
+        return
+    if args.trace:
+        print()
+        print(render_trace(tracer))
+    if args.trace_out:
+        write_trace_jsonl(tracer, args.trace_out)
+    payload = metrics_payload(metrics, tracer)
+    if args.metrics_out:
+        write_metrics_json(payload, args.metrics_out)
+    if args.prom_out:
+        write_prometheus(payload, args.prom_out)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     import os
 
@@ -174,15 +236,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         faults,
     )
 
-    from repro.obs import (
-        Tracer,
-        metrics_payload,
-        render_trace,
-        write_metrics_json,
-        write_prometheus,
-        write_trace_jsonl,
-    )
-
     # Validate REPRO_FAULTS *now*: a typo'd site or action should be a
     # one-line usage error at startup, not a baffling quarantine deep
     # inside a worker once the lazy parse finally happens.
@@ -191,10 +244,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except FaultSpecError as error:
         raise SystemExit(f"error: invalid {faults.FAULTS_ENV}: {error}")
 
-    tracing = bool(
-        args.trace or args.trace_out or args.metrics_out or args.prom_out
-    )
-    tracer = Tracer() if tracing else None
+    tracer = _obs_tracer(args)
     previous_env = os.environ.get(faults.FAULTS_ENV)
     if args.faults:
         try:
@@ -308,18 +358,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.stats:
             print()
             print(batch.metrics.format())
-        if tracer is not None:
-            if args.trace:
-                print()
-                print(render_trace(tracer))
-            if args.trace_out:
-                write_trace_jsonl(tracer, args.trace_out)
-            if args.metrics_out or args.prom_out:
-                payload = metrics_payload(batch.metrics.to_dict(), tracer)
-                if args.metrics_out:
-                    write_metrics_json(payload, args.metrics_out)
-                if args.prom_out:
-                    write_prometheus(payload, args.prom_out)
+        _write_obs(args, tracer, batch.metrics.to_dict())
         return 0 if result.ok else 1
     except KeyboardInterrupt:
         # Ctrl-C / SIGTERM mid-run.  Every persistent structure this
@@ -632,20 +671,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     _install_interrupt_handler()
 
     from repro.mine import CollectConfig, MineError, mine_path
-    from repro.obs import (
-        Tracer,
-        metrics_payload,
-        render_trace,
-        write_metrics_json,
-        write_prometheus,
-        write_trace_jsonl,
-    )
     from repro.obs.tracer import NULL_TRACER
 
-    tracing = bool(
-        args.trace or args.trace_out or args.metrics_out or args.prom_out
-    )
-    tracer = Tracer() if tracing else None
+    tracer = _obs_tracer(args)
     try:
         config = CollectConfig(
             seed=args.seed,
@@ -682,18 +710,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             _json.dumps(corpora, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    if tracer is not None:
-        if args.trace:
-            print()
-            print(render_trace(tracer))
-        if args.trace_out:
-            write_trace_jsonl(tracer, args.trace_out)
-        if args.metrics_out or args.prom_out:
-            payload = metrics_payload(report.metrics(), tracer)
-            if args.metrics_out:
-                write_metrics_json(payload, args.metrics_out)
-            if args.prom_out:
-                write_prometheus(payload, args.prom_out)
+    _write_obs(args, tracer, report.metrics())
     return 0 if report.ok else 1
 
 
@@ -885,31 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection spec (testing; same grammar as the "
         "REPRO_FAULTS environment variable)",
     )
-    check.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree (run → wave → class → phase) "
-        "after the report",
-    )
-    check.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write the trace as a JSONL event log",
-    )
-    check.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write machine-readable run metrics "
-        "(a superset of --stats) as JSON",
-    )
-    check.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="write the run metrics in Prometheus text format",
-    )
+    _add_obs_flags(check)
     check.add_argument(
         "--shards",
         type=int,
@@ -1338,29 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="save the collected trace corpora (per class, with "
         "per-prefix monitor evidence) as replayable JSON",
     )
-    mine.add_argument(
-        "--trace",
-        action="store_true",
-        help="print the span tree (run → class → phase) after the report",
-    )
-    mine.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="write the trace as a JSONL event log",
-    )
-    mine.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write machine-readable mining metrics as JSON",
-    )
-    mine.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="write the mining metrics in Prometheus text format",
-    )
+    _add_obs_flags(mine)
     mine.set_defaults(func=_cmd_mine)
 
     report = subparsers.add_parser(

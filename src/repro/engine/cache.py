@@ -1,6 +1,6 @@
 """Content-addressed inference cache.
 
-Two namespaces by default, both keyed by SHA-256 fingerprints from
+Two namespaces, both keyed by SHA-256 fingerprints from
 :mod:`repro.engine.fingerprint`:
 
 * ``method`` — the inferred behavior of one body term: the ongoing regex
@@ -9,10 +9,8 @@ Two namespaces by default, both keyed by SHA-256 fingerprints from
 * ``class`` — a class's check verdict: the diagnostic list, plus the
   determinized behavior DFA when the check computed one (composites).
 
-Further namespaces can be registered at runtime
-(:meth:`InferenceCache.register_namespace`); lookups against an
-*unregistered* namespace still raise ``ValueError`` — that is a caller
-bug, not a miss.
+Lookups against any other namespace raise ``ValueError`` — that is a
+caller bug, not a miss.
 
 **Storage backends** (docs/distributed.md).  Where envelope text
 physically lives is delegated to a
@@ -76,7 +74,6 @@ the counters share that lock.
 from __future__ import annotations
 
 import json
-import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,11 +95,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: (the write proceeds) but counted.
 WRITE_LOCK_TIMEOUT = 5.0
 
-#: The namespaces every cache starts with; more can be registered.
+#: The cache's namespaces; any other is rejected with ``ValueError``.
 _NAMESPACES = ("method", "class")
-
-#: Registered namespaces must be shippable through paths and URLs alike.
-_NAMESPACE_PATTERN = re.compile(r"^[a-z][a-z0-9_-]{0,31}$")
 
 
 def _namespace_counters() -> dict[str, int]:
@@ -113,10 +107,9 @@ def _namespace_counters() -> dict[str, int]:
 class CacheStats:
     """Hit/miss/write/corruption counters, per namespace.
 
-    The per-namespace dicts grow on demand: a namespace registered after
-    construction simply appears with zeroed counters on first use —
-    fixed pre-seeding used to make :meth:`hit_rate` raise ``KeyError``
-    for anything beyond the built-in two.
+    The per-namespace dicts start with zeros for the cache's namespaces
+    and grow on demand: :meth:`bump` and :meth:`hit_rate` accept any
+    name without raising ``KeyError``.
     """
 
     hits: dict[str, int] = field(default_factory=_namespace_counters)
@@ -167,25 +160,6 @@ class CacheStats:
     def write_failure_count(self) -> int:
         return sum(self.write_failures.values())
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "hits": dict(self.hits),
-            "misses": dict(self.misses),
-            "writes": dict(self.writes),
-            "corrupt": dict(self.corrupt),
-            "checksum": dict(self.checksum),
-            "write_failures": dict(self.write_failures),
-            "lock_waits": self.lock_waits,
-            "lock_wait_seconds": self.lock_wait_seconds,
-            "lock_timeouts": self.lock_timeouts,
-            "orphans_removed": self.orphans_removed,
-            "remote_hits": self.remote_hits,
-            "remote_misses": self.remote_misses,
-            "remote_puts": self.remote_puts,
-            "remote_errors": self.remote_errors,
-            "remote_degraded": self.remote_degraded,
-        }
-
 
 class InferenceCache:
     """Content-addressed store for inference and verdict payloads.
@@ -215,7 +189,6 @@ class InferenceCache:
         #: Set by the engine when a run is traced; cache events then show
         #: up on the open span.  The no-op default costs nothing.
         self.tracer = NULL_TRACER
-        self._namespaces: list[str] = list(_NAMESPACES)
         self._memory: dict[tuple[str, str], dict[str, Any]] = {}
         #: Keys whose corruption was already counted (see the counter
         #: contract in the module docstring); ``put`` re-arms them.
@@ -232,30 +205,13 @@ class InferenceCache:
 
     # ------------------------------------------------------------------
 
-    def register_namespace(self, namespace: str) -> None:
-        """Allow a further namespace beyond the built-in two.
-
-        Idempotent.  Names must be path- and URL-safe
-        (``[a-z][a-z0-9_-]*``, at most 32 characters) so every backend
-        can carry them.
-        """
-        if not _NAMESPACE_PATTERN.match(namespace):
-            raise ValueError(f"invalid cache namespace: {namespace!r}")
-        with self._lock:
-            if namespace not in self._namespaces:
-                self._namespaces.append(namespace)
-
-    @property
-    def namespaces(self) -> tuple[str, ...]:
-        return tuple(self._namespaces)
-
     def _path(self, namespace: str, key: str) -> Path:
         assert self.root is not None
         return self.root / namespace / key[:2] / f"{key}.json"
 
     def get(self, namespace: str, key: str) -> dict[str, Any] | None:
         """The stored payload, or ``None`` on any kind of miss."""
-        if namespace not in self._namespaces:
+        if namespace not in _NAMESPACES:
             raise ValueError(f"unknown cache namespace: {namespace!r}")
         with self._lock:
             payload = self._memory.get((namespace, key))
@@ -326,7 +282,7 @@ class InferenceCache:
 
     def put(self, namespace: str, key: str, payload: dict[str, Any]) -> None:
         """Store ``payload``; persists when the cache has a backend."""
-        if namespace not in self._namespaces:
+        if namespace not in _NAMESPACES:
             raise ValueError(f"unknown cache namespace: {namespace!r}")
         with self._lock:
             self._memory[(namespace, key)] = payload
@@ -366,7 +322,7 @@ class InferenceCache:
         if self.root is None:
             return len(self._memory)
         count = 0
-        for namespace in self._namespaces:
+        for namespace in _NAMESPACES:
             directory = self.root / namespace
             if directory.is_dir():
                 count += sum(1 for _ in directory.rglob("*.json"))
@@ -379,7 +335,7 @@ class InferenceCache:
         bytes — there is nothing on disk to measure.
         """
         stats: dict[str, dict[str, int]] = {}
-        for namespace in self._namespaces:
+        for namespace in _NAMESPACES:
             entries = size = 0
             if self.root is None:
                 entries = sum(
@@ -426,7 +382,7 @@ class InferenceCache:
         left in place.  Memory-only caches report all zeros.
         """
         report: dict[str, dict[str, int]] = {}
-        for namespace in self._namespaces:
+        for namespace in _NAMESPACES:
             counts = {
                 "scanned": 0, "ok": 0, "version_skew": 0,
                 "corrupt": 0, "repaired": 0,
@@ -513,7 +469,7 @@ class InferenceCache:
         if self.root is None:
             return 0
         removed = 0
-        for namespace in self._namespaces:
+        for namespace in _NAMESPACES:
             directory = self.root / namespace
             if not directory.is_dir():
                 continue

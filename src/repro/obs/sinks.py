@@ -11,14 +11,17 @@ tree so they can never disagree:
   superset of ``EngineMetrics.to_dict()`` with an ``obs`` section
   (per-phase totals, event counts, counters, schema version);
 * :func:`prometheus_text` — a Prometheus text-format exposition of the
-  same numbers, for scraping.
+  same numbers, for scraping: the :data:`FAMILIES` table rendered by
+  :func:`render`, the one writer of the text format (``repro serve``
+  renders its own table through it too).
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.obs.tracer import TRACE_SCHEMA, Tracer
 
@@ -100,201 +103,145 @@ def write_metrics_json(payload: dict[str, Any], path: str | Path) -> None:
 # Prometheus text exposition
 # ----------------------------------------------------------------------
 
+#: Reads a family's ``(label value, sample value)`` pairs from a source;
+#: a ``None`` label value marks an unlabelled series.
+Samples = Callable[[Any], Iterable[tuple[str | None, Any]]]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One metric family: its name, type, help text and sample reader.
+
+    A family whose reader yields no samples is left out of the
+    exposition.
+    """
+
+    name: str
+    kind: str
+    help: str
+    samples: Samples
+    label: str = "kind"
+
+
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def prometheus_text(payload: dict[str, Any], prefix: str = "repro") -> str:
-    """Render a metrics payload as Prometheus text format (version 0.0.4).
+def render(prefix: str, families: Iterable[Family], source: Any) -> str:
+    """Render ``families`` over ``source`` in Prometheus text format 0.0.4.
 
-    Gauges for the run shape, counters for cache/supervisor totals, and
-    a ``<prefix>_phase_seconds_total{phase="..."}`` family from the obs
-    section.  The output ends with a newline, as scrapers require.
+    HELP and TYPE lines precede each present family's samples, label
+    values are escaped, and the output ends with a newline, as scrapers
+    require.
     """
     lines: list[str] = []
+    for family in families:
+        samples = list(family.samples(source))
+        if not samples:
+            continue
+        name = f"{prefix}_{family.name}"
+        lines.append(f"# HELP {name} {family.help}")
+        lines.append(f"# TYPE {name} {family.kind}")
+        for label, value in samples:
+            labels = "" if label is None else f'{{{family.label}="{_escape_label(label)}"}}'
+            lines.append(f"{name}{labels} {value}")
+    return "".join(f"{line}\n" for line in lines)
 
-    def emit(name: str, kind: str, help_text: str, samples: list[tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {prefix}_{name} {help_text}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{prefix}_{name}{labels} {value}")
 
-    emit("classes", "gauge", "Classes in the verified module.",
-         [("", payload.get("classes", 0))])
-    emit("waves", "gauge", "Topological waves in the schedule.",
-         [("", payload.get("waves", 0))])
-    emit("jobs", "gauge", "Configured worker count.",
-         [("", payload.get("jobs", 0))])
-    emit("wall_seconds", "gauge", "Wall time of the run in seconds.",
-         [("", payload.get("wall_seconds", 0.0))])
+def _section(payload: dict[str, Any], name: str | None) -> dict[str, Any]:
+    """The payload section a family reads (``None``: the top level).
 
-    cache = payload.get("cache", {})
-    emit(
-        "cache_events_total",
-        "counter",
-        "Cache events by kind.",
-        [
-            (f'{{kind="{_escape_label(kind)}"}}', cache.get(kind, 0))
-            for kind in (
-                "class_hits",
-                "class_misses",
-                "method_hits",
-                "method_misses",
-                "writes",
-                "corrupt_entries",
-            )
-        ],
-    )
-    incremental = payload.get("incremental")
-    if incremental:
-        emit(
-            "incremental_classes_total",
-            "counter",
-            "Incremental run outcome per class, by kind.",
-            [
-                (
-                    f'{{kind="{_escape_label(kind)}"}}',
-                    incremental.get(source, 0),
-                )
-                for kind, source in (("reused", "reused"), ("dirty", "dirty"))
-            ],
-        )
-        emit(
-            "incremental_reuse_ratio",
-            "gauge",
-            "Fraction of class verdicts spliced from the project state.",
-            [("", incremental.get("reuse_ratio", 0.0))],
-        )
-    persistence = payload.get("store")
-    if persistence:
-        emit(
-            "store_events_total",
-            "counter",
-            "Crash-safe store events by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', persistence.get(kind, 0))
-                for kind in (
-                    "checksum_failures",
-                    "write_failures",
-                    "lock_waits",
-                    "lock_timeouts",
-                    "orphans_removed",
-                    "state_save_failures",
-                    "state_merged_entries",
-                )
-            ],
-        )
-        emit(
-            "store_lock_wait_seconds_total",
-            "counter",
-            "Total time spent waiting on store write locks.",
-            [("", persistence.get("lock_wait_seconds", 0.0))],
-        )
-        emit(
-            "store_state_generation",
-            "gauge",
-            "Generation counter of the persisted project state.",
-            [("", persistence.get("state_generation", 0))],
-        )
-    remote = payload.get("remote")
-    if remote and any(remote.get(kind, 0) for kind in remote):
-        emit(
-            "cache_remote_events_total",
-            "counter",
-            "Remote cache tier events by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', remote.get(kind, 0))
-                for kind in ("hits", "misses", "puts", "errors", "degraded")
-            ],
-        )
-    mine = payload.get("mine")
-    if mine:
-        emit(
-            "mine_classes",
-            "gauge",
-            "Classes mined from monitored runs.",
-            [("", mine.get("classes", 0))],
-        )
-        emit(
-            "mine_corpus_total",
-            "counter",
-            "Corpus volume of the mining run, by kind.",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', mine.get(kind, 0))
-                for kind in ("corpus_samples", "corpus_events")
-            ],
-        )
-        emit(
-            "mine_states",
-            "gauge",
-            "Automaton sizes across the mining run, by stage.",
-            [
-                (f'{{stage="{_escape_label(stage)}"}}', mine.get(key, 0))
-                for stage, key in (
-                    ("pta", "pta_states"),
-                    ("mined", "mined_states"),
-                )
-            ],
-        )
-        emit(
-            "mine_merges_total",
-            "counter",
-            "Evidence-gated state merges the learner accepted.",
-            [("", mine.get("merges_accepted", 0))],
-        )
-        emit(
-            "mine_findings_total",
-            "counter",
-            "Mining findings by kind (divergent includes unsound).",
-            [
-                (f'{{kind="{_escape_label(kind)}"}}', mine.get(kind, 0))
-                for kind in ("divergent", "unsound", "notes")
-            ],
-        )
-        emit(
-            "mine_wall_seconds",
-            "gauge",
-            "Wall time of the collect/learn/diff phases in seconds.",
-            [("", mine.get("wall_seconds", 0.0))],
-        )
-    supervisor = payload.get("supervisor", {})
-    emit(
-        "supervisor_events_total",
-        "counter",
-        "Supervisor recovery events by kind.",
-        [
-            (f'{{kind="{_escape_label(kind)}"}}', supervisor.get(kind, 0))
-            for kind in (
-                "retries",
-                "quarantines",
-                "budget_trips",
-                "timeouts",
-                "pool_restarts",
-            )
-        ],
-    )
+    The presence rule: a series is present when its key is.  Two
+    sections are exceptions, read as empty unless they carry news:
+    ``incremental``, which every engine run fills, counts only when
+    ``enabled``; ``remote`` only with a nonzero counter.
+    """
+    if name is None:
+        return payload
+    section = payload.get(name, {})
+    if name == "incremental" and not section.get("enabled"):
+        return {}
+    if name == "remote" and not any(section.values()):
+        return {}
+    return section
 
-    phases = payload.get("obs", {}).get("phases", {})
-    if phases:
-        emit(
-            "phase_seconds_total",
-            "counter",
-            "Wall time per pipeline phase in seconds.",
-            [
-                (f'{{phase="{_escape_label(name)}"}}', entry["seconds"])
-                for name, entry in sorted(phases.items())
-            ],
-        )
-        emit(
-            "phase_calls_total",
-            "counter",
-            "Phase executions (including cached/skipped records).",
-            [
-                (f'{{phase="{_escape_label(name)}"}}', entry["calls"])
-                for name, entry in sorted(phases.items())
-            ],
-        )
-    return "\n".join(lines) + "\n"
+
+def _read(section: str | None, series: tuple[tuple[str | None, str], ...]) -> Samples:
+    """Samples from ``(label value, key)`` pairs of one payload section."""
+
+    def samples(payload: dict[str, Any]) -> list[tuple[str | None, Any]]:
+        values = _section(payload, section)
+        return [(label, values[key]) for label, key in series if key in values]
+
+    return samples
+
+
+def _value(section: str | None, key: str) -> Samples:
+    return _read(section, ((None, key),))
+
+
+def _kinds(section: str, *keys: str) -> Samples:
+    return _read(section, tuple((key, key) for key in keys))
+
+
+def _phases(field: str) -> Samples:
+    return lambda payload: [
+        (name, entry[field])
+        for name, entry in sorted(payload.get("obs", {}).get("phases", {}).items())
+    ]
+
+
+#: The ``repro_*`` families of a metrics payload (:func:`metrics_payload`
+#: over an engine or a mining run), in exposition order.
+FAMILIES: tuple[Family, ...] = (
+    Family("classes", "gauge", "Classes in the verified module.", _value(None, "classes")),
+    Family("waves", "gauge", "Topological waves in the schedule.", _value(None, "waves")),
+    Family("jobs", "gauge", "Configured worker count.", _value(None, "jobs")),
+    Family("wall_seconds", "gauge", "Wall time of the run in seconds.",
+           _value(None, "wall_seconds")),
+    Family("cache_events_total", "counter", "Cache events by kind.",
+           _kinds("cache", "class_hits", "class_misses", "method_hits", "method_misses",
+                  "writes", "corrupt_entries")),
+    Family("incremental_classes_total", "counter", "Incremental run outcome per class, by kind.",
+           _kinds("incremental", "reused", "dirty")),
+    Family("incremental_reuse_ratio", "gauge",
+           "Fraction of class verdicts spliced from the project state.",
+           _value("incremental", "reuse_ratio")),
+    Family("store_events_total", "counter", "Crash-safe store events by kind.",
+           _kinds("store", "checksum_failures", "write_failures", "lock_waits", "lock_timeouts",
+                  "orphans_removed", "state_save_failures", "state_merged_entries")),
+    Family("store_lock_wait_seconds_total", "counter",
+           "Total time spent waiting on store write locks.", _value("store", "lock_wait_seconds")),
+    Family("store_state_generation", "gauge", "Generation counter of the persisted project state.",
+           _value("store", "state_generation")),
+    Family("cache_remote_events_total", "counter", "Remote cache tier events by kind.",
+           _kinds("remote", "hits", "misses", "puts", "errors", "degraded")),
+    Family("mine_classes", "gauge", "Classes mined from monitored runs.",
+           _value("mine", "classes")),
+    Family("mine_corpus_total", "counter", "Corpus volume of the mining run, by kind.",
+           _kinds("mine", "corpus_samples", "corpus_events")),
+    Family("mine_states", "gauge", "Automaton sizes across the mining run, by stage.",
+           _read("mine", (("pta", "pta_states"), ("mined", "mined_states"))), label="stage"),
+    Family("mine_merges_total", "counter", "Evidence-gated state merges the learner accepted.",
+           _value("mine", "merges_accepted")),
+    Family("mine_findings_total", "counter",
+           "Mining findings by kind (divergent includes unsound).",
+           _kinds("mine", "divergent", "unsound", "notes")),
+    Family("mine_wall_seconds", "gauge", "Wall time of the collect/learn/diff phases in seconds.",
+           _value("mine", "wall_seconds")),
+    Family("supervisor_events_total", "counter", "Supervisor recovery events by kind.",
+           _kinds("supervisor", "retries", "quarantines", "budget_trips", "timeouts",
+                  "pool_restarts")),
+    Family("phase_seconds_total", "counter", "Wall time per pipeline phase in seconds.",
+           _phases("seconds"), label="phase"),
+    Family("phase_calls_total", "counter", "Phase executions (including cached/skipped records).",
+           _phases("calls"), label="phase"),
+)
+
+
+def prometheus_text(payload: dict[str, Any]) -> str:
+    """Render a metrics payload as the ``repro_*`` Prometheus exposition."""
+    return render("repro", FAMILIES, payload)
 
 
 def write_prometheus(payload: dict[str, Any], path: str | Path) -> None:

@@ -1,10 +1,10 @@
 """Service-level metrics of the verification daemon.
 
-Mirrors the counter/gauge discipline of :mod:`repro.obs.sinks`: one
-plain in-memory accumulator, one pure renderer to the Prometheus text
-format under the ``repro_serve_*`` prefix.  The daemon exposes the text
-form at ``GET /metrics`` and the raw dict in ``/readyz`` payloads and
-the smoke-test artifact.
+One plain in-memory accumulator and its table of Prometheus families,
+rendered under the ``repro_serve_*`` prefix by the same
+:func:`repro.obs.sinks.render` that writes ``repro check --prom-out``.
+The daemon exposes the text form at ``GET /metrics`` and the raw dict in
+``/readyz`` payloads and the smoke-test artifact.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.sinks import _escape_label
+from repro.obs.sinks import Family, render
 
 
 @dataclass
@@ -79,126 +79,46 @@ class ServeMetrics:
 _BREAKER_STATES = ("closed", "open", "half-open")
 
 
-def serve_prometheus_text(metrics: ServeMetrics, prefix: str = "repro_serve") -> str:
-    """Render the daemon metrics in Prometheus text format (0.0.4)."""
-    lines: list[str] = []
+#: The ``repro_serve_*`` families over :class:`ServeMetrics`, in
+#: exposition order.  Every family is always present; an empty labelled
+#: family reads as one ``"none"`` series at 0.
+SERVE_FAMILIES: tuple[Family, ...] = (
+    Family("jobs_total", "counter", "Job lifecycle transitions by state.",
+           lambda m: [("queued", m.jobs_queued_total), ("started", m.jobs_started_total),
+                      ("done", m.jobs_done_total), ("failed", m.jobs_failed_total)],
+           label="state"),
+    Family("submissions_total", "counter", "Submission attempts, accepted or shed.",
+           lambda m: [(None, m.submissions_total)]),
+    Family("rejections_total", "counter", "Explicitly shed submissions by reason.",
+           lambda m: sorted(m.rejections.items()) or [("none", 0)], label="reason"),
+    Family("retries_total", "counter", "Jobs re-enqueued after a worker crash.",
+           lambda m: [(None, m.retries_total)]),
+    Family("recovered_jobs_total", "counter", "Jobs re-enqueued from the journal after a restart.",
+           lambda m: [(None, m.recovered_jobs_total)]),
+    Family("breaker_trips_total", "counter", "Circuit-breaker open transitions.",
+           lambda m: [(None, m.breaker_trips_total)]),
+    Family("classes_checked_total", "counter", "Classes verified across all completed jobs.",
+           lambda m: [(None, m.classes_checked_total)]),
+    Family("job_seconds_total", "counter", "Execution wall time across all completed jobs.",
+           lambda m: [(None, round(m.job_seconds_total, 6))]),
+    Family("tenant_completed_total", "counter", "Completed (done or failed) jobs per tenant.",
+           lambda m: sorted(m.tenant_completed.items()) or [("none", 0)], label="tenant"),
+    Family("journal_events_total", "counter", "Journal degradation events by kind.",
+           lambda m: [("write_failures", m.journal_write_failures),
+                      ("corrupt_entries", m.journal_corrupt_entries)]),
+    Family("queue_depth", "gauge", "Jobs currently queued for dispatch.",
+           lambda m: [(None, m.queue_depth)]),
+    Family("inflight", "gauge", "Jobs currently executing.", lambda m: [(None, m.inflight)]),
+    Family("draining", "gauge", "1 while the daemon is draining for shutdown.",
+           lambda m: [(None, int(m.draining))]),
+    Family("breaker_state", "gauge", "Circuit-breaker state (1 on the active state's label).",
+           lambda m: [(state, int(m.breaker_state == state)) for state in _BREAKER_STATES],
+           label="state"),
+    Family("uptime_seconds", "gauge", "Seconds since the daemon started.",
+           lambda m: [(None, round(m.uptime_seconds, 3))]),
+)
 
-    def emit(name: str, kind: str, help_text: str, samples: list[tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {prefix}_{name} {help_text}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-        for labels, value in samples:
-            lines.append(f"{prefix}_{name}{labels} {value}")
 
-    emit(
-        "jobs_total",
-        "counter",
-        "Job lifecycle transitions by state.",
-        [
-            (f'{{state="{state}"}}', value)
-            for state, value in (
-                ("queued", metrics.jobs_queued_total),
-                ("started", metrics.jobs_started_total),
-                ("done", metrics.jobs_done_total),
-                ("failed", metrics.jobs_failed_total),
-            )
-        ],
-    )
-    emit(
-        "submissions_total",
-        "counter",
-        "Submission attempts, accepted or shed.",
-        [("", metrics.submissions_total)],
-    )
-    emit(
-        "rejections_total",
-        "counter",
-        "Explicitly shed submissions by reason.",
-        [
-            (f'{{reason="{_escape_label(reason)}"}}', value)
-            for reason, value in sorted(metrics.rejections.items())
-        ]
-        or [('{reason="none"}', 0)],
-    )
-    emit(
-        "retries_total",
-        "counter",
-        "Jobs re-enqueued after a worker crash.",
-        [("", metrics.retries_total)],
-    )
-    emit(
-        "recovered_jobs_total",
-        "counter",
-        "Jobs re-enqueued from the journal after a restart.",
-        [("", metrics.recovered_jobs_total)],
-    )
-    emit(
-        "breaker_trips_total",
-        "counter",
-        "Circuit-breaker open transitions.",
-        [("", metrics.breaker_trips_total)],
-    )
-    emit(
-        "classes_checked_total",
-        "counter",
-        "Classes verified across all completed jobs.",
-        [("", metrics.classes_checked_total)],
-    )
-    emit(
-        "job_seconds_total",
-        "counter",
-        "Execution wall time across all completed jobs.",
-        [("", round(metrics.job_seconds_total, 6))],
-    )
-    emit(
-        "tenant_completed_total",
-        "counter",
-        "Completed (done or failed) jobs per tenant.",
-        [
-            (f'{{tenant="{_escape_label(tenant)}"}}', value)
-            for tenant, value in sorted(metrics.tenant_completed.items())
-        ]
-        or [('{tenant="none"}', 0)],
-    )
-    emit(
-        "journal_events_total",
-        "counter",
-        "Journal degradation events by kind.",
-        [
-            ('{kind="write_failures"}', metrics.journal_write_failures),
-            ('{kind="corrupt_entries"}', metrics.journal_corrupt_entries),
-        ],
-    )
-    emit(
-        "queue_depth",
-        "gauge",
-        "Jobs currently queued for dispatch.",
-        [("", metrics.queue_depth)],
-    )
-    emit(
-        "inflight",
-        "gauge",
-        "Jobs currently executing.",
-        [("", metrics.inflight)],
-    )
-    emit(
-        "draining",
-        "gauge",
-        "1 while the daemon is draining for shutdown.",
-        [("", int(metrics.draining))],
-    )
-    emit(
-        "breaker_state",
-        "gauge",
-        "Circuit-breaker state (1 on the active state's label).",
-        [
-            (f'{{state="{state}"}}', int(metrics.breaker_state == state))
-            for state in _BREAKER_STATES
-        ],
-    )
-    emit(
-        "uptime_seconds",
-        "gauge",
-        "Seconds since the daemon started.",
-        [("", round(metrics.uptime_seconds, 3))],
-    )
-    return "\n".join(lines) + "\n"
+def serve_prometheus_text(metrics: ServeMetrics) -> str:
+    """Render the daemon metrics as the ``repro_serve_*`` exposition."""
+    return render("repro_serve", SERVE_FAMILIES, metrics)

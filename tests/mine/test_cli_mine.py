@@ -84,6 +84,24 @@ class TestMineCommand:
         prom = prom_file.read_text(encoding="utf-8")
         assert "repro_mine_classes 2" in prom
         assert 'repro_mine_findings_total{kind="unsound"} 0' in prom
+        assert 'repro_mine_states{stage="pta"} ' in prom
+        assert 'repro_mine_states{stage="mined"} ' in prom
+        # A mining run has no engine: only the mine and phase families.
+        families = [
+            line.split()[2]
+            for line in prom.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert families == [
+            "repro_mine_classes",
+            "repro_mine_corpus_total",
+            "repro_mine_states",
+            "repro_mine_merges_total",
+            "repro_mine_findings_total",
+            "repro_mine_wall_seconds",
+            "repro_phase_seconds_total",
+            "repro_phase_calls_total",
+        ]
 
     def test_trace_prints_span_tree(self, workload, capsys):
         assert main(["mine", workload, "--trace"]) == 0

@@ -79,6 +79,22 @@ class TestCheckFlags:
         assert text.startswith("# HELP repro_classes ")
         assert "repro_phase_seconds_total{" in text
 
+    def test_incremental_families_only_on_incremental_runs(
+        self, project, tmp_path, capsys, no_ambient_faults
+    ):
+        plain = tmp_path / "plain.prom"
+        main(["check", str(project), "--prom-out", str(plain)])
+        assert "repro_incremental_" not in plain.read_text(encoding="utf-8")
+        incremental = tmp_path / "incremental.prom"
+        main([
+            "check", str(project), "--incremental",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--prom-out", str(incremental),
+        ])
+        text = incremental.read_text(encoding="utf-8")
+        assert 'repro_incremental_classes_total{kind="reused"} 0' in text
+        assert "repro_incremental_reuse_ratio 0.0" in text
+
     def test_trace_prints_the_tree_after_the_report(
         self, project, capsys, no_ambient_faults
     ):

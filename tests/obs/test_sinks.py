@@ -11,6 +11,7 @@ from repro.obs import (
     write_metrics_json,
     write_trace_jsonl,
 )
+from repro.obs.sinks import Family, render
 
 
 def _small_trace() -> Tracer:
@@ -129,7 +130,8 @@ class TestPrometheus:
             'kind="class_hits"'
             in prometheus_text({"cache": {"class_hits": 0}})
         )
-        # The escaper itself:
-        from repro.obs.sinks import _escape_label
-
-        assert _escape_label('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
+        # Quote, backslash and newline, through the one renderer:
+        family = Family("f", "gauge", "Help.", lambda value: [(value, 1)])
+        assert render("p", (family,), 'a"b\\c\nd').splitlines()[-1] == (
+            'p_f{kind="a\\"b\\\\c\\nd"} 1'
+        )
