@@ -48,13 +48,20 @@ Subcommands::
                               saves the replayable corpus; docs/mining.md)
     repro theorems            run the bounded metatheory checks (Thm 1-2, Cor 1)
 
-Exit status: 0 on success / verified, 1 on verification errors, 2 on
-usage errors.
+Exit status: 0 when the target verifies (or the command succeeds); 1
+when the report lists verification errors or a ``--fail-fast`` run
+aborts; 2 on usage errors — bad flags or engine settings, a missing or
+unparseable target, a malformed ``REPRO_FAULTS`` or ``--remote-cache``
+URL — and when a coordinated run's shards fail (their message is
+reported).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys as _sys
 from pathlib import Path
 
@@ -62,23 +69,47 @@ from repro.core.behavior import behavior_nfa, operation_exit_regexes
 from repro.core.checker import Checker
 from repro.core.dependency import extract_dependency_graph
 from repro.core.spec import ClassSpec
+from repro.engine import (
+    BatchVerifier,
+    EngineAborted,
+    EngineError,
+    FaultSpecError,
+    coordinate,
+    faults,
+    open_cache,
+    plan_shards,
+    run_shard,
+    shard_result_to_dict,
+    state_path,
+    verify_incremental,
+)
+from repro.engine.cache import DEFAULT_CACHE_DIR
+from repro.engine.engine import EXECUTORS
 from repro.frontend.model_ast import FrontendError, ParsedModule
-from repro.frontend.parse import parse_file
+from repro.frontend.project import parse_path
 from repro.lang.inference import behavior as infer_behavior
+from repro.obs.tracer import NULL_TRACER
 from repro.regex.ast import format_regex
 
 
-def _load(path: str):
-    from repro.frontend.project import parse_project
+class UsageError(SystemExit):
+    """A usage error: :func:`main` prints the message and the process
+    exits 2 — a plain ``SystemExit(message)`` would exit 1, the code
+    for "verification errors"."""
 
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.code = 2
+
+
+def _load(path: str, tracer=None):
     try:
-        if Path(path).is_dir():
-            return parse_project(path)
-        return parse_file(path)
+        with (tracer or NULL_TRACER).span("phase", "parse", file=path):
+            return parse_path(path)
     except FileNotFoundError:
-        raise SystemExit(f"error: no such file: {path}")
+        raise UsageError(f"error: no such file: {path}")
     except FrontendError as error:
-        raise SystemExit(f"error: cannot parse {path}: {error}")
+        raise UsageError(f"error: cannot parse {path}: {error}")
 
 
 def _select_class(module: ParsedModule, name: str | None, path: str):
@@ -86,13 +117,13 @@ def _select_class(module: ParsedModule, name: str | None, path: str):
         if len(module.classes) == 1:
             return module.classes[0]
         names = ", ".join(module.class_names()) or "(none)"
-        raise SystemExit(
+        raise UsageError(
             f"error: {path} defines several @sys classes ({names}); "
             "name one explicitly"
         )
     parsed = module.get_class(name)
     if parsed is None:
-        raise SystemExit(f"error: {path} defines no @sys class named {name}")
+        raise UsageError(f"error: {path} defines no @sys class named {name}")
     return parsed
 
 
@@ -112,33 +143,112 @@ def _install_interrupt_handler() -> None:
     signal.signal(signal.SIGTERM, _interrupt)
 
 
-def _build_cache(args: argparse.Namespace):
-    """The inference cache for a check-style command, or ``None``.
+# ----------------------------------------------------------------------
+# The engine launch path: check, coordinate, profile and serve
+# ----------------------------------------------------------------------
 
-    ``--remote-cache URL`` implies caching and layers the remote HTTP
-    tier over the local directory (read-through, write-behind,
-    degrading to local-only when the remote misbehaves;
-    docs/distributed.md).  Plain ``--cache`` keeps today's local-only
-    sealed store.
+def _add_engine_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the named engine flags on ``parser``, in a fixed order.
+
+    Each engine flag is declared here and nowhere else, so the commands
+    that share one cannot drift apart on its default or choices.
     """
-    from repro.engine import InferenceCache
+    if "--jobs" in flags:
+        parser.add_argument(
+            "--jobs",
+            "-j",
+            type=int,
+            default=1,
+            help="engine worker count (default: 1, serial)",
+        )
+    if "--executor" in flags:
+        parser.add_argument(
+            "--executor",
+            choices=EXECUTORS,
+            default="thread",
+            help="engine worker pool backend (default: thread)",
+        )
+    if "--cache" in flags:
+        parser.add_argument(
+            "--cache",
+            action="store_true",
+            help="reuse and persist the content-addressed inference cache",
+        )
+    if "--cache-dir" in flags:
+        parser.add_argument(
+            "--cache-dir",
+            default=DEFAULT_CACHE_DIR,
+            help=f"cache location (default: {DEFAULT_CACHE_DIR})",
+        )
+    if "--remote-cache" in flags:
+        parser.add_argument(
+            "--remote-cache",
+            default=None,
+            metavar="URL",
+            help="layer a shared remote cache tier (`repro cache serve`) "
+            "over the local one; implies --cache, degrades to local-only "
+            "if the remote misbehaves (docs/distributed.md)",
+        )
 
+
+@contextlib.contextmanager
+def _engine_launch(args: argparse.Namespace):
+    """The step every engine command (check, coordinate, profile,
+    serve) takes around its run.
+
+    It validates ``REPRO_FAULTS`` first, so a typo'd site or action is
+    a one-line usage error at startup, not a baffling quarantine deep
+    inside a worker.  It installs the ``--faults`` plan, where the
+    command has that flag, for the run only.  And it reports invalid
+    engine settings as usage errors, but a ``--fail-fast`` abort as a
+    run outcome (exit 1).
+    """
+    try:
+        faults.validate_environment()
+    except FaultSpecError as error:
+        raise UsageError(f"error: invalid {faults.FAULTS_ENV}: {error}")
+    spec = getattr(args, "faults", None)
+    previous_env = os.environ.get(faults.FAULTS_ENV)
+    if spec:
+        try:
+            faults.install(faults.parse_faults(spec))
+        except FaultSpecError as error:
+            raise UsageError(f"error: {error}")
+        # Process-pool workers read the spec from the environment.
+        os.environ[faults.FAULTS_ENV] = spec
+    try:
+        yield
+    except EngineError as error:
+        raise UsageError(f"error: {error}")
+    except EngineAborted as error:
+        raise SystemExit(f"error: {error}")
+    finally:
+        if spec:
+            # Leave no plan behind (matters for in-process callers).
+            faults.install(None)
+            if previous_env is None:
+                os.environ.pop(faults.FAULTS_ENV, None)
+            else:
+                os.environ[faults.FAULTS_ENV] = previous_env
+
+
+#: Engine flags that are :class:`BatchVerifier` keywords of the same name.
+_ENGINE_KEYWORDS = (
+    "jobs", "executor", "timeout", "max_states", "retries", "fail_fast",
+)
+
+
+def _engine_settings(args: argparse.Namespace, tracer) -> dict:
+    """The :class:`BatchVerifier` keywords of an engine command: the
+    engine flags it declares, the cache they ask for, and ``tracer``."""
+    settings = {
+        name: getattr(args, name) for name in _ENGINE_KEYWORDS if hasattr(args, name)
+    }
     remote = getattr(args, "remote_cache", None)
-    if remote:
-        from pathlib import Path as _Path
-
-        from repro.engine import (
-            LocalDirBackend,
-            RemoteHTTPBackend,
-            TieredBackend,
-        )
-
-        backend = TieredBackend(
-            LocalDirBackend(_Path(args.cache_dir)),
-            RemoteHTTPBackend(remote),
-        )
-        return InferenceCache(backend=backend)
-    return InferenceCache(args.cache_dir) if args.cache else None
+    cache = None
+    if args.cache or remote is not None:
+        cache = open_cache(args.cache_dir, remote)
+    return {**settings, "cache": cache, "tracer": tracer}
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -204,91 +314,39 @@ def _write_obs(args: argparse.Namespace, tracer, metrics: dict) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    import os
-
     _install_interrupt_handler()
 
     sharded = args.shards is not None or args.shard_index is not None
     if sharded:
         if args.shards is None or args.shard_index is None:
-            raise SystemExit(
+            raise UsageError(
                 "error: --shards and --shard-index must be given together"
             )
         if args.shards < 1:
-            raise SystemExit(f"error: --shards must be >= 1, got {args.shards}")
+            raise UsageError(f"error: --shards must be >= 1, got {args.shards}")
         if not 0 <= args.shard_index < args.shards:
-            raise SystemExit(
+            raise UsageError(
                 f"error: --shard-index must be in [0, {args.shards}), "
                 f"got {args.shard_index}"
             )
         if args.incremental or args.since_state is not None:
-            raise SystemExit(
+            raise UsageError(
                 "error: --shards is incompatible with --incremental "
                 "(the dirty set is a whole-project property; shard a "
                 "full run instead)"
             )
 
-    from repro.engine import (
-        BatchVerifier,
-        EngineAborted,
-        EngineError,
-        FaultSpecError,
-        faults,
-    )
-
-    # Validate REPRO_FAULTS *now*: a typo'd site or action should be a
-    # one-line usage error at startup, not a baffling quarantine deep
-    # inside a worker once the lazy parse finally happens.
-    try:
-        faults.validate_environment()
-    except FaultSpecError as error:
-        raise SystemExit(f"error: invalid {faults.FAULTS_ENV}: {error}")
-
     tracer = _obs_tracer(args)
-    previous_env = os.environ.get(faults.FAULTS_ENV)
-    if args.faults:
+    with _engine_launch(args):
         try:
-            faults.install(faults.parse_faults(args.faults))
-        except FaultSpecError as error:
-            raise SystemExit(f"error: {error}")
-        # Process-pool workers read the spec from the environment.
-        os.environ[faults.FAULTS_ENV] = args.faults
-    try:
-        if tracer is not None:
-            with tracer.span("phase", "parse", file=args.file):
-                module, violations = _load(args.file)
-        else:
-            module, violations = _load(args.file)
-        cache = _build_cache(args)
-        incremental = args.incremental or args.since_state is not None
-        try:
+            module, violations = _load(args.file, tracer)
+            engine = _engine_settings(args, tracer)
             if sharded:
-                from repro.engine import (
-                    plan_shards,
-                    run_shard,
-                    shard_result_to_dict,
-                )
-
-                plans = plan_shards(module, args.shards)
-                plan = plans[args.shard_index]
-                batch = run_shard(
-                    module,
-                    violations,
-                    plan,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    cache=cache,
-                    timeout=args.timeout,
-                    max_states=args.max_states,
-                    retries=args.retries,
-                    fail_fast=args.fail_fast,
-                    tracer=tracer,
-                )
+                plan = plan_shards(module, args.shards)[args.shard_index]
+                batch = run_shard(module, violations, plan, **engine)
                 if args.shard_out:
-                    import json as _json
-
                     Path(args.shard_out).write_text(
-                        _json.dumps(
+                        json.dumps(
                             shard_result_to_dict(plan, batch),
                             indent=2,
                             sort_keys=True,
@@ -296,27 +354,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         + "\n",
                         encoding="utf-8",
                     )
-            elif incremental:
-                from repro.engine import state as engine_state
-                from repro.engine import verify_incremental
-
+            elif args.incremental or args.since_state is not None:
                 state_file = (
                     Path(args.since_state)
                     if args.since_state is not None
-                    else engine_state.state_path(args.cache_dir)
+                    else state_path(args.cache_dir)
                 )
                 outcome = verify_incremental(
-                    module,
-                    violations,
-                    state_file=state_file,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    cache=cache,
-                    timeout=args.timeout,
-                    max_states=args.max_states,
-                    retries=args.retries,
-                    fail_fast=args.fail_fast,
-                    tracer=tracer,
+                    module, violations, state_file=state_file, **engine
                 )
                 batch = outcome.batch
                 if outcome.save is not None and not outcome.save.ok:
@@ -331,85 +376,59 @@ def _cmd_check(args: argparse.Namespace) -> int:
                         file=_sys.stderr,
                     )
             else:
-                verifier = BatchVerifier(
-                    module,
-                    violations,
-                    jobs=args.jobs,
-                    executor=args.executor,
-                    cache=cache,
-                    timeout=args.timeout,
-                    max_states=args.max_states,
-                    retries=args.retries,
-                    fail_fast=args.fail_fast,
-                    tracer=tracer,
-                )
-                batch = verifier.run()
-        except EngineError as error:
-            raise SystemExit(f"error: {error}")
-        except EngineAborted as error:
-            raise SystemExit(f"error: {error}")
-        if cache is not None:
-            # Drain the write-behind queue (a no-op for local-only
-            # backends) so every verdict reaches the remote tier before
-            # the process exits.
-            cache.flush()
-        result = batch.merged()
-        print(result.format())
-        if args.stats:
-            print()
-            print(batch.metrics.format())
-        _write_obs(args, tracer, batch.metrics.to_dict())
-        return 0 if result.ok else 1
-    except KeyboardInterrupt:
-        # Ctrl-C / SIGTERM mid-run.  Every persistent structure this
-        # command touches (inference cache, project state) writes
-        # atomically through the crash-safe store, so there is nothing
-        # to roll back — report cleanly instead of dumping a traceback.
-        print(
-            "repro check: ENGINE INTERRUPTED (signal received); partial "
-            "results discarded; the inference cache and project state "
-            "remain consistent (crash-safe store)",
-            file=_sys.stderr,
-        )
-        return 130
-    finally:
-        if args.faults:
-            # Leave no plan behind (matters for in-process callers).
-            faults.install(None)
-            if previous_env is None:
-                os.environ.pop(faults.FAULTS_ENV, None)
-            else:
-                os.environ[faults.FAULTS_ENV] = previous_env
+                batch = BatchVerifier(module, violations, **engine).run()
+            if engine["cache"] is not None:
+                # Drain the write-behind queue (a no-op for local-only
+                # backends) so every verdict reaches the remote tier
+                # before the process exits.
+                engine["cache"].flush()
+            result = batch.merged()
+            print(result.format())
+            if args.stats:
+                print()
+                print(batch.metrics.format())
+            _write_obs(args, tracer, batch.metrics.to_dict())
+            return 0 if result.ok else 1
+        except KeyboardInterrupt:
+            # Ctrl-C / SIGTERM mid-run.  Every persistent structure this
+            # command touches (inference cache, project state) writes
+            # atomically through the crash-safe store, so there is
+            # nothing to roll back — report cleanly instead of dumping a
+            # traceback.
+            print(
+                "repro check: ENGINE INTERRUPTED (signal received); partial "
+                "results discarded; the inference cache and project state "
+                "remain consistent (crash-safe store)",
+                file=_sys.stderr,
+            )
+            return 130
 
 
 def _cmd_coordinate(args: argparse.Namespace) -> int:
     _install_interrupt_handler()
 
-    from repro.engine import EngineError, coordinate
-
     if args.shards < 1:
-        raise SystemExit(f"error: --shards must be >= 1, got {args.shards}")
-    try:
-        run = coordinate(
-            args.file,
-            shards=args.shards,
-            jobs=args.jobs,
-            executor=args.executor,
-            cache_dir=args.cache_dir if args.cache else None,
-            worker_cache_root=args.worker_cache_dir,
-            remote_cache=args.remote_cache,
-            timeout_seconds=args.shard_timeout,
-        )
-    except EngineError as error:
-        raise SystemExit(f"error: {error}")
-    except KeyboardInterrupt:
-        print(
-            "repro coordinate: ENGINE INTERRUPTED (signal received); "
-            "worker shards terminated; caches remain consistent "
-            "(crash-safe store)",
-            file=_sys.stderr,
-        )
-        return 130
+        raise UsageError(f"error: --shards must be >= 1, got {args.shards}")
+    with _engine_launch(args):
+        try:
+            run = coordinate(
+                args.file,
+                shards=args.shards,
+                jobs=args.jobs,
+                executor=args.executor,
+                cache_dir=args.cache_dir if args.cache else None,
+                worker_cache_root=args.worker_cache_dir,
+                remote_cache=args.remote_cache,
+                timeout_seconds=args.shard_timeout,
+            )
+        except KeyboardInterrupt:
+            print(
+                "repro coordinate: ENGINE INTERRUPTED (signal received); "
+                "worker shards terminated; caches remain consistent "
+                "(crash-safe store)",
+                file=_sys.stderr,
+            )
+            return 130
     result = run.batch.merged()
     print(result.format())
     if args.stats:
@@ -420,80 +439,50 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
-    from repro.engine import FaultSpecError, faults
     from repro.serve import ServeConfig, ServeConfigError
     from repro.serve.http import serve_forever
 
-    try:
-        faults.validate_environment()
-    except FaultSpecError as error:
-        raise SystemExit(f"error: invalid {faults.FAULTS_ENV}: {error}")
-    if args.faults:
+    with _engine_launch(args):
         try:
-            faults.install(faults.parse_faults(args.faults))
-        except FaultSpecError as error:
-            raise SystemExit(f"error: {error}")
-        os.environ[faults.FAULTS_ENV] = args.faults
-    try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            remote_cache=args.remote_cache,
-            queue_depth=args.queue_depth,
-            tenant_queue_cap=args.tenant_queue_cap,
-            tenant_concurrency=args.tenant_concurrency,
-            workers=args.workers,
-            engine_jobs=args.engine_jobs,
-            engine_executor=args.executor,
-            job_deadline=args.deadline,
-            class_timeout=args.class_timeout,
-            job_retries=args.job_retries,
-            breaker_threshold=args.breaker_threshold,
-            breaker_backoff=args.breaker_backoff,
-            breaker_max_backoff=args.breaker_max_backoff,
-            drain_grace=args.drain_grace,
-            trace=args.trace,
-        )
-    except ServeConfigError as error:
-        raise SystemExit(f"error: {error}")
-    try:
-        return asyncio.run(serve_forever(config))
-    except KeyboardInterrupt:  # non-POSIX fallback: treat as drain
-        return 130
+            config = ServeConfig(
+                host=args.host,
+                port=args.port,
+                cache_dir=args.cache_dir,
+                remote_cache=args.remote_cache,
+                queue_depth=args.queue_depth,
+                tenant_queue_cap=args.tenant_queue_cap,
+                tenant_concurrency=args.tenant_concurrency,
+                workers=args.workers,
+                engine_jobs=args.engine_jobs,
+                engine_executor=args.executor,
+                job_deadline=args.deadline,
+                class_timeout=args.class_timeout,
+                job_retries=args.job_retries,
+                breaker_threshold=args.breaker_threshold,
+                breaker_backoff=args.breaker_backoff,
+                breaker_max_backoff=args.breaker_max_backoff,
+                drain_grace=args.drain_grace,
+                trace=args.trace,
+            )
+        except ServeConfigError as error:
+            raise UsageError(f"error: {error}")
+        try:
+            return asyncio.run(serve_forever(config))
+        except KeyboardInterrupt:  # non-POSIX fallback: treat as drain
+            return 130
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.limits import BudgetExceeded
-    from repro.engine import (
-        BatchVerifier,
-        EngineAborted,
-        EngineError,
-        InferenceCache,
-    )
     from repro.obs import Tracer, render_profile
 
     tracer = Tracer()
-    with tracer.span("phase", "parse", file=args.file):
-        module, violations = _load(args.file)
-    cache = InferenceCache(args.cache_dir) if args.cache else None
-    try:
-        verifier = BatchVerifier(
-            module,
-            violations,
-            jobs=args.jobs,
-            executor=args.executor,
-            cache=cache,
-            tracer=tracer,
-        )
-    except EngineError as error:
-        raise SystemExit(f"error: {error}")
-    try:
-        batch = verifier.run()
-    except EngineAborted as error:
-        raise SystemExit(f"error: {error}")
+    with _engine_launch(args):
+        module, violations = _load(args.file, tracer)
+        batch = BatchVerifier(
+            module, violations, **_engine_settings(args, tracer)
+        ).run()
     if args.model_metrics:
         from repro.core.metrics import collect_metrics
 
@@ -517,11 +506,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 args.cache_dir, host=args.host, port=args.port
             )
         except OSError as error:
-            raise SystemExit(f"error: cannot serve cache: {error}")
+            raise UsageError(f"error: cannot serve cache: {error}")
 
-    from repro.engine import InferenceCache
-
-    cache = InferenceCache(args.cache_dir)
+    cache = open_cache(args.cache_dir)
     if args.cache_command == "clear":
         removed = cache.clear()
         state_removed = cache.clear_state()
@@ -574,7 +561,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_state(args: argparse.Namespace) -> int:
-    from repro.engine.state import load_state, remove_state, state_path
+    from repro.engine.state import load_state, remove_state
 
     state_file = (
         Path(args.state_file)
@@ -666,12 +653,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    import json as _json
-
     _install_interrupt_handler()
 
     from repro.mine import CollectConfig, MineError, mine_path
-    from repro.obs.tracer import NULL_TRACER
 
     tracer = _obs_tracer(args)
     try:
@@ -682,7 +666,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             max_sequences=args.max_sequences,
         )
     except ValueError as error:
-        raise SystemExit(f"error: {error}")
+        raise UsageError(f"error: {error}")
     try:
         report = mine_path(
             args.file,
@@ -692,7 +676,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             tracer=tracer if tracer is not None else NULL_TRACER,
         )
     except MineError as error:
-        raise SystemExit(f"error: {error}")
+        raise UsageError(f"error: {error}")
     except KeyboardInterrupt:
         print(
             "repro mine: interrupted (signal received); partial corpus "
@@ -707,7 +691,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             for result in report.results
         }
         Path(args.corpus_out).write_text(
-            _json.dumps(corpora, indent=2, sort_keys=True) + "\n",
+            json.dumps(corpora, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
     _write_obs(args, tracer, report.metrics())
@@ -816,29 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subparsers.add_parser("check", help="verify a module or project")
     check.add_argument("file")
-    check.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker count for the batch engine (default: 1, serial)",
-    )
-    check.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool backend (default: thread)",
-    )
-    check.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse and persist the content-addressed inference cache",
-    )
-    check.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="cache location (default: .repro-cache)",
-    )
+    _add_engine_flags(check, "--jobs", "--executor", "--cache", "--cache-dir")
     check.add_argument(
         "--incremental",
         action="store_true",
@@ -926,14 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write this shard's mergeable result as JSON "
         "(consumed by `repro coordinate`)",
     )
-    check.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="layer a shared remote cache tier (`repro cache serve`) "
-        "over the local one; implies --cache, degrades to local-only "
-        "if the remote misbehaves",
-    )
+    _add_engine_flags(check, "--remote-cache")
     check.set_defaults(func=_cmd_check)
 
     coordinate = subparsers.add_parser(
@@ -949,29 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="number of worker processes (each runs one shard)",
     )
-    coordinate.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker threads per shard process (default: 1)",
-    )
-    coordinate.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool backend inside each shard (default: thread)",
-    )
-    coordinate.add_argument(
-        "--cache",
-        action="store_true",
-        help="give the shards a shared local inference cache",
-    )
-    coordinate.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="shared cache location for --cache (default: .repro-cache)",
-    )
+    _add_engine_flags(coordinate, "--jobs", "--executor", "--cache", "--cache-dir")
     coordinate.add_argument(
         "--worker-cache-dir",
         default=None,
@@ -980,12 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(worker-0, worker-1, ...); with --remote-cache this is how "
         "workers warm each other through the shared tier",
     )
-    coordinate.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="shared remote cache endpoint forwarded to every shard",
-    )
+    _add_engine_flags(coordinate, "--remote-cache")
     coordinate.add_argument(
         "--shard-timeout",
         type=float,
@@ -1016,19 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port; 0 picks a free one and records it in "
         "<cache-dir>/serve/endpoint.json (default: 8765)",
     )
-    serve.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="cache + journal location shared with `repro check` "
-        "(default: .repro-cache)",
-    )
-    serve.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="layer a shared remote cache tier (`repro cache serve`) "
-        "over the daemon's local cache (docs/distributed.md)",
-    )
+    _add_engine_flags(serve, "--cache-dir", "--remote-cache")
     serve.add_argument(
         "--queue-depth",
         type=int,
@@ -1065,12 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="engine worker count within one job (default: 1)",
     )
-    serve.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="engine worker pool backend within a job (default: thread)",
-    )
+    _add_engine_flags(serve, "--executor")
     serve.add_argument(
         "--deadline",
         type=float,
@@ -1142,29 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify with tracing on; print the per-phase time breakdown",
     )
     profile.add_argument("file")
-    profile.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker count for the batch engine (default: 1, serial)",
-    )
-    profile.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool backend (default: thread)",
-    )
-    profile.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse and persist the content-addressed inference cache",
-    )
-    profile.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="cache location (default: .repro-cache)",
-    )
+    _add_engine_flags(profile, "--jobs", "--executor", "--cache", "--cache-dir")
     profile.add_argument(
         "--top",
         type=int,
@@ -1225,11 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 8123)",
     )
     for sub in (cache_stats, cache_clear, cache_verify, cache_gc, cache_serve):
-        sub.add_argument(
-            "--cache-dir",
-            default=".repro-cache",
-            help="cache location (default: .repro-cache)",
-        )
+        _add_engine_flags(sub, "--cache-dir")
     cache.set_defaults(func=_cmd_cache)
 
     state = subparsers.add_parser(
@@ -1243,11 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reset", help="delete the state file (the next run is cold)"
     )
     for sub in (state_show, state_reset):
-        sub.add_argument(
-            "--cache-dir",
-            default=".repro-cache",
-            help="cache location holding state.json (default: .repro-cache)",
-        )
+        _add_engine_flags(sub, "--cache-dir")
         sub.add_argument(
             "--state-file",
             default=None,
@@ -1374,11 +1255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
+    except UsageError as error:
+        print(error, file=_sys.stderr)
         raise
     except BrokenPipeError:  # pragma: no cover - terminal plumbing
         return 0

@@ -53,7 +53,7 @@ from repro.engine.engine import (
     EngineError,
     VerificationPlan,
     cached_behavior_dfa,
-    verify_module,
+    open_cache,
     verify_path,
 )
 from repro.engine.faults import (
@@ -158,6 +158,7 @@ __all__ = [
     "diagnostic_to_dict",
     "load_state",
     "method_key",
+    "open_cache",
     "plan_incremental",
     "prune_waves",
     "remove_state",
@@ -169,6 +170,5 @@ __all__ = [
     "subsystem_dependencies",
     "topological_waves",
     "verify_incremental",
-    "verify_module",
     "verify_path",
 ]

@@ -65,6 +65,7 @@ from repro.core.diagnostics import (
 from repro.core.limits import BudgetExceeded, Limits
 from repro.core.spec import ClassSpec
 from repro.engine import faults
+from repro.engine.backends import LocalDirBackend, RemoteHTTPBackend, TieredBackend
 from repro.engine.cache import InferenceCache
 from repro.engine.fingerprint import class_key, method_key
 from repro.engine.metrics import ClassTiming, EngineMetrics
@@ -75,6 +76,7 @@ from repro.engine.serialize import (
     diagnostics_to_list,
 )
 from repro.frontend.model_ast import ParsedClass, ParsedModule, SubsetViolation
+from repro.frontend.project import parse_path
 from repro.obs.tracer import NULL_TRACER, PHASES, Tracer
 from repro.regex.ast import Regex, format_regex
 from repro.regex.parser import RegexSyntaxError, parse_regex
@@ -993,36 +995,6 @@ class BatchVerifier:
 # Convenience entry points
 # ----------------------------------------------------------------------
 
-def verify_module(
-    module: ParsedModule,
-    violations: list[SubsetViolation] | None = None,
-    *,
-    jobs: int = 1,
-    executor: str = "thread",
-    cache: InferenceCache | None = None,
-    timeout: float | None = None,
-    max_states: int | None = None,
-    retries: int = 2,
-    backoff: float = 0.05,
-    fail_fast: bool = False,
-    tracer: Tracer | None = None,
-) -> BatchResult:
-    """Run the batch engine on an already-parsed module/project."""
-    return BatchVerifier(
-        module,
-        violations,
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-        timeout=timeout,
-        max_states=max_states,
-        retries=retries,
-        backoff=backoff,
-        fail_fast=fail_fast,
-        tracer=tracer,
-    ).run()
-
-
 def cached_behavior_dfa(
     cache: InferenceCache,
     parsed: ParsedClass,
@@ -1048,37 +1020,30 @@ def cached_behavior_dfa(
         return None
 
 
-def verify_path(
-    path: str | Path,
-    *,
-    jobs: int = 1,
-    executor: str = "thread",
-    cache: InferenceCache | None = None,
-    timeout: float | None = None,
-    max_states: int | None = None,
-    retries: int = 2,
-    backoff: float = 0.05,
-    fail_fast: bool = False,
-    tracer: Tracer | None = None,
-) -> BatchResult:
-    """Parse a file or project directory and run the batch engine."""
-    from repro.frontend.parse import parse_file
-    from repro.frontend.project import parse_project
+def verify_path(path: str | Path, **engine: Any) -> BatchResult:
+    """Parse a file or project directory and run the batch engine;
+    takes every :class:`BatchVerifier` keyword (``jobs``, ``cache``, ...)."""
+    return BatchVerifier(*parse_path(path), **engine).run()
 
-    if Path(path).is_dir():
-        module, violations = parse_project(path)
-    else:
-        module, violations = parse_file(path)
-    return verify_module(
-        module,
-        violations,
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-        timeout=timeout,
-        max_states=max_states,
-        retries=retries,
-        backoff=backoff,
-        fail_fast=fail_fast,
-        tracer=tracer,
+
+def open_cache(cache_dir: str | Path, remote: str | None = None) -> InferenceCache:
+    """The persistent inference cache under ``cache_dir``: how every
+    command and the serve daemon open it.
+
+    With ``remote``, the endpoint of a ``repro cache serve`` daemon, a
+    shared HTTP tier is layered over the local directory (read-through,
+    write-behind, degrading to local-only when the remote misbehaves;
+    docs/distributed.md).  A ``remote`` that is not an http:// or
+    https:// URL raises :class:`EngineError`.
+    """
+    if remote is None:
+        return InferenceCache(cache_dir)
+    if not remote.startswith(("http://", "https://")):
+        raise EngineError(
+            f"remote cache must be an http:// or https:// URL, got {remote!r}"
+        )
+    return InferenceCache(
+        backend=TieredBackend(
+            LocalDirBackend(Path(cache_dir)), RemoteHTTPBackend(remote)
+        )
     )

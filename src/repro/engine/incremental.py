@@ -51,10 +51,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.core.diagnostics import CheckResult
-from repro.engine.cache import InferenceCache
 from repro.engine.engine import BatchResult, BatchVerifier
 from repro.engine.fingerprint import class_fingerprint, spec_fingerprint
 from repro.engine.metrics import ClassTiming
@@ -68,7 +67,6 @@ from repro.engine.state import (
     save_state,
 )
 from repro.frontend.model_ast import ParsedClass, ParsedModule, SubsetViolation
-from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 def named_subsystems(parsed: ParsedClass) -> tuple[str, ...]:
@@ -335,15 +333,7 @@ def verify_incremental(
     *,
     state_file: str | Path,
     write_state: bool = True,
-    jobs: int = 1,
-    executor: str = "thread",
-    cache: InferenceCache | None = None,
-    timeout: float | None = None,
-    max_states: int | None = None,
-    retries: int = 2,
-    backoff: float = 0.05,
-    fail_fast: bool = False,
-    tracer: Tracer | None = None,
+    **engine: Any,
 ) -> IncrementalResult:
     """Re-verify a project incrementally against ``state_file``.
 
@@ -353,12 +343,19 @@ def verify_incremental(
     report, and persists a fresh snapshot.  The merged report is
     byte-identical to a cold run of the same parse — the differential
     property pinned by ``tests/engine/test_incremental_differential.py``.
+    Takes every :class:`BatchVerifier` keyword except ``only``, which
+    the dirty set decides.
     """
     state_file = Path(state_file)
-    tracer = tracer if tracer is not None else NULL_TRACER
-
     previous, load_reason = load_state(state_file)
     plan = plan_incremental(module, previous, cold_reason=load_reason)
+    verifier = BatchVerifier(
+        module,
+        violations,
+        only=None if plan.cold else frozenset(plan.dirty),
+        **engine,
+    )
+    tracer = verifier.tracer
 
     with tracer.span(
         "phase",
@@ -377,20 +374,6 @@ def verify_incremental(
         for name in plan.reused:
             tracer.event("inc-skip", cls=name)
 
-    verifier = BatchVerifier(
-        module,
-        violations,
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-        timeout=timeout,
-        max_states=max_states,
-        retries=retries,
-        backoff=backoff,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        only=None if plan.cold else frozenset(plan.dirty),
-    )
     batch = verifier.run()
 
     # Splice: checked verdicts from the engine, clean verdicts from the

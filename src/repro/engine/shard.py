@@ -44,6 +44,7 @@ from repro.engine.engine import (
 from repro.engine.metrics import ClassTiming, EngineMetrics
 from repro.engine.serialize import diagnostics_from_list, diagnostics_to_list
 from repro.frontend.model_ast import ParsedModule, SubsetViolation
+from repro.frontend.project import parse_path
 
 #: Bumped when the serialized shard-result shape changes.
 SHARD_FORMAT_VERSION = 1
@@ -353,7 +354,6 @@ def coordinate(
     """
     if shards < 1:
         raise EngineError(f"shards must be >= 1, got {shards}")
-    module, violations = _load_target(target)
     with tempfile.TemporaryDirectory(prefix="repro-shards-") as scratch:
         processes: list[tuple[int, subprocess.Popen, Path]] = []
         for index in range(shards):
@@ -411,17 +411,10 @@ def coordinate(
                 "coordinated run failed: " + "; ".join(failures)
             )
         results = [shard_result_from_dict(payload) for payload in payloads]
-    batch = merge_shard_results(module, violations, results)
+    # Parsed only now: a target the workers could not load has already
+    # failed the fleet above, with their usage error as the message.
+    batch = merge_shard_results(*parse_path(target), results)
     return CoordinatedRun(
         batch=batch,
         shard_metrics=tuple(dict(result.metrics) for result in results),
     )
-
-
-def _load_target(target: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:
-    from repro.frontend.parse import parse_file
-    from repro.frontend.project import parse_project
-
-    if Path(target).is_dir():
-        return parse_project(target)
-    return parse_file(target)

@@ -84,6 +84,15 @@ def parse_project(root: str | Path) -> tuple[ParsedModule, list[SubsetViolation]
     )
 
 
+def parse_path(path: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:
+    """Parse a project directory (:func:`parse_project`) or one module
+    file (:func:`parse_file`); every command and engine entry point
+    loads its target through here."""
+    if Path(path).is_dir():
+        return parse_project(path)
+    return parse_file(path)
+
+
 def check_project(root: str | Path):
     """Parse and verify a whole project directory."""
     from repro.core.checker import Checker

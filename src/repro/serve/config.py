@@ -34,7 +34,8 @@ class ServeConfig:
     #: Endpoint of a shared ``repro cache serve`` daemon; when set, the
     #: inference cache layers a remote tier over the local directory
     #: (read-through, write-behind; docs/distributed.md).  ``None``
-    #: keeps the daemon local-only.
+    #: keeps the daemon local-only; a URL that is not http(s) is refused
+    #: when the daemon opens its cache (:func:`repro.engine.open_cache`).
     remote_cache: str | None = None
 
     # -- admission control ---------------------------------------------
@@ -88,13 +89,6 @@ class ServeConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.remote_cache is not None and not self.remote_cache.startswith(
-            ("http://", "https://")
-        ):
-            raise ServeConfigError(
-                "remote_cache must be an http:// or https:// URL, "
-                f"got {self.remote_cache!r}"
-            )
         if self.queue_depth < 1:
             raise ServeConfigError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"

@@ -40,7 +40,7 @@ from typing import Any, Callable
 
 from repro.engine import faults
 from repro.engine.cache import InferenceCache
-from repro.engine.engine import verify_path
+from repro.engine.engine import open_cache, verify_path
 from repro.frontend.model_ast import FrontendError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.breaker import OPEN, CircuitBreaker
@@ -130,23 +130,7 @@ class VerificationService:
         )
         self.metrics = ServeMetrics()
         self.tracer: Any = Tracer() if config.trace else NULL_TRACER
-        if config.remote_cache:
-            from pathlib import Path
-
-            from repro.engine.backends import (
-                LocalDirBackend,
-                RemoteHTTPBackend,
-                TieredBackend,
-            )
-
-            self.cache = InferenceCache(
-                backend=TieredBackend(
-                    LocalDirBackend(Path(config.cache_dir)),
-                    RemoteHTTPBackend(config.remote_cache),
-                )
-            )
-        else:
-            self.cache = InferenceCache(config.cache_dir)
+        self.cache = open_cache(config.cache_dir, config.remote_cache)
         #: Every job this process knows, id → latest state (terminal
         #: jobs loaded from the journal included, so a restarted daemon
         #: keeps serving finished verdicts).

@@ -8,7 +8,6 @@ from repro.engine import (
     EngineError,
     InferenceCache,
     cached_behavior_dfa,
-    verify_module,
     verify_path,
 )
 from repro.frontend.parse import parse_module
@@ -47,7 +46,7 @@ class TestParityWithChecker:
     def test_single_module_with_claim(self):
         source = module_source(SHAPE, claim=lifecycle_claim(SHAPE))
         module, violations = _parse(source)
-        batch = verify_module(module, violations, jobs=2)
+        batch = BatchVerifier(module, violations, jobs=2).run()
         assert batch.merged().format() == _reference(module, violations)
         assert batch.ok
 

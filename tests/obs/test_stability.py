@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine import faults
 from repro.engine.cache import InferenceCache
-from repro.engine.engine import verify_module
+from repro.engine.engine import BatchVerifier
 from repro.engine.faults import parse_faults
 from repro.frontend.parse import parse_module
 from repro.obs import PHASES, Tracer, metrics_payload, trace_lines
@@ -26,7 +26,7 @@ def layered():
 def traced_run(layered, **kwargs) -> tuple[Tracer, object]:
     module, violations = layered
     tracer = Tracer()
-    batch = verify_module(module, violations, tracer=tracer, **kwargs)
+    batch = BatchVerifier(module, violations, tracer=tracer, **kwargs).run()
     return tracer, batch
 
 
@@ -71,11 +71,11 @@ class TestCacheTemperature:
         module, violations = layered
         cache = InferenceCache(tmp_path / "cache")
         cold = Tracer()
-        verify_module(module, violations, cache=cache, tracer=cold)
+        BatchVerifier(module, violations, cache=cache, tracer=cold).run()
 
         warm_cache = InferenceCache(tmp_path / "cache")  # fresh memory layer
         warm = Tracer()
-        verify_module(module, violations, cache=warm_cache, tracer=warm)
+        BatchVerifier(module, violations, cache=warm_cache, tracer=warm).run()
 
         def shape(tracer):
             def strip(span):
@@ -92,19 +92,19 @@ class TestCacheTemperature:
         self, layered, no_ambient_faults, tmp_path
     ):
         module, violations = layered
-        verify_module(
+        BatchVerifier(
             module, violations, cache=InferenceCache(tmp_path / "cache")
-        )
+        ).run()
         first = Tracer()
-        verify_module(
+        BatchVerifier(
             module, violations,
             cache=InferenceCache(tmp_path / "cache"), tracer=first,
-        )
+        ).run()
         second = Tracer()
-        verify_module(
+        BatchVerifier(
             module, violations, jobs=4,
             cache=InferenceCache(tmp_path / "cache"), tracer=second,
-        )
+        ).run()
         assert sans_durations(first) == sans_durations(second)
 
 
@@ -169,6 +169,6 @@ class TestMetricsStability:
         self, layered, no_ambient_faults
     ):
         module, violations = layered
-        untraced = verify_module(module, violations, jobs=2)
-        traced = verify_module(module, violations, jobs=2, tracer=Tracer())
+        untraced = BatchVerifier(module, violations, jobs=2).run()
+        traced = BatchVerifier(module, violations, jobs=2, tracer=Tracer()).run()
         assert untraced.merged().format() == traced.merged().format()

@@ -27,6 +27,16 @@ def sector(tmp_path):
     return str(path)
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run ``argv``; assert a usage error (exit 2); return its stderr."""
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ")
+    return stderr
+
+
 class TestCheck:
     def test_failing_module_exits_1(self, section2, capsys):
         assert main(["check", section2]) == 1
@@ -38,9 +48,9 @@ class TestCheck:
         assert main(["check", good]) == 0
         assert "OK: specification verified" in capsys.readouterr().out
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit):
-            main(["check", "/nonexistent/file.py"])
+    def test_missing_file(self, capsys):
+        stderr = _usage_error(["check", "/nonexistent/file.py"], capsys)
+        assert "no such file" in stderr
 
 
 class TestCheckBatch:
@@ -96,9 +106,9 @@ class TestCheckBatch:
         assert main(["check", good, "-j", "2", "--executor", "process"]) == 0
         assert "OK: specification verified" in capsys.readouterr().out
 
-    def test_rejects_bad_jobs(self, good):
-        with pytest.raises(SystemExit):
-            main(["check", good, "--jobs", "0"])
+    def test_rejects_bad_jobs(self, good, capsys):
+        stderr = _usage_error(["check", good, "--jobs", "0"], capsys)
+        assert "jobs must be >= 1, got 0" in stderr
 
 
 class TestCheckSupervisor:
@@ -136,12 +146,16 @@ class TestCheckSupervisor:
         assert capsys.readouterr().out == healthy
 
     def test_fail_fast_aborts(self, good):
+        from repro.cli import UsageError
+
         args = [
             "check", good, "--retries", "0", "--fail-fast",
             "--faults", "worker:raise:Valve",
         ]
-        with pytest.raises(SystemExit, match="fail-fast"):
+        with pytest.raises(SystemExit, match="fail-fast") as raised:
             main(args)
+        # A run outcome, not a usage error: the process exits 1.
+        assert not isinstance(raised.value, UsageError)
 
     def test_bad_fault_spec_is_a_usage_error(self, good):
         with pytest.raises(SystemExit, match="unknown fault site"):
@@ -150,6 +164,62 @@ class TestCheckSupervisor:
     def test_fail_fast_and_keep_going_conflict(self, good):
         with pytest.raises(SystemExit):
             main(["check", good, "--fail-fast", "--keep-going"])
+
+
+class TestEngineLaunch:
+    """Every engine command validates its launch settings the same way."""
+
+    def test_malformed_remote_cache_is_a_usage_error(self, good, tmp_path, capsys):
+        argv = [
+            "check", good, "--cache-dir", str(tmp_path), "--remote-cache", "foo",
+        ]
+        assert "http:// or https://" in _usage_error(argv, capsys)
+
+    def test_serve_refuses_malformed_remote_cache(self, tmp_path, capsys):
+        argv = [
+            "serve", "--port", "0", "--cache-dir", str(tmp_path),
+            "--remote-cache", "foo",
+        ]
+        assert "http:// or https://" in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["check", "profile", "coordinate"])
+    def test_bad_faults_env_is_a_usage_error(self, command, good, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "bogus")
+        argv = [command, good] + (["--shards", "2"] if command == "coordinate" else [])
+        assert "invalid REPRO_FAULTS" in _usage_error(argv, capsys)
+
+
+class TestCoordinate:
+    """``repro coordinate`` through :func:`main`, shard workers and all."""
+
+    def test_matches_check(self, tmp_path, capsys):
+        from repro.workloads.hierarchy import HierarchyShape, project_files
+
+        root = tmp_path / "project"
+        root.mkdir()
+        project_files(HierarchyShape(base_operations=3), 3, root, correct=False)
+        code = main(["check", str(root)])
+        checked = capsys.readouterr().out
+        assert code == 1
+        argv = [
+            "coordinate", str(root), "--shards", "2",
+            "--worker-cache-dir", str(tmp_path / "workers"),
+        ]
+        assert main(argv) == code
+        assert capsys.readouterr().out == checked
+        # Each worker cached into its own tree under --worker-cache-dir.
+        assert sorted(p.name for p in (tmp_path / "workers").iterdir()) == [
+            "worker-0", "worker-1",
+        ]
+
+    def test_reports_the_workers_usage_error(self, good, capsys):
+        argv = ["coordinate", good, "--shards", "2", "--jobs", "0"]
+        stderr = _usage_error(argv, capsys)
+        assert "shard 0: exit 2: error: jobs must be >= 1, got 0" in stderr
+
+    def test_refuses_malformed_remote_cache(self, good, capsys):
+        argv = ["coordinate", good, "--shards", "2", "--remote-cache", "foo"]
+        assert "http:// or https://" in _usage_error(argv, capsys)
 
 
 class TestCacheCommand:
