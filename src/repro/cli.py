@@ -646,7 +646,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
     module, _violations = _load(args.file)
     parsed = _select_class(module, args.cls, args.file)
-    suite = generate_suite(ClassSpec.of(parsed), max_sequences=args.max)
+    try:
+        suite = generate_suite(ClassSpec.of(parsed), max_sequences=args.max)
+    except ValueError as error:
+        raise UsageError(f"error: {error}")
     for sequence in suite:
         print(", ".join(sequence) or "(empty lifecycle)")
     return 0

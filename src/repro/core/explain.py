@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.spec import START_STATE, ClassSpec
+from repro.core.spec import START_BIT, ClassSpec
 from repro.frontend.model_ast import ParsedClass
 
 
@@ -61,32 +61,28 @@ def _describe_subsystem_event(
     specs: dict[str, ClassSpec],
     field_classes: dict[str, str],
     event: str,
-    cursor: dict[str, frozenset],
+    cursor: dict[str, int],
 ) -> str:
-    """Advance the per-field spec cursor and describe the move."""
+    """Advance the per-field spec cursor (a :attr:`ClassSpec.table`
+    bitset) and describe the move."""
     field, _dot, method = event.partition(".")
     class_name = field_classes.get(field)
     spec = specs.get(class_name) if class_name else None
     if spec is None:
         return ""
-    states = cursor.get(field, frozenset({START_STATE}))
-    allowed = spec.allowed_after(states)
+    allowed = spec.table.allowed(cursor.get(field, START_BIT))
     operation = spec.operation(method)
     if operation is None:
-        cursor[field] = frozenset()
+        cursor[field] = 0
         return f"{class_name} '{field}': {method} is not a declared operation"
     if method not in allowed:
         legal = ", ".join(sorted(allowed)) or "(none)"
-        cursor[field] = frozenset()
+        cursor[field] = 0
         return (
             f"{class_name} '{field}': {method} NOT ALLOWED here "
             f"(allowed: {legal})"
         )
-    from repro.core.spec import exit_state
-
-    cursor[field] = frozenset(
-        exit_state(method, point.exit_id) for point in operation.returns
-    )
+    cursor[field] = spec.table.exits[method]
     exits = " | ".join(
         "[" + ", ".join(point.next_methods) + "]" for point in operation.returns
     )
@@ -104,7 +100,7 @@ def explain_counterexample(
         declaration.field_name: declaration.class_name
         for declaration in parsed.subsystems
     }
-    cursor: dict[str, frozenset] = {}
+    cursor: dict[str, int] = {}
     steps: list[TraceStep] = []
     current_owner: str | None = None
     for event in trace:
@@ -124,16 +120,10 @@ def explain_counterexample(
     # Which subsystems are left mid-lifecycle at the end?
     stuck: list[str] = []
     for field, states in cursor.items():
-        class_name = field_classes.get(field)
-        spec = specs.get(class_name) if class_name else None
-        if spec is None or not states:
-            continue
-        accepting = {START_STATE} | {
-            ("exit", operation.name, point.exit_id)
-            for operation in spec.final_operations()
-            for point in operation.returns
-        }
-        if not (set(states) & accepting):
+        # The cursor only holds fields whose class has a spec.
+        class_name = field_classes[field]
+        spec = specs[class_name]
+        if states and not states & spec.table.accepting:
             finals = ", ".join(op.name for op in spec.final_operations()) or "(none)"
             stuck.append(
                 f"{class_name} '{field}' is not in a final state "

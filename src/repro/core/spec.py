@@ -21,6 +21,7 @@ lifecycles* of an instance:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
@@ -29,8 +30,10 @@ from repro.automata.kernel.bitset import BitNFA, BitNFABuilder
 from repro.automata.nfa import NFA, NFABuilder
 from repro.frontend.model_ast import OperationDef, ParsedClass, ReturnPoint
 
-#: State names used by the specification automaton.
+#: State names used by the specification automaton; ``start`` is state 0
+#: of :meth:`ClassSpec.states`, so ``START_BIT`` in a :class:`SpecTable` bitset.
 START_STATE = "start"
+START_BIT = 1
 
 
 def exit_state(operation: str, exit_id: int) -> tuple[str, str, int]:
@@ -173,19 +176,42 @@ class ClassSpec:
         """Determinized specification automaton."""
         return determinize(self.nfa(prefix))
 
-    def allowed_after(self, state: frozenset) -> frozenset[str]:
-        """Operation names allowed from a subset-construction state.
+    @cached_property
+    def table(self) -> "SpecTable":
+        """This spec compiled for the monitor's per-call queries."""
+        return SpecTable(self)
 
-        Used by diagnostics ("which calls were legal here?") and by the
-        runtime monitor.
-        """
-        allowed: set[str] = set()
-        for nfa_state in state:
-            if nfa_state == START_STATE:
-                allowed.update(op.name for op in self.initial_operations())
-            elif isinstance(nfa_state, tuple) and nfa_state[0] == "exit":
-                _tag, operation_name, exit_id = nfa_state
-                for point in self.exit_points(operation_name):
-                    if point.exit_id == exit_id:
-                        allowed.update(point.next_methods)
-        return frozenset(allowed)
+
+class SpecTable:
+    """A :class:`ClassSpec` compiled once for per-call queries: a set of
+    states is an int bitset over :meth:`ClassSpec.states`.  An exit
+    allows each name its list declares, declared operation or not; the
+    exits of a name are its :meth:`ClassSpec.exit_points`."""
+
+    def __init__(self, spec: ClassSpec):
+        bit = {state: 1 << i for i, state in enumerate(spec.states())}
+        self.accepting = sum(map(bit.get, spec.accepting_states()))  # distinct bits
+        #: Every exit of each declared operation name.
+        self.exits = dict.fromkeys(spec.operation_names(), 0)
+        self._narrow: dict[tuple[str, tuple[str, ...]], int] = {}
+        self._allowed = dict.fromkeys([0, *bit.values()], frozenset())
+        self._allowed[START_BIT] = frozenset(op.name for op in spec.initial_operations())
+        for name in self.exits:
+            for point in spec.exit_points(name):
+                exit_bit = bit[exit_state(name, point.exit_id)]
+                self._allowed[exit_bit] |= frozenset(point.next_methods)
+                self.exits[name] |= exit_bit
+                key = (name, point.next_methods)
+                self._narrow[key] = self._narrow.get(key, 0) | exit_bit
+
+    def allowed(self, states: int) -> frozenset[str]:
+        """The names allowed from any of ``states``."""
+        # Memoized (few sets are reachable); a racing write stores the same value.
+        if states not in self._allowed:
+            bits = (1 << i for i in range(states.bit_length()) if states >> i & 1)
+            self._allowed[states] = frozenset().union(*map(self._allowed.get, bits))
+        return self._allowed[states]
+
+    def narrow(self, name: str, declared: tuple[str, ...]) -> int:
+        """The exits of ``name`` whose next-method list is ``declared``."""
+        return self._narrow.get((name, declared), 0)

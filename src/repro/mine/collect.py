@@ -66,6 +66,8 @@ class CollectConfig:
             raise ValueError("random_runs must be >= 0")
         if self.max_random_len < 1:
             raise ValueError("max_random_len must be >= 1")
+        if self.max_sequences is not None and self.max_sequences < 0:
+            raise ValueError(f"max_sequences must be >= 0, got {self.max_sequences}")
 
 
 def _probe(instance) -> StepEvidence:

@@ -8,10 +8,11 @@ cross-validates the static verdicts (a trace the static checker deems a
 counterexample must also trip the monitor, and tests assert this).
 
 The monitor tracks, per instance, the set of specification-automaton
-states the execution may be in.  Because the monitor *sees* each call's
-return value, it can narrow that set to the exit point actually taken —
-the dynamic analysis is strictly more precise than the static
-abstraction, exactly as expected of an over-approximating extraction.
+states the execution may be in (a bitset over :attr:`ClassSpec.table`).
+Because the monitor *sees* each call's return value, it can narrow that
+set to the exit point actually taken — the dynamic analysis is strictly
+more precise than the static abstraction, exactly as expected of an
+over-approximating extraction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.spec import START_STATE, ClassSpec, exit_state
+from repro.core.spec import START_BIT, ClassSpec
 from repro.frontend.parse import parse_module
 from repro.runtime.trace import TraceRecorder
 
@@ -47,7 +48,7 @@ class IncompleteLifecycleError(MonitorError):
 class _InstanceState:
     """Monitor bookkeeping attached to each constrained instance."""
 
-    states: frozenset = frozenset({START_STATE})
+    states: int = START_BIT
     history: list[str] = field(default_factory=list)
     finalized: bool = False
 
@@ -77,10 +78,6 @@ def _instance_state(instance: Any) -> _InstanceState:
         state = _InstanceState()
         object.__setattr__(instance, _STATE_ATTR, state)
     return state
-
-
-def _allowed_operations(spec: ClassSpec, states: frozenset) -> frozenset[str]:
-    return spec.allowed_after(states)
 
 
 def _next_method_set(result: Any) -> tuple[str, ...]:
@@ -159,7 +156,7 @@ def _wrap_operation(original, name: str, spec: ClassSpec):
             raise OrderViolationError(
                 f"{spec.name}.{name} invoked after the instance was finalized"
             )
-        allowed = _allowed_operations(spec, state.states)
+        allowed = spec.table.allowed(state.states)
         if name not in allowed:
             history = ", ".join(state.history) or "(no call yet)"
             legal = ", ".join(sorted(allowed)) or "(none)"
@@ -169,11 +166,7 @@ def _wrap_operation(original, name: str, spec: ClassSpec):
             )
         result = original(self, *args, **kwargs)
         declared = _next_method_set(result)
-        matching_exits = frozenset(
-            exit_state(name, point.exit_id)
-            for point in spec.exit_points(name)
-            if point.next_methods == declared
-        )
+        matching_exits = spec.table.narrow(name, declared)
         if not matching_exits:
             raise SpecMismatchError(
                 f"{spec.name}.{name} returned next-method set {list(declared)}, "
@@ -187,15 +180,6 @@ def _wrap_operation(original, name: str, spec: ClassSpec):
         return result
 
     return wrapper
-
-
-def _accepting_states(spec: ClassSpec) -> frozenset:
-    """Monitor states from which finalization is legal."""
-    return frozenset({START_STATE}) | frozenset(
-        exit_state(operation.name, point.exit_id)
-        for operation in spec.final_operations()
-        for point in operation.returns
-    )
 
 
 def _spec_of(instance: Any) -> ClassSpec:
@@ -218,7 +202,7 @@ def allowed_now(instance: Any) -> frozenset[str]:
     state = _instance_state(instance)
     if state.finalized:
         return frozenset()
-    return spec.allowed_after(state.states)
+    return spec.table.allowed(state.states)
 
 
 def is_finalizable(instance: Any) -> bool:
@@ -227,7 +211,7 @@ def is_finalizable(instance: Any) -> bool:
     state = _instance_state(instance)
     if state.finalized:
         return False
-    return bool(set(state.states) & _accepting_states(spec))
+    return bool(state.states & spec.table.accepting)
 
 
 def finalize(instance: Any) -> None:
@@ -239,7 +223,7 @@ def finalize(instance: Any) -> None:
     """
     spec = _spec_of(instance)
     state = _instance_state(instance)
-    if not (set(state.states) & _accepting_states(spec)):
+    if not state.states & spec.table.accepting:
         history = ", ".join(state.history) or "(no call)"
         raise IncompleteLifecycleError(
             f"{spec.name} instance finalized mid-lifecycle; history: {history}"
@@ -256,7 +240,7 @@ def call_operation(instance: Any, name: str, *args: Any, **kwargs: Any) -> Any:
     lookup always reaches the (monitored) method.
     """
     spec = _spec_of(instance)
-    if spec.operation(name) is None:
+    if name not in spec.table.exits:
         raise MonitorError(f"{spec.name} declares no operation {name!r}")
     return getattr(type(instance), name)(instance, *args, **kwargs)
 

@@ -103,6 +103,10 @@ class ServeConfig:
             )
         if self.workers < 1:
             raise ServeConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.engine_jobs < 1:
+            raise ServeConfigError(
+                f"engine_jobs must be >= 1, got {self.engine_jobs}"
+            )
         if self.job_deadline <= 0:
             raise ServeConfigError(
                 f"job_deadline must be positive, got {self.job_deadline}"

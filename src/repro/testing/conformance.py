@@ -95,7 +95,10 @@ class ConformanceReport:
 
 
 def generate_suite(spec: ClassSpec, max_sequences: int | None = None) -> list[tuple[str, ...]]:
-    """A transition-covering suite of complete lifecycles for ``spec``."""
+    """A transition-covering suite of complete lifecycles for ``spec``,
+    cut to its first ``max_sequences`` (which must not be negative)."""
+    if max_sequences is not None and max_sequences < 0:
+        raise ValueError(f"max_sequences must be >= 0, got {max_sequences}")
     suite = transition_cover(determinize(spec.nfa()))
     if max_sequences is not None:
         suite = suite[:max_sequences]

@@ -74,21 +74,28 @@ class TestValveAutomaton:
             assert nfa.accepts(word) == dfa.accepts(word)
 
 
+def state_bits(spec, *states):
+    """The :attr:`ClassSpec.table` bitset of the named ``states``."""
+    return sum(1 << spec.states().index(state) for state in states)
+
+
 class TestAllowedAfter:
+    """The compiled table's allowed set after a set of spec states."""
+
     def test_from_start(self, valve):
         spec = ClassSpec.of(valve)
-        assert spec.allowed_after(frozenset({START_STATE})) == {"test"}
+        assert spec.table.allowed(state_bits(spec, START_STATE)) == {"test"}
 
     def test_from_specific_exit(self, valve):
         spec = ClassSpec.of(valve)
         # test's exit 0 returns ["open"].
-        allowed = spec.allowed_after(frozenset({exit_state("test", 0)}))
+        allowed = spec.table.allowed(state_bits(spec, exit_state("test", 0)))
         assert allowed == {"open"}
 
     def test_union_over_state_set(self, valve):
         spec = ClassSpec.of(valve)
-        allowed = spec.allowed_after(
-            frozenset({exit_state("test", 0), exit_state("test", 1)})
+        allowed = spec.table.allowed(
+            state_bits(spec, exit_state("test", 0), exit_state("test", 1))
         )
         assert allowed == {"open", "clean"}
 

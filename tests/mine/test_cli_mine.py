@@ -151,3 +151,75 @@ class TestMineCommand:
         assert "-> DIVERGENT" in out
         assert "note: crash in irrigate" in out
         assert "'Pin' object is not callable" in out
+
+    def test_negative_max_sequences_is_a_usage_error(self, workload, capsys):
+        """A negative cap is refused, not read as a slice from the end."""
+        with pytest.raises(SystemExit) as raised:
+            main(["mine", workload, "--max-sequences", "-1"])
+        assert raised.value.code == 2
+        assert capsys.readouterr().err == "error: max_sequences must be >= 0, got -1\n"
+
+
+#: ``switch_on`` names ``dim``, which no operation declares.
+LAMP = """\
+from repro.frontend.decorators import op_final, op_initial, sys
+
+
+@sys
+class Lamp:
+    @op_initial
+    def switch_on(self):
+        return ["switch_off", "dim"]
+
+    @op_final
+    def switch_off(self):
+        return ["switch_on"]
+"""
+
+#: ``close`` is declared twice; the exits of a name are those of its
+#: first operation, while the second makes ``close`` initial too.
+DOOR = """\
+from repro.frontend.decorators import op_final, op_initial, op_initial_final, sys
+
+
+@sys
+class Door:
+    @op_initial
+    def open(self):
+        return ["close"]
+
+    @op_final
+    def close(self):
+        return ["open"]
+
+    @op_initial_final
+    def close(self):
+        return ["open"]
+"""
+
+
+class TestEdgeReports:
+    """Exact ``repro mine`` reports (seed 0) for two spec shapes the
+    monitor must keep reading as it always has."""
+
+    def test_undeclared_next_method_is_a_note(self, tmp_path, capsys):
+        path = tmp_path / "lamp.py"
+        path.write_text(LAMP, encoding="utf-8")
+        assert main(["mine", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"mine {path}: 1 class(es), seed 0 -> DIVERGENT\n"
+            "class Lamp: corpus 35 runs / 55 events / 4 lifecycles, "
+            "coverage 1.00, mined 2 states (pta 8, merges 1)\n"
+            "  note: crash in dim on random walk: MonitorError: "
+            "Lamp declares no operation 'dim' (x23)\n"
+        )
+
+    def test_duplicate_operation_name(self, tmp_path, capsys):
+        path = tmp_path / "door.py"
+        path.write_text(DOOR, encoding="utf-8")
+        assert main(["mine", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"mine {path}: 1 class(es), seed 0 -> CLEAN\n"
+            "class Door: corpus 36 runs / 154 events / 13 lifecycles, "
+            "coverage 1.00, mined 3 states (pta 25, merges 2)\n"
+        )

@@ -5,8 +5,10 @@ import pytest
 from repro.frontend.decorators import op, op_final, op_initial, sys
 from repro.runtime.monitor import (
     IncompleteLifecycleError,
+    MonitorError,
     OrderViolationError,
     SpecMismatchError,
+    call_operation,
     finalize,
     history_of,
     lifecycle,
@@ -45,6 +47,23 @@ def make_valve_class():
             return ["test"]
 
     return Valve
+
+
+def make_lamp_class():
+    """``switch_on`` names ``dim``, which the class never declares;
+    ``switch_off``'s exit allows nothing."""
+
+    @sys
+    class Lamp:
+        @op_initial
+        def switch_on(self):
+            return ["switch_off", "dim"]
+
+        @op_final
+        def switch_off(self):
+            return []
+
+    return Lamp
 
 
 @pytest.fixture
@@ -90,13 +109,46 @@ class TestViolations:
         valve = valve_class()
         with pytest.raises(OrderViolationError) as exc:
             valve.open()
-        assert "allowed now: test" in str(exc.value)
+        assert str(exc.value) == (
+            "Valve.open not allowed here; history: (no call yet); allowed now: test"
+        )
 
     def test_out_of_order_call(self, valve_class):
         valve = valve_class()
         valve.test()
-        with pytest.raises(OrderViolationError):
+        with pytest.raises(OrderViolationError) as exc:
             valve.close()  # close requires open first
+        assert str(exc.value) == (
+            "Valve.close not allowed here; history: test; allowed now: open"
+        )
+
+    def test_allowed_set_is_sorted_and_keeps_undeclared_names(self):
+        lamp = monitored(make_lamp_class())()
+        lamp.switch_on()
+        with pytest.raises(OrderViolationError) as exc:
+            lamp.switch_on()
+        assert str(exc.value) == (
+            "Lamp.switch_on not allowed here; history: switch_on; "
+            "allowed now: dim, switch_off"
+        )
+
+    def test_nothing_allowed_after_an_empty_exit(self):
+        lamp = monitored(make_lamp_class())()
+        lamp.switch_on()
+        lamp.switch_off()
+        with pytest.raises(OrderViolationError) as exc:
+            lamp.switch_on()
+        assert str(exc.value) == (
+            "Lamp.switch_on not allowed here; history: switch_on, switch_off; "
+            "allowed now: (none)"
+        )
+
+    def test_undeclared_operation_is_refused_by_call_operation(self):
+        lamp = monitored(make_lamp_class())()
+        lamp.switch_on()
+        with pytest.raises(MonitorError) as exc:
+            call_operation(lamp, "dim")
+        assert str(exc.value) == "Lamp declares no operation 'dim'"
 
     def test_finalize_mid_lifecycle(self, valve_class):
         valve = valve_class()
@@ -104,13 +156,16 @@ class TestViolations:
         valve.open()
         with pytest.raises(IncompleteLifecycleError) as exc:
             finalize(valve)
-        assert "test, open" in str(exc.value)
+        assert str(exc.value) == (
+            "Valve instance finalized mid-lifecycle; history: test, open"
+        )
 
     def test_call_after_finalize(self, valve_class):
         valve = valve_class()
         finalize(valve)
-        with pytest.raises(OrderViolationError):
+        with pytest.raises(OrderViolationError) as exc:
             valve.test()
+        assert str(exc.value) == "Valve.test invoked after the instance was finalized"
 
     def test_lifecycle_context_raises_on_incomplete(self, valve_class):
         with pytest.raises(IncompleteLifecycleError):
@@ -148,8 +203,12 @@ class TestSpecMismatch:
                 return ["undeclared"]
 
         wrapped = monitored(Liar, spec=spec)
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(SpecMismatchError) as exc:
             wrapped().go()
+        assert str(exc.value) == (
+            "Liar.go returned next-method set ['undeclared'], "
+            "which no declared exit point produces"
+        )
 
     def test_non_list_return(self):
         # The declared spec is clean; the implementation misbehaves at
@@ -172,8 +231,11 @@ class TestSpecMismatch:
                 return 42
 
         wrapped = monitored(Broken, spec=spec)
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(SpecMismatchError) as exc:
             wrapped().go()
+        assert str(exc.value) == (
+            "operation returned 42, which does not carry a next-method list"
+        )
 
 
 class TestUserValueForm:

@@ -182,6 +182,19 @@ class TestEngineLaunch:
         ]
         assert "http:// or https://" in _usage_error(argv, capsys)
 
+    def test_serve_refuses_zero_engine_jobs(self, tmp_path, monkeypatch, capsys):
+        """Refused at startup: with no engine worker, no job could run."""
+
+        def serve_forever(config):  # fail, not serve forever, if it boots
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr("repro.serve.http.serve_forever", serve_forever)
+        argv = [
+            "serve", "--port", "0", "--cache-dir", str(tmp_path),
+            "--engine-jobs", "0",
+        ]
+        assert _usage_error(argv, capsys) == "error: engine_jobs must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("command", ["check", "profile", "coordinate"])
     def test_bad_faults_env_is_a_usage_error(self, command, good, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULTS", "bogus")
@@ -482,6 +495,13 @@ class TestSuite:
         assert main(["suite", section2, "Valve", "--max", "2"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 2
+        assert main(["suite", section2, "Valve", "--max", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_negative_max_is_a_usage_error(self, section2, capsys):
+        """A negative cap is refused, not read as a slice from the end."""
+        stderr = _usage_error(["suite", section2, "Valve", "--max", "-2"], capsys)
+        assert stderr == "error: max_sequences must be >= 0, got -2\n"
 
 
 class TestReport:
