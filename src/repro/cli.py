@@ -63,6 +63,7 @@ import contextlib
 import json
 import os
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.behavior import behavior_nfa, operation_exit_regexes
@@ -84,7 +85,7 @@ from repro.engine import (
     verify_incremental,
 )
 from repro.engine.cache import DEFAULT_CACHE_DIR
-from repro.engine.engine import EXECUTORS
+from repro.engine.engine import EXECUTORS, cache_counters
 from repro.frontend.model_ast import FrontendError, ParsedModule
 from repro.frontend.project import parse_path
 from repro.lang.inference import behavior as infer_behavior
@@ -344,16 +345,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if sharded:
                 plan = plan_shards(module, args.shards)[args.shard_index]
                 batch = run_shard(module, violations, plan, **engine)
-                if args.shard_out:
-                    Path(args.shard_out).write_text(
-                        json.dumps(
-                            shard_result_to_dict(plan, batch),
-                            indent=2,
-                            sort_keys=True,
-                        )
-                        + "\n",
-                        encoding="utf-8",
-                    )
             elif args.incremental or args.since_state is not None:
                 state_file = (
                     Path(args.since_state)
@@ -377,11 +368,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     )
             else:
                 batch = BatchVerifier(module, violations, **engine).run()
-            if engine["cache"] is not None:
+            cache = engine["cache"]
+            if cache is not None:
                 # Drain the write-behind queue (a no-op for local-only
                 # backends) so every verdict reaches the remote tier
-                # before the process exits.
-                engine["cache"].flush()
+                # before the process exits, then count those uploads in
+                # everything the run reports.
+                cache.flush()
+                batch = replace(
+                    batch, metrics=replace(batch.metrics, **cache_counters(cache))
+                )
+            if sharded and args.shard_out:
+                Path(args.shard_out).write_text(
+                    json.dumps(
+                        shard_result_to_dict(plan, batch), indent=2, sort_keys=True
+                    )
+                    + "\n",
+                    encoding="utf-8",
+                )
             result = batch.merged()
             print(result.format())
             if args.stats:

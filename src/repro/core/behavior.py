@@ -48,8 +48,9 @@ def operation_exit_regexes(operation: OperationDef) -> dict[int, Regex]:
 def class_exit_regexes(parsed: ParsedClass) -> dict[str, dict[int, Regex]]:
     """Every operation's inferred per-exit behavior, keyed by name.
 
-    This is the pure, hashable-input form the batch engine caches: the
-    value depends only on each operation's body term and declared exits.
+    The batch engine's workers compute this in their ``infer`` phase and
+    hand it to :func:`behavior_nfa`; the value depends only on each
+    operation's body term and declared exits.
     """
     return {
         operation.name: operation_exit_regexes(operation)

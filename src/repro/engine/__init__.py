@@ -14,8 +14,8 @@ The scaling substrate on top of :mod:`repro.core` (see docs/engine.md):
 * :mod:`repro.engine.store` — crash-safe storage primitives: sealed
   (checksummed) envelopes, atomic writes with fault-injection sync
   points, orphaned-temp-file GC (docs/robustness.md),
-* :mod:`repro.engine.locking` — portable advisory file locks for
-  cross-process write coordination,
+* :mod:`repro.engine.locking` — portable advisory file locks that keep
+  the project state single-writer across processes,
 * :mod:`repro.engine.state` — the persistent per-project snapshot
   (``.repro-cache/state.json``), single-writer across processes with
   generation counting and read-modify-merge,

@@ -8,13 +8,12 @@ needs it).
 """
 
 from repro.engine.backends.base import CacheBackend, RemoteUnavailable
-from repro.engine.backends.local import DEFAULT_LOCK_TIMEOUT, LocalDirBackend
+from repro.engine.backends.local import LocalDirBackend
 from repro.engine.backends.remote import RemoteHTTPBackend
 from repro.engine.backends.tiered import TieredBackend
 
 __all__ = [
     "CacheBackend",
-    "DEFAULT_LOCK_TIMEOUT",
     "LocalDirBackend",
     "RemoteHTTPBackend",
     "RemoteUnavailable",

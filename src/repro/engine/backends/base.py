@@ -7,8 +7,8 @@ where sealed envelope **text** physically lives.  Three implementations
 ship (docs/distributed.md):
 
 * :class:`~repro.engine.backends.local.LocalDirBackend` — the classic
-  ``.repro-cache/`` directory tree (sharded paths, advisory write locks,
-  atomic writes through :mod:`repro.engine.store`);
+  ``.repro-cache/`` directory tree (sharded paths, unlocked atomic
+  writes through :mod:`repro.engine.store`);
 * :class:`~repro.engine.backends.remote.RemoteHTTPBackend` — GET/PUT of
   sealed envelopes against a ``repro cache serve`` daemon;
 * :class:`~repro.engine.backends.tiered.TieredBackend` — local

@@ -1,20 +1,21 @@
 """The classic on-disk cache tree as a :class:`CacheBackend`.
 
 This is the sealed-store behavior that used to live inline in
-:class:`~repro.engine.cache.InferenceCache`, extracted verbatim so the
-same directory layout, locking discipline, and fault sites now sit
-behind the backend protocol:
+:class:`~repro.engine.cache.InferenceCache`, extracted so the same
+directory layout and fault sites sit behind the backend protocol:
 
 * entries at ``<root>/<namespace>/<key[:2]>/<key>.json``;
 * a ``CACHEDIR.TAG`` marker written atomically (a torn tag can never be
   published half-written);
-* one advisory :class:`~repro.engine.locking.FileLock` per namespace
-  under ``<root>/locks/``, created lazily so dynamically registered
-  namespaces get locks too, with the documented proceed-on-timeout
-  degradation (the write still happens, the timeout is counted);
 * every entry write through :func:`repro.engine.store.atomic_write_text`
   with fault key ``<namespace>/<key>`` and the ``cache-put`` fault site
   fired after a successful persist.
+
+Writes take no lock: entries are content-addressed, so concurrent
+writers of one key write identical bytes, and the atomic rename
+publishes whole files.  A tree written by an older build may still
+hold ``method/`` entries and a ``locks/`` directory; nothing reads
+them, and both are safe to delete.
 
 The server side of ``repro cache serve`` reuses this class unbound
 (no owning cache): counters and events are simply skipped.
@@ -22,20 +23,10 @@ The server side of ``repro cache serve`` reuses this class unbound
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 from repro.engine import faults, store
 from repro.engine.backends.base import CacheBackend
-from repro.engine.locking import FileLock, LockTimeout
-
-#: Default seconds a writer waits for a namespace lock before giving up
-#: and proceeding unlocked (the atomic rename keeps that safe).
-DEFAULT_LOCK_TIMEOUT = 5.0
-
-#: Waits shorter than this are indistinguishable from lock bookkeeping
-#: noise and are not counted as contention.
-_LOCK_WAIT_FLOOR = 0.001
 
 _CACHEDIR_TAG = (
     "Signature: 8a477f597d28d172789f06886806bc55\n"
@@ -48,18 +39,10 @@ class LocalDirBackend(CacheBackend):
 
     supports_scan = True
 
-    def __init__(
-        self,
-        root: Path | str,
-        *,
-        lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
-    ) -> None:
+    def __init__(self, root: Path | str) -> None:
         super().__init__()
         self.root = Path(root)
-        self.lock_timeout = lock_timeout
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_locks: dict[str, FileLock] = {}
-        self._write_locks_guard = threading.Lock()
         tag = self.root / "CACHEDIR.TAG"
         if not tag.exists():
             try:
@@ -76,20 +59,6 @@ class LocalDirBackend(CacheBackend):
     def entry_path(self, namespace: str, key: str) -> Path:
         return self.root / namespace / key[:2] / f"{key}.json"
 
-    def _lock_for(self, namespace: str) -> FileLock:
-        with self._write_locks_guard:
-            lock = self._write_locks.get(namespace)
-            if lock is None:
-                lock_dir = self.root / "locks"
-                lock_dir.mkdir(parents=True, exist_ok=True)
-                lock = FileLock(
-                    lock_dir / f"{namespace}.lock",
-                    name=namespace,
-                    timeout=self.lock_timeout,
-                )
-                self._write_locks[namespace] = lock
-            return lock
-
     def get_text(self, namespace: str, key: str) -> str | None:
         try:
             return self.entry_path(namespace, key).read_text(encoding="utf-8")
@@ -99,31 +68,7 @@ class LocalDirBackend(CacheBackend):
     def put_text(self, namespace: str, key: str, text: str) -> None:
         path = self.entry_path(namespace, key)
         fault_key = f"{namespace}/{key}"
-        write_lock = self._lock_for(namespace)
-        locked = False
-        try:
-            write_lock.acquire()
-            locked = True
-            if write_lock.waited > _LOCK_WAIT_FLOOR:
-                stats = self._stats()
-                if stats is not None:
-                    stats.lock_waits += 1
-                    stats.lock_wait_seconds += write_lock.waited
-                self._event(
-                    "lock-wait", lock=namespace, seconds=round(write_lock.waited, 6)
-                )
-        except LockTimeout:
-            # Degrade rather than fail: the atomic rename makes unlocked
-            # writes safe, the lock only reduces rename races.
-            stats = self._stats()
-            if stats is not None:
-                stats.lock_timeouts += 1
-            self._event("lock-timeout", lock=namespace)
-        try:
-            store.atomic_write_text(path, text, fault_key=fault_key)
-        finally:
-            if locked:
-                write_lock.release()
+        store.atomic_write_text(path, text, fault_key=fault_key)
         faults.fire("cache-put", fault_key, path)
 
     def delete(self, namespace: str, key: str) -> bool:

@@ -1,14 +1,12 @@
-"""Content-addressed inference cache.
+"""Content-addressed verdict cache.
 
-Two namespaces, both keyed by SHA-256 fingerprints from
-:mod:`repro.engine.fingerprint`:
-
-* ``method`` — the inferred behavior of one body term: the ongoing regex
-  and the per-exit regexes, stored in the paper's concrete syntax (the
-  parser/printer pair round-trips canonical terms exactly);
-* ``class`` — a class's check verdict: the diagnostic list, plus the
-  determinized behavior DFA when the check computed one (composites).
-
+One namespace, ``class``: a class's check verdict — the diagnostic
+list, plus the determinized behavior DFA when the check computed one
+(composites) — keyed by the SHA-256 fingerprint of
+:func:`repro.engine.fingerprint.class_key`.  Inference is
+compositional, so a class verdict depends only on the class's own
+syntax and the specs of its subsystems, and it is the unit worth
+persisting: re-inferring a method costs less than reading it back.
 Lookups against any other namespace raise ``ValueError`` — that is a
 caller bug, not a miss.
 
@@ -25,18 +23,26 @@ every backend.  Layout of the local tree (safe to delete at any time)::
 
     .repro-cache/
         CACHEDIR.TAG
-        locks/<namespace>.lock
-        method/<k[:2]>/<k>.json
         class/<k[:2]>/<k>.json
+
+A tree written by an older build may also hold ``method/`` and
+``locks/``: nothing reads them any more, and both are safe to delete.
 
 Every payload is wrapped in an envelope carrying ``cache_version`` and
 a SHA-256 **seal** over the envelope body (:mod:`repro.engine.store`);
 entries written by an incompatible build, as well as unreadable,
 truncated, or checksum-mismatched files, are treated as misses — the
-cache can only ever cost a recomputation, never wrong output.  Writes
-go through a temp file + ``os.replace`` so concurrent runs see whole
-entries or nothing, and the seal catches the one failure mode rename
-cannot: a power cut that persists the rename but tears the data blocks.
+cache can only ever cost a recomputation, never wrong output.
+
+**Concurrent writers** (docs/robustness.md) take no lock.  Entries are
+content-addressed, so every writer of one key writes identical bytes;
+each write goes through a temp file + ``os.replace``, so readers see
+whole entries or nothing and the loser of a rename race loses nothing;
+and the seal catches the one failure mode rename cannot: a power cut
+that persists the rename but tears the data blocks.  Crashed writers
+leave ``.tmp-*`` orphans, which ``repro cache gc`` and daemon start
+sweep (:meth:`InferenceCache.gc_tmp`); opening a cache does not walk
+the tree.
 
 The cache is additionally **self-healing**: a corrupt or truncated
 entry (unreadable file, invalid JSON, malformed envelope, checksum
@@ -54,17 +60,6 @@ exactly once as a miss in ``stats.misses`` *and* once in
 directory, racing process) and later reads keep seeing the corrupt
 file.  A successful :meth:`put` under the same key re-arms counting, so
 a *new* corruption of the rewritten entry counts again.
-
-**Multi-process coordination** (docs/robustness.md).  Writes in each
-namespace are serialized across processes by an advisory file lock
-(:mod:`repro.engine.locking`) with a short deadline; a timed-out writer
-*proceeds anyway* — entries are content-addressed, so concurrent
-writers of one key produce identical bytes and the loser of the rename
-race loses nothing — but the contention is counted
-(``stats.lock_waits`` / ``stats.lock_timeouts``) and surfaced as
-``lock-wait`` / ``lock-timeout`` events.  Construction sweeps orphaned
-``.tmp-*`` files older than an hour (crashed writers; see
-``repro cache gc``) into ``stats.orphans_removed``.
 
 The in-memory layer makes repeated lookups within one process free and
 is guarded by a lock, so a thread-pool engine can share one instance;
@@ -91,12 +86,8 @@ CACHE_VERSION = 2
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Deadline for the per-namespace write lock; timing out is harmless
-#: (the write proceeds) but counted.
-WRITE_LOCK_TIMEOUT = 5.0
-
 #: The cache's namespaces; any other is rejected with ``ValueError``.
-_NAMESPACES = ("method", "class")
+_NAMESPACES = ("class",)
 
 
 def _namespace_counters() -> dict[str, int]:
@@ -122,11 +113,7 @@ class CacheStats:
     #: Disk persists that failed (ENOSPC, rename failure, ...); the
     #: memory layer still holds the payload.
     write_failures: dict[str, int] = field(default_factory=_namespace_counters)
-    #: Cross-process write-lock contention (docs/robustness.md).
-    lock_waits: int = 0
-    lock_wait_seconds: float = 0.0
-    lock_timeouts: int = 0
-    #: Orphaned ``.tmp-*`` files swept at construction or by ``gc``.
+    #: Orphaned ``.tmp-*`` files swept by :meth:`InferenceCache.gc_tmp`.
     orphans_removed: int = 0
     #: Remote-tier traffic (docs/distributed.md): requests answered /
     #: missed / uploaded by the remote cache, transport failures, and
@@ -162,7 +149,7 @@ class CacheStats:
 
 
 class InferenceCache:
-    """Content-addressed store for inference and verdict payloads.
+    """Content-addressed store for class verdict payloads.
 
     ``root=None`` keeps the cache purely in memory (one process, no
     persistence) — useful for tests and for the engine's default when
@@ -177,15 +164,12 @@ class InferenceCache:
         root: str | Path | None = DEFAULT_CACHE_DIR,
         *,
         backend: CacheBackend | None = None,
-        lock_timeout: float = WRITE_LOCK_TIMEOUT,
-        tmp_gc_min_age: float = store.DEFAULT_TMP_GC_MIN_AGE,
     ):
         if backend is None and root is not None:
-            backend = LocalDirBackend(Path(root), lock_timeout=lock_timeout)
+            backend = LocalDirBackend(Path(root))
         self.backend = backend
         self.root = None if backend is None else backend.local_root
         self.stats = CacheStats()
-        self.lock_timeout = lock_timeout
         #: Set by the engine when a run is traced; cache events then show
         #: up on the open span.  The no-op default costs nothing.
         self.tracer = NULL_TRACER
@@ -196,12 +180,6 @@ class InferenceCache:
         self._lock = threading.Lock()
         if backend is not None:
             backend.bind(self)
-        if self.root is not None:
-            # Startup GC: crashed writers leave .tmp-* orphans behind;
-            # the age gate keeps live writers out of reach.
-            self.stats.orphans_removed += store.gc_tmp_files(
-                self.root, min_age_seconds=tmp_gc_min_age
-            )
 
     # ------------------------------------------------------------------
 

@@ -9,17 +9,12 @@ Verification of a class is the pure function
 and the merged report is byte-identical to the serial
 :class:`repro.core.checker.Checker` regardless of ``jobs``.
 
-With an :class:`~repro.engine.cache.InferenceCache` attached, two cache
-layers short-circuit work (keys in :mod:`repro.engine.fingerprint`):
-
-* the **verdict layer** returns a class's diagnostics (and behavior DFA,
-  when one was computed) without re-running anything;
-* the **inference layer** returns each unchanged method's inferred
-  per-exit regexes, so editing one method of a class only re-infers that
-  method before the automaton is rebuilt.
-
-A warm re-run of an unchanged project therefore performs no inference,
-determinization or minimization at all — it parses, hashes and prints.
+With an :class:`~repro.engine.cache.InferenceCache` attached, a class
+whose verdict is cached (key: :func:`repro.engine.fingerprint.class_key`)
+comes back with its diagnostics, and its behavior DFA when one was
+computed, without re-running anything.  A warm re-run of an unchanged
+project therefore performs no inference, determinization or
+minimization at all — it parses, hashes and prints.
 
 **Supervision** (docs/robustness.md).  Every class check runs under a
 supervisor: a per-class wall-clock ``timeout``, a ``max_states``
@@ -54,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.behavior import class_exit_regexes
 from repro.core.checker import check_parsed_class, module_diagnostics
 from repro.core.diagnostics import (
     ENGINE_BUDGET,
@@ -67,7 +63,9 @@ from repro.core.spec import ClassSpec
 from repro.engine import faults
 from repro.engine.backends import LocalDirBackend, RemoteHTTPBackend, TieredBackend
 from repro.engine.cache import InferenceCache
-from repro.engine.fingerprint import class_key, method_key
+from repro.engine.fingerprint import class_key
+# Unused here: bound only because benchmarks/perf/layers.py wraps this name.
+from repro.engine.fingerprint import method_key  # noqa: F401
 from repro.engine.metrics import ClassTiming, EngineMetrics
 from repro.engine.scheduler import prune_waves, schedule
 from repro.engine.serialize import (
@@ -78,8 +76,6 @@ from repro.engine.serialize import (
 from repro.frontend.model_ast import ParsedClass, ParsedModule, SubsetViolation
 from repro.frontend.project import parse_path
 from repro.obs.tracer import NULL_TRACER, PHASES, Tracer
-from repro.regex.ast import Regex, format_regex
-from repro.regex.parser import RegexSyntaxError, parse_regex
 
 EXECUTORS = ("thread", "process")
 
@@ -105,50 +101,9 @@ class EngineAborted(RuntimeError):
 # The worker task (module-level so a process pool can pickle it)
 # ----------------------------------------------------------------------
 
-def _exit_regexes_from_payload(
-    parsed: ParsedClass, payloads: dict[str, dict[str, Any]]
-) -> tuple[dict[str, dict[int, Regex]], int, int, dict[str, dict[str, Any]]]:
-    """Reconstruct cached inferred behaviors; compute the rest.
-
-    Returns (exit regexes per operation, hits, misses, new payloads to
-    persist).  A malformed payload counts as a miss — the worker then
-    recomputes and re-emits it.
-    """
-    from repro.core.behavior import operation_exit_regexes
-    from repro.lang.inference import behavior
-
-    exit_regexes: dict[str, dict[int, Regex]] = {}
-    fresh: dict[str, dict[str, Any]] = {}
-    hits = misses = 0
-    for operation in parsed.operations:
-        payload = payloads.get(operation.name)
-        if payload is not None:
-            try:
-                exit_regexes[operation.name] = {
-                    int(exit_id): parse_regex(text)
-                    for exit_id, text in payload["exits"].items()
-                }
-                hits += 1
-                continue
-            except (KeyError, TypeError, ValueError, RegexSyntaxError):
-                pass  # corrupt entry: fall through to recomputation
-        misses += 1
-        per_exit = operation_exit_regexes(operation)
-        exit_regexes[operation.name] = per_exit
-        fresh[operation.name] = {
-            "ongoing": format_regex(behavior(operation.body).ongoing),
-            "exits": {
-                str(exit_id): format_regex(regex)
-                for exit_id, regex in per_exit.items()
-            },
-        }
-    return exit_regexes, hits, misses, fresh
-
-
 def _check_class_task(
     parsed: ParsedClass,
     scope: dict[str, ParsedClass],
-    method_payloads: dict[str, dict[str, Any]],
     limits: Limits | None = None,
     trace: bool = False,
 ) -> dict[str, Any]:
@@ -173,9 +128,7 @@ def _check_class_task(
     tracer = Tracer() if trace else NULL_TRACER
     try:
         with tracer.span("phase", "infer"):
-            exit_regexes, hits, misses, fresh = _exit_regexes_from_payload(
-                parsed, method_payloads
-            )
+            exit_regexes = class_exit_regexes(parsed)
         specs: Mapping[str, ClassSpec] = {
             name: ClassSpec.of(cls) for name, cls in scope.items()
         }
@@ -201,9 +154,6 @@ def _check_class_task(
         # Flat int arrays: no state-name graphs cross the pool.
         "dfa_flat": None if dfa is None else bitdfa_to_flat(dfa),
         "seconds": time.perf_counter() - started,
-        "method_hits": hits,
-        "method_misses": misses,
-        "new_methods": fresh,
     }
     if trace:
         outcome["phases"] = tracer.phase_totals()
@@ -436,16 +386,6 @@ class BatchVerifier:
             if dependency is not None:
                 scope[dependency.name] = dependency
         return scope
-
-    def _method_payloads(self, parsed: ParsedClass) -> dict[str, dict[str, Any]]:
-        if self.cache is None:
-            return {}
-        payloads: dict[str, dict[str, Any]] = {}
-        for operation in parsed.operations:
-            payload = self.cache.get("method", method_key(operation))
-            if payload is not None:
-                payloads[operation.name] = payload
-        return payloads
 
     def _limits(self) -> Limits:
         return Limits(max_states=self.max_states, timeout=self.timeout)
@@ -716,8 +656,7 @@ class BatchVerifier:
         outcomes: dict[str, CheckResult] = {}
         timings: list[ClassTiming] = []
         counters = _WaveCounters()
-        class_hits = class_misses = method_hits = method_misses = 0
-        cache_writes = 0
+        class_hits = class_misses = cache_writes = 0
 
         # The span deliberately omits jobs/executor: the exported trace
         # is byte-stable across job counts (modulo durations); the run
@@ -735,14 +674,12 @@ class BatchVerifier:
                     "wave", f"wave-{wave_index}", index=wave_index,
                     classes=len(wave),
                 ) as wave_span:
-                    hits, misses, mh, mm, writes = self._run_wave(
+                    hits, misses, writes = self._run_wave(
                         wave, wave_index, classes_by_name,
                         outcomes, timings, counters, wave_span,
                     )
                     class_hits += hits
                     class_misses += misses
-                    method_hits += mh
-                    method_misses += mm
                     cache_writes += writes
 
         ordered = tuple(
@@ -758,34 +695,9 @@ class BatchVerifier:
             wall_seconds=time.perf_counter() - started,
             class_hits=class_hits,
             class_misses=class_misses,
-            method_hits=method_hits,
-            method_misses=method_misses,
             cache_writes=cache_writes,
             timings=tuple(sorted(timings, key=lambda t: (t.wave, t.class_name))),
-            corrupt_entries=(
-                self.cache.stats.corrupt_entries if self.cache else 0
-            ),
-            checksum_failures=(
-                self.cache.stats.checksum_failures if self.cache else 0
-            ),
-            write_failures=(
-                self.cache.stats.write_failure_count if self.cache else 0
-            ),
-            lock_waits=self.cache.stats.lock_waits if self.cache else 0,
-            lock_wait_seconds=(
-                self.cache.stats.lock_wait_seconds if self.cache else 0.0
-            ),
-            lock_timeouts=self.cache.stats.lock_timeouts if self.cache else 0,
-            orphans_removed=(
-                self.cache.stats.orphans_removed if self.cache else 0
-            ),
-            remote_hits=self.cache.stats.remote_hits if self.cache else 0,
-            remote_misses=self.cache.stats.remote_misses if self.cache else 0,
-            remote_puts=self.cache.stats.remote_puts if self.cache else 0,
-            remote_errors=self.cache.stats.remote_errors if self.cache else 0,
-            remote_degraded=(
-                self.cache.stats.remote_degraded if self.cache else 0
-            ),
+            **cache_counters(self.cache),
             retries=counters.retries,
             quarantines=counters.quarantines,
             budget_trips=counters.budget_trips,
@@ -808,8 +720,9 @@ class BatchVerifier:
         timings: list[ClassTiming],
         counters: _WaveCounters,
         wave_span,
-    ) -> tuple[int, int, int, int, int]:
-        """Verify one wave; returns the cache-counter deltas.
+    ) -> tuple[int, int, int]:
+        """Verify one wave; returns the class hits, misses and cache
+        writes it added.
 
         ``wave_span`` receives one recorded ``class`` span per class —
         in the schedule's (sorted) order, so the exported tree is
@@ -819,8 +732,7 @@ class BatchVerifier:
         and quarantined classes produce the same tree *structure* as
         checked ones.
         """
-        class_hits = class_misses = method_hits = method_misses = 0
-        cache_writes = 0
+        class_hits = class_misses = cache_writes = 0
         #: class name -> (status, seconds, worker phase totals)
         trace_info: dict[str, tuple[str, float, dict[str, Any]]] = {}
 
@@ -863,7 +775,6 @@ class BatchVerifier:
                 attempt.name: (
                     classes_by_name[attempt.name],
                     self._scope_for(classes_by_name[attempt.name]),
-                    self._method_payloads(classes_by_name[attempt.name]),
                 )
                 for attempt in pending
             }
@@ -912,8 +823,6 @@ class BatchVerifier:
                 outcomes[name] = CheckResult(
                     diagnostics=diagnostics_from_list(outcome["diagnostics"])
                 )
-                method_hits += outcome["method_hits"]
-                method_misses += outcome["method_misses"]
                 trace_info[name] = (
                     "ok", outcome["seconds"], outcome.get("phases", {})
                 )
@@ -926,11 +835,6 @@ class BatchVerifier:
                     )
                 )
                 if self.cache is not None and key is not None:
-                    for operation_name, payload in outcome["new_methods"].items():
-                        operation = classes_by_name[name].operation(operation_name)
-                        if operation is not None:
-                            self.cache.put("method", method_key(operation), payload)
-                            cache_writes += 1
                     # A pure function of the key: concurrent writers of
                     # one entry must produce identical bytes, so no
                     # timings go in.
@@ -953,7 +857,7 @@ class BatchVerifier:
             failure = raw[name]["failure"]
             raise EngineAborted(name, failure["kind"], failure["message"])
 
-        return class_hits, class_misses, method_hits, method_misses, cache_writes
+        return class_hits, class_misses, cache_writes
 
     @staticmethod
     def _graft_class_spans(
@@ -994,6 +898,29 @@ class BatchVerifier:
 # ----------------------------------------------------------------------
 # Convenience entry points
 # ----------------------------------------------------------------------
+
+def cache_counters(cache: InferenceCache | None) -> dict[str, int]:
+    """The cache's persistence counters, as :class:`EngineMetrics` fields.
+
+    They are cumulative over the cache's life, so a caller that drains
+    deferred uploads after a run (:meth:`InferenceCache.flush`) reads
+    them again to report every upload the run queued.
+    """
+    if cache is None:
+        return {}
+    stats = cache.stats
+    return {
+        "corrupt_entries": stats.corrupt_entries,
+        "checksum_failures": stats.checksum_failures,
+        "write_failures": stats.write_failure_count,
+        "orphans_removed": stats.orphans_removed,
+        "remote_hits": stats.remote_hits,
+        "remote_misses": stats.remote_misses,
+        "remote_puts": stats.remote_puts,
+        "remote_errors": stats.remote_errors,
+        "remote_degraded": stats.remote_degraded,
+    }
+
 
 def cached_behavior_dfa(
     cache: InferenceCache,

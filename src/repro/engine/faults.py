@@ -23,11 +23,11 @@ Sites and the ``key`` they match ``pattern`` against (``fnmatch``):
   key = ``namespace/content-key``;
 * ``store-write`` — inside :func:`repro.engine.store.atomic_write_text`
   after the payload landed in the temp file; key = the logical store
-  name (``state``, ``method/<k>``, ``class/<k>``); ``path`` = the temp
+  name (``state``, ``class/<k>``); ``path`` = the temp
   file, so ``torn`` tears the payload *before* the rename publishes it;
 * ``store-rename`` — same write, immediately before ``os.replace``;
 * ``lock-acquire`` — entry of :meth:`repro.engine.locking.FileLock.acquire`;
-  key = the lock name (``state``, ``method``, ``class``);
+  key = the lock name (``state``, the project state's lock);
 * ``serve-accept`` — admission path of the ``repro serve`` daemon,
   fired before a submission is admitted; key = the tenant id;
 * ``serve-dispatch`` — the daemon's dispatcher, fired after a job is

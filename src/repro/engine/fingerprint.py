@@ -1,12 +1,12 @@
 """Content-addressed fingerprints of extracted models.
 
-The batch engine caches two kinds of result (see :mod:`repro.engine.cache`):
-
-* per-method: the inferred behavior of one body IR term ``p`` — keyed by
-  the term itself (Figure 4's ``infer(p)`` is a pure function of ``p``);
-* per-class: the check verdict — keyed by the class's full syntactic
-  content *plus* the specification structure of every subsystem class it
-  names (the usage, exhaustiveness and claim checks read those specs).
+The batch engine caches one kind of result (see :mod:`repro.engine.cache`),
+the per-class check verdict, keyed by :func:`class_key`: the class's
+full syntactic content *plus* the specification structure of every
+subsystem class it names (the usage, exhaustiveness and claim checks
+read those specs).  :func:`method_key` fingerprints one body IR term
+``p`` alone (Figure 4's ``infer(p)`` is a pure function of ``p``); no
+cache reads it.
 
 Keys are hex SHA-256 digests of a canonical textual rendering.  The
 rendering is deliberately boring: nested s-expressions with every field
@@ -64,7 +64,7 @@ def program_text(program: Program) -> str:
 
 
 def method_key(operation: OperationDef) -> str:
-    """Cache key for one method's inferred behavior.
+    """Fingerprint of one method's inferred behavior.
 
     The inferred per-exit regexes depend on the body term and on the
     declared exit points (missing exits default to ``eps``), nothing

@@ -7,8 +7,8 @@ small API with the semantics the persistence layer needs
 
 * **bounded acquisition** — a deterministic poll loop with exponential
   backoff and a hard deadline, raising :class:`LockTimeout` instead of
-  blocking forever (callers degrade gracefully: a cache writer proceeds
-  with its atomic write, a state writer skips the save and reports it);
+  blocking forever (the caller degrades gracefully: the state writer
+  skips the save and reports it);
 * **reentrancy** — the same :class:`FileLock` instance can be
   re-acquired by the thread that holds it (a depth counter, released
   symmetrically), so composed call paths need no lock bookkeeping;

@@ -3,7 +3,7 @@
 Mirrors the style of :mod:`repro.core.metrics` (a frozen summary with a
 ``format`` method), but measures the *run*, not the model: how the wave
 schedule shaped up, how the worker pool was configured, and how the
-content-addressed cache performed per namespace.
+content-addressed verdict cache performed.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ class EngineMetrics:
     wall_seconds: float
     class_hits: int
     class_misses: int
-    method_hits: int
-    method_misses: int
     cache_writes: int
     timings: tuple[ClassTiming, ...]
     #: Corrupt cache entries found — and deleted — during this run.
@@ -62,13 +60,10 @@ class EngineMetrics:
     reused_verdicts: int = 0
     dirty_classes: int = 0
     # Crash-safe store counters (docs/robustness.md): checksum-detected
-    # corruption, cross-process lock contention, failed persists, and
-    # swept crash debris.  All zero on a healthy single-process run.
+    # corruption, failed persists, swept crash debris, and the state
+    # file's merges.  All zero on a healthy single-process run.
     checksum_failures: int = 0
     write_failures: int = 0
-    lock_waits: int = 0
-    lock_wait_seconds: float = 0.0
-    lock_timeouts: int = 0
     orphans_removed: int = 0
     state_save_failures: int = 0
     state_merged_entries: int = 0
@@ -106,8 +101,6 @@ class EngineMetrics:
             "cache": {
                 "class_hits": self.class_hits,
                 "class_misses": self.class_misses,
-                "method_hits": self.method_hits,
-                "method_misses": self.method_misses,
                 "writes": self.cache_writes,
                 "corrupt_entries": self.corrupt_entries,
             },
@@ -127,9 +120,6 @@ class EngineMetrics:
             "store": {
                 "checksum_failures": self.checksum_failures,
                 "write_failures": self.write_failures,
-                "lock_waits": self.lock_waits,
-                "lock_wait_seconds": self.lock_wait_seconds,
-                "lock_timeouts": self.lock_timeouts,
                 "orphans_removed": self.orphans_removed,
                 "state_save_failures": self.state_save_failures,
                 "state_merged_entries": self.state_merged_entries,
@@ -170,8 +160,6 @@ class EngineMetrics:
             f"  verdict cache         {self.class_hits} hit(s), "
             f"{self.class_misses} miss(es) "
             f"({self.class_hit_rate * 100.0:.0f}% hit rate)",
-            f"  inference cache       {self.method_hits} hit(s), "
-            f"{self.method_misses} miss(es)",
             f"  cache writes          {self.cache_writes}",
         ]
         if self.incremental:
@@ -192,18 +180,13 @@ class EngineMetrics:
             )
         if (
             self.write_failures
-            or self.lock_waits
-            or self.lock_timeouts
             or self.orphans_removed
             or self.state_save_failures
             or self.state_merged_entries
         ):
             lines.append(
                 f"  store                 {self.write_failures} failed "
-                f"write(s), {self.lock_waits} lock wait(s) "
-                f"({self.lock_wait_seconds * 1000.0:.1f} ms), "
-                f"{self.lock_timeouts} lock timeout(s), "
-                f"{self.orphans_removed} orphan(s) swept, "
+                f"write(s), {self.orphans_removed} orphan(s) swept, "
                 f"{self.state_save_failures} state save failure(s), "
                 f"{self.state_merged_entries} merged state entr"
                 f"{'y' if self.state_merged_entries == 1 else 'ies'}"

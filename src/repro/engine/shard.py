@@ -147,10 +147,9 @@ def run_shard(
 # ----------------------------------------------------------------------
 
 _METRIC_SUMS = (
-    "class_hits", "class_misses", "method_hits", "method_misses",
-    "cache_writes", "corrupt_entries", "retries", "quarantines",
-    "budget_trips", "timeouts", "pool_restarts", "checksum_failures",
-    "write_failures", "lock_waits", "lock_timeouts", "orphans_removed",
+    "class_hits", "class_misses", "cache_writes", "corrupt_entries",
+    "retries", "quarantines", "budget_trips", "timeouts", "pool_restarts",
+    "checksum_failures", "write_failures", "orphans_removed",
     "remote_hits", "remote_misses", "remote_puts", "remote_errors",
     "remote_degraded",
 )
@@ -182,7 +181,6 @@ def shard_result_to_dict(plan: ShardPlan, batch: BatchResult) -> dict[str, Any]:
             "jobs": metrics.jobs,
             "executor": metrics.executor,
             "wall_seconds": metrics.wall_seconds,
-            "lock_wait_seconds": metrics.lock_wait_seconds,
             **{name: getattr(metrics, name) for name in _METRIC_SUMS},
         },
     }
@@ -306,10 +304,6 @@ def merge_shard_results(
             for result in shard_results
         ),
         timings=tuple(sorted(timings, key=lambda t: (t.wave, t.class_name))),
-        lock_wait_seconds=sum(
-            float(result.metrics.get("lock_wait_seconds", 0.0))
-            for result in shard_results
-        ),
         **summed,
     )
     return BatchResult(

@@ -46,8 +46,9 @@ CHECKSUM_KEY = "sha256"
 #: Every interrupted writer leaves files with this prefix behind.
 TMP_PREFIX = ".tmp-"
 
-#: Startup GC ignores temp files younger than this (a concurrent writer
-#: may legitimately own them); ``repro cache gc`` can override it.
+#: The daemon's start-up sweep ignores temp files younger than this (a
+#: concurrent writer may legitimately own them); ``repro cache gc``
+#: sweeps every age unless told otherwise.
 DEFAULT_TMP_GC_MIN_AGE = 3600.0
 
 

@@ -11,6 +11,7 @@ declarations from ``__init__``, and hand each operation body to
 from __future__ import annotations
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 from repro.frontend.model_ast import (
@@ -219,6 +220,34 @@ class _ClassParser:
         )
 
 
+#: How many distinct source texts one process keeps parsed.  A daemon
+#: sees the same files resubmitted (docs/serve.md), so each is parsed
+#: once; the bound keeps a long-lived process from growing with every
+#: new text.
+PARSE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_source(
+    source: str,
+) -> tuple[tuple[ParsedClass, ...], tuple[SubsetViolation, ...]]:
+    """The ``@sys`` classes of ``source`` and its subset violations.
+
+    A pure function of the text, so its result is shared by every
+    caller: everything in it is frozen.  A :class:`SyntaxError`
+    propagates, and ``lru_cache`` never stores an exception.
+    """
+    tree = ast.parse(source)
+    violations: list[SubsetViolation] = []
+    classes: list[ParsedClass] = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            parsed = _ClassParser(node, violations).parse()
+            if parsed is not None:
+                classes.append(parsed)
+    return tuple(classes), tuple(violations)
+
+
 def parse_module(
     source: str, source_name: str = "<string>"
 ) -> tuple[ParsedModule, list[SubsetViolation]]:
@@ -227,11 +256,14 @@ def parse_module(
     Returns the parsed module plus every subset violation encountered;
     violations do not abort parsing (the checker reports them together
     with semantic errors).  A syntactically invalid file raises
-    :class:`FrontendError`.
+    :class:`FrontendError`.  Each distinct text is parsed once per
+    process (:data:`PARSE_MEMO_SIZE`); every call still gets its own
+    module and violations list.
     """
     try:
-        tree = ast.parse(source, filename=source_name)
+        classes, violations = _parse_source(source)
     except SyntaxError as error:
+        error.filename = source_name  # the memo parses without a name
         raise FrontendError(
             [
                 SubsetViolation(
@@ -241,14 +273,7 @@ def parse_module(
                 )
             ]
         ) from error
-    violations: list[SubsetViolation] = []
-    classes: list[ParsedClass] = []
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            parsed = _ClassParser(node, violations).parse()
-            if parsed is not None:
-                classes.append(parsed)
-    return ParsedModule(classes=tuple(classes), source_name=source_name), violations
+    return ParsedModule(classes=classes, source_name=source_name), list(violations)
 
 
 def parse_file(path: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:

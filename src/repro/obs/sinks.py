@@ -200,18 +200,15 @@ FAMILIES: tuple[Family, ...] = (
     Family("wall_seconds", "gauge", "Wall time of the run in seconds.",
            _value(None, "wall_seconds")),
     Family("cache_events_total", "counter", "Cache events by kind.",
-           _kinds("cache", "class_hits", "class_misses", "method_hits", "method_misses",
-                  "writes", "corrupt_entries")),
+           _kinds("cache", "class_hits", "class_misses", "writes", "corrupt_entries")),
     Family("incremental_classes_total", "counter", "Incremental run outcome per class, by kind.",
            _kinds("incremental", "reused", "dirty")),
     Family("incremental_reuse_ratio", "gauge",
            "Fraction of class verdicts spliced from the project state.",
            _value("incremental", "reuse_ratio")),
     Family("store_events_total", "counter", "Crash-safe store events by kind.",
-           _kinds("store", "checksum_failures", "write_failures", "lock_waits", "lock_timeouts",
-                  "orphans_removed", "state_save_failures", "state_merged_entries")),
-    Family("store_lock_wait_seconds_total", "counter",
-           "Total time spent waiting on store write locks.", _value("store", "lock_wait_seconds")),
+           _kinds("store", "checksum_failures", "write_failures", "orphans_removed",
+                  "state_save_failures", "state_merged_entries")),
     Family("store_state_generation", "gauge", "Generation counter of the persisted project state.",
            _value("store", "state_generation")),
     Family("cache_remote_events_total", "counter", "Remote cache tier events by kind.",

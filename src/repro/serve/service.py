@@ -38,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable
 
-from repro.engine import faults
+from repro.engine import faults, store
 from repro.engine.cache import InferenceCache
 from repro.engine.engine import open_cache, verify_path
 from repro.frontend.model_ast import FrontendError
@@ -189,8 +189,14 @@ class VerificationService:
         return recovered
 
     async def start(self) -> int:
-        """Recover the journal and start the dispatcher; returns the
-        number of recovered (re-enqueued) jobs."""
+        """Sweep the cache, recover the journal and start the
+        dispatcher; returns the number of recovered (re-enqueued) jobs.
+
+        The sweep removes the ``.tmp-*`` files crashed writers left in
+        the cache; the age gate keeps it away from the live writes of
+        other processes sharing the directory.
+        """
+        self.cache.gc_tmp(min_age_seconds=store.DEFAULT_TMP_GC_MIN_AGE)
         self._wake = asyncio.Event()
         self._update = asyncio.Event()
         self._pool = ThreadPoolExecutor(

@@ -78,42 +78,42 @@ def corrupt_stored_entry(backend, cache_server, namespace, key):
 class TestConformance:
     def test_round_trip(self, backend):
         cache = InferenceCache(backend=backend)
-        assert cache.get("method", KEY) is None
-        cache.put("method", KEY, PAYLOAD)
+        assert cache.get("class", KEY) is None
+        cache.put("class", KEY, PAYLOAD)
         cache.flush()
         # A fresh cache over the same transport must see the entry
         # (no in-memory short-circuit).
         fresh = InferenceCache(backend=backend)
-        assert fresh.get("method", KEY) == PAYLOAD
-        assert fresh.stats.hits["method"] == 1
+        assert fresh.get("class", KEY) == PAYLOAD
+        assert fresh.stats.hits["class"] == 1
 
     def test_seal_mismatch_heals(self, backend, cache_server):
         cache = InferenceCache(backend=backend)
-        cache.put("method", KEY, PAYLOAD)
+        cache.put("class", KEY, PAYLOAD)
         cache.flush()
-        corrupt_stored_entry(backend, cache_server, "method", KEY)
+        corrupt_stored_entry(backend, cache_server, "class", KEY)
         fresh = InferenceCache(backend=backend)
-        assert fresh.get("method", KEY) is None
-        assert fresh.stats.corrupt["method"] == 1
+        assert fresh.get("class", KEY) is None
+        assert fresh.stats.corrupt["class"] == 1
         # The corrupt entry was deleted: the next fresh read is a plain
         # miss, not another heal.
         again = InferenceCache(backend=backend)
-        assert again.get("method", KEY) is None
-        assert again.stats.corrupt["method"] == 0
+        assert again.get("class", KEY) is None
+        assert again.stats.corrupt["class"] == 0
 
     def test_delete_then_miss(self, backend):
         cache = InferenceCache(backend=backend)
-        cache.put("method", KEY, PAYLOAD)
+        cache.put("class", KEY, PAYLOAD)
         cache.flush()
-        assert backend.delete("method", KEY) is True
+        assert backend.delete("class", KEY) is True
         fresh = InferenceCache(backend=backend)
         if isinstance(backend, TieredBackend):
             # Tiered deletes drop the *local* copy only — by design, so
             # a healed entry re-promotes from the intact remote copy.
-            assert fresh.get("method", KEY) == PAYLOAD
+            assert fresh.get("class", KEY) == PAYLOAD
         else:
-            assert backend.delete("method", KEY) is False
-            assert fresh.get("method", KEY) is None
+            assert backend.delete("class", KEY) is False
+            assert fresh.get("class", KEY) is None
 
     def test_concurrent_writers_converge(self, backend):
         cache = InferenceCache(backend=backend)
@@ -122,7 +122,7 @@ class TestConformance:
         def writer(index):
             try:
                 for step in range(5):
-                    cache.put("method", f"{KEY}{index:02d}{step:02d}", PAYLOAD)
+                    cache.put("class", f"{KEY}{index:02d}{step:02d}", PAYLOAD)
             except Exception as err:  # pragma: no cover - failure path
                 errors.append(err)
 
@@ -138,7 +138,7 @@ class TestConformance:
         fresh = InferenceCache(backend=backend)
         for index in range(4):
             for step in range(5):
-                assert fresh.get("method", f"{KEY}{index:02d}{step:02d}") == PAYLOAD
+                assert fresh.get("class", f"{KEY}{index:02d}{step:02d}") == PAYLOAD
 
 
 class TestTiered:
@@ -148,30 +148,30 @@ class TestTiered:
             RemoteHTTPBackend(cache_server.endpoint),
         )
         cache = InferenceCache(backend=tiered)
-        cache.put("method", KEY, PAYLOAD)
+        cache.put("class", KEY, PAYLOAD)
         cache.flush()
         remote_only = InferenceCache(
             backend=RemoteHTTPBackend(cache_server.endpoint)
         )
-        assert remote_only.get("method", KEY) == PAYLOAD
+        assert remote_only.get("class", KEY) == PAYLOAD
         cache.close()
 
     def test_remote_hit_promotes_to_local(self, tmp_path, cache_server):
         seeder = InferenceCache(
             backend=RemoteHTTPBackend(cache_server.endpoint)
         )
-        seeder.put("method", KEY, PAYLOAD)
+        seeder.put("class", KEY, PAYLOAD)
         tiered = TieredBackend(
             LocalDirBackend(tmp_path / "local"),
             RemoteHTTPBackend(cache_server.endpoint),
             write_behind=False,
         )
         cache = InferenceCache(backend=tiered)
-        assert cache.get("method", KEY) == PAYLOAD
+        assert cache.get("class", KEY) == PAYLOAD
         assert cache.stats.remote_hits == 1
         # Promotion happened: the local tree alone now serves the key.
         local_only = InferenceCache(backend=LocalDirBackend(tmp_path / "local"))
-        assert local_only.get("method", KEY) == PAYLOAD
+        assert local_only.get("class", KEY) == PAYLOAD
         cache.close()
 
     def test_remote_down_degrades_to_local_only(self, tmp_path):
@@ -184,14 +184,14 @@ class TestTiered:
         )
         cache = InferenceCache(backend=tiered)
         for index in range(4):
-            assert cache.get("method", f"{KEY}{index:02d}") is None
+            assert cache.get("class", f"{KEY}{index:02d}") is None
         assert tiered.degraded
         assert cache.stats.remote_errors >= 2
         assert cache.stats.remote_degraded == 1
         # Local service continues unharmed.
-        cache.put("method", KEY, PAYLOAD)
+        cache.put("class", KEY, PAYLOAD)
         fresh = InferenceCache(backend=LocalDirBackend(tmp_path / "local"))
-        assert fresh.get("method", KEY) == PAYLOAD
+        assert fresh.get("class", KEY) == PAYLOAD
         cache.close()
 
     def test_injected_remote_faults_degrade(self, tmp_path, cache_server):
@@ -205,10 +205,10 @@ class TestTiered:
                 failure_threshold=3,
             )
             cache = InferenceCache(backend=tiered)
-            cache.put("method", KEY, PAYLOAD)
-            assert cache.get("method", KEY) == PAYLOAD  # local tier serves
+            cache.put("class", KEY, PAYLOAD)
+            assert cache.get("class", KEY) == PAYLOAD  # local tier serves
             for index in range(4):
-                cache.get("method", f"{KEY}{index:02d}")
+                cache.get("class", f"{KEY}{index:02d}")
             assert tiered.degraded
             assert cache.stats.remote_errors >= 3
             cache.close()
@@ -222,17 +222,17 @@ class TestRemoteBackendErrors:
     def test_connection_refused_is_remote_unavailable(self):
         backend = RemoteHTTPBackend("http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(RemoteUnavailable):
-            backend.get_text("method", KEY)
+            backend.get_text("class", KEY)
         with pytest.raises(RemoteUnavailable):
-            backend.put_text("method", KEY, sealed_text())
+            backend.put_text("class", KEY, sealed_text())
 
     def test_remote_unavailable_is_plain_miss_for_cache(self):
         cache = InferenceCache(
             backend=RemoteHTTPBackend("http://127.0.0.1:9", timeout=0.2)
         )
-        assert cache.get("method", KEY) is None
-        assert cache.stats.misses["method"] == 1
-        assert cache.stats.corrupt["method"] == 0
+        assert cache.get("class", KEY) is None
+        assert cache.stats.misses["class"] == 1
+        assert cache.stats.corrupt["class"] == 0
         assert cache.stats.remote_errors == 1
 
 
@@ -254,17 +254,17 @@ class TestCacheServer:
 
     def test_rejects_unsealed_bodies(self, cache_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self.put(cache_server, f"/v1/cache/method/{KEY}", '{"raw": 1}')
+            self.put(cache_server, f"/v1/cache/class/{KEY}", '{"raw": 1}')
         assert excinfo.value.code == 400
         excinfo.value.close()
         assert cache_server.counters["rejected"] == 1
 
     def test_rejects_traversal_routes(self, cache_server):
         for path in (
-            "/v1/cache/method/../../../etc/passwd",
+            "/v1/cache/class/../../../etc/passwd",
             "/v1/cache/UPPER/abc123",
-            "/v1/cache/method/notahexkey!",
-            "/v1/other/method/abc123",
+            "/v1/cache/class/notahexkey!",
+            "/v1/other/class/abc123",
         ):
             request = urllib.request.Request(
                 f"{cache_server.endpoint}{path}", method="GET"
@@ -276,10 +276,10 @@ class TestCacheServer:
 
     def test_get_put_round_trip_and_stats(self, cache_server):
         text = sealed_text()
-        with self.put(cache_server, f"/v1/cache/method/{KEY}", text):
+        with self.put(cache_server, f"/v1/cache/class/{KEY}", text):
             pass
         with urllib.request.urlopen(
-            f"{cache_server.endpoint}/v1/cache/method/{KEY}", timeout=5.0
+            f"{cache_server.endpoint}/v1/cache/class/{KEY}", timeout=5.0
         ) as response:
             assert response.read().decode("utf-8") == text
         with urllib.request.urlopen(

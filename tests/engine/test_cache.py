@@ -10,17 +10,9 @@ from repro.engine.cache import CACHE_VERSION, CacheStats, InferenceCache
 class TestMemoryCache:
     def test_roundtrip(self):
         cache = InferenceCache(None)
-        assert cache.get("method", "k1") is None
-        cache.put("method", "k1", {"ongoing": "a . b"})
-        assert cache.get("method", "k1") == {"ongoing": "a . b"}
-
-    def test_namespaces_are_disjoint(self):
-        cache = InferenceCache(None)
-        cache.put("method", "k", {"kind": "method"})
-        assert cache.get("class", "k") is None
-        cache.put("class", "k", {"kind": "class"})
-        assert cache.get("method", "k") == {"kind": "method"}
-        assert cache.get("class", "k") == {"kind": "class"}
+        assert cache.get("class", "k1") is None
+        cache.put("class", "k1", {"diagnostics": []})
+        assert cache.get("class", "k1") == {"diagnostics": []}
 
     def test_unknown_namespace_rejected(self):
         cache = InferenceCache(None)
@@ -28,18 +20,21 @@ class TestMemoryCache:
             cache.get("regex", "k")
         with pytest.raises(ValueError):
             cache.put("regex", "k", {})
+        # Method behaviors are re-inferred, never cached.
+        with pytest.raises(ValueError):
+            cache.get("method", "k")
 
     def test_stats_count_hits_misses_writes(self):
         cache = InferenceCache(None)
-        cache.get("method", "absent")
-        cache.put("method", "present", {"x": 1})
-        cache.get("method", "present")
-        cache.get("method", "present")
-        assert cache.stats.misses["method"] == 1
-        assert cache.stats.hits["method"] == 2
-        assert cache.stats.writes["method"] == 1
-        assert cache.stats.hit_rate("method") == pytest.approx(2 / 3)
-        assert cache.stats.hit_rate("class") == 0.0
+        cache.get("class", "absent")
+        cache.put("class", "present", {"x": 1})
+        cache.get("class", "present")
+        cache.get("class", "present")
+        assert cache.stats.misses["class"] == 1
+        assert cache.stats.hits["class"] == 2
+        assert cache.stats.writes["class"] == 1
+        assert cache.stats.hit_rate("class") == pytest.approx(2 / 3)
+        assert cache.stats.hit_rate("regex") == 0.0
 
 
 class TestDiskCache:
@@ -51,77 +46,76 @@ class TestDiskCache:
 
     def test_layout_is_sharded_with_cachedir_tag(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
+        cache.put("class", "abcdef", {"v": 1})
         assert (tmp_path / "CACHEDIR.TAG").read_text().startswith("Signature:")
-        assert (tmp_path / "method" / "ab" / "abcdef.json").is_file()
+        assert (tmp_path / "class" / "ab" / "abcdef.json").is_file()
         assert cache.entry_count() == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
-        (tmp_path / "method" / "ab" / "abcdef.json").write_text("{ truncated")
-        assert InferenceCache(tmp_path).get("method", "abcdef") is None
+        cache.put("class", "abcdef", {"v": 1})
+        (tmp_path / "class" / "ab" / "abcdef.json").write_text("{ truncated")
+        assert InferenceCache(tmp_path).get("class", "abcdef") is None
 
     def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
-        path = tmp_path / "method" / "ab" / "abcdef.json"
+        cache.put("class", "abcdef", {"v": 1})
+        path = tmp_path / "class" / "ab" / "abcdef.json"
         path.write_text("{ truncated")
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "abcdef") is None
+        assert fresh.get("class", "abcdef") is None
         assert not path.exists()  # self-healed: the bad file is gone
-        assert fresh.stats.corrupt["method"] == 1
+        assert fresh.stats.corrupt["class"] == 1
         assert fresh.stats.corrupt_entries == 1
         # The next write/read cycle works again.
-        fresh.put("method", "abcdef", {"v": 2})
-        assert InferenceCache(tmp_path).get("method", "abcdef") == {"v": 2}
+        fresh.put("class", "abcdef", {"v": 2})
+        assert InferenceCache(tmp_path).get("class", "abcdef") == {"v": 2}
 
     def test_version_mismatch_is_not_treated_as_corruption(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
-        path = tmp_path / "method" / "ab" / "abcdef.json"
+        cache.put("class", "abcdef", {"v": 1})
+        path = tmp_path / "class" / "ab" / "abcdef.json"
         envelope = json.loads(path.read_text())
         envelope["cache_version"] = CACHE_VERSION + 1
         path.write_text(json.dumps(envelope))
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "abcdef") is None
+        assert fresh.get("class", "abcdef") is None
         assert path.exists()  # a future version's entry is left alone
         assert fresh.stats.corrupt_entries == 0
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
-        path = tmp_path / "method" / "ab" / "abcdef.json"
+        cache.put("class", "abcdef", {"v": 1})
+        path = tmp_path / "class" / "ab" / "abcdef.json"
         envelope = json.loads(path.read_text())
         envelope["cache_version"] = CACHE_VERSION + 1
         path.write_text(json.dumps(envelope))
-        assert InferenceCache(tmp_path).get("method", "abcdef") is None
+        assert InferenceCache(tmp_path).get("class", "abcdef") is None
 
     def test_non_dict_payload_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        path = tmp_path / "method" / "ab" / "abcdef.json"
+        path = tmp_path / "class" / "ab" / "abcdef.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"cache_version": CACHE_VERSION, "payload": [1]}))
-        assert cache.get("method", "abcdef") is None
+        assert cache.get("class", "abcdef") is None
 
     def test_memory_layer_serves_repeat_lookups(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
+        cache.put("class", "abcdef", {"v": 1})
         # Delete the file; the same instance still answers from memory.
-        (tmp_path / "method" / "ab" / "abcdef.json").unlink()
-        assert cache.get("method", "abcdef") == {"v": 1}
+        (tmp_path / "class" / "ab" / "abcdef.json").unlink()
+        assert cache.get("class", "abcdef") == {"v": 1}
 
 
 class TestMaintenance:
     def test_disk_stats_report_entries_and_bytes(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
-        cache.put("method", "bb22", {"v": 2})
+        cache.put("class", "aa11", {"v": 1})
+        cache.put("class", "bb22", {"v": 2})
         cache.put("class", "cc33", {"v": 3})
         stats = cache.disk_stats()
-        assert stats["method"]["entries"] == 2
-        assert stats["class"]["entries"] == 1
-        assert stats["method"]["bytes"] > 0
+        assert stats == {"class": {"entries": 3, "bytes": stats["class"]["bytes"]}}
+        assert stats["class"]["bytes"] > 0
 
     def test_disk_stats_for_memory_only_cache(self):
         stats = InferenceCache(None).disk_stats()
@@ -129,15 +123,15 @@ class TestMaintenance:
 
     def test_clear_empties_disk_and_memory(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
+        cache.put("class", "aa11", {"v": 1})
         cache.put("class", "cc33", {"v": 3})
         assert cache.clear() == 2
         assert cache.entry_count() == 0
-        assert cache.get("method", "aa11") is None
+        assert cache.get("class", "aa11") is None
         assert (tmp_path / "CACHEDIR.TAG").exists()  # the tag survives
         # The cleared cache is still usable.
-        cache.put("method", "aa11", {"v": 1})
-        assert InferenceCache(tmp_path).get("method", "aa11") == {"v": 1}
+        cache.put("class", "aa11", {"v": 1})
+        assert InferenceCache(tmp_path).get("class", "aa11") == {"v": 1}
 
 
 class TestCachedirTag:
@@ -156,10 +150,10 @@ class TestCachedirTag:
             faults.install(None)
         assert not (tmp_path / "CACHEDIR.TAG").exists()
         assert cache.orphan_count() == 0
-        cache.put("method", "abcdef", {"v": 1})
+        cache.put("class", "abcdef", {"v": 1})
         # A later construction (disk recovered) writes the tag whole.
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "abcdef") == {"v": 1}
+        assert fresh.get("class", "abcdef") == {"v": 1}
         tag = tmp_path / "CACHEDIR.TAG"
         assert tag.read_text(encoding="utf-8").startswith("Signature:")
 
@@ -177,7 +171,7 @@ class TestCacheStats:
         assert stats.hit_rate("regex") == pytest.approx(0.5)
         assert stats.writes["regex"] == 2
         # The built-in namespaces are still pre-seeded as zeros.
-        assert stats.hits["method"] == 0
+        assert stats.hits["class"] == 0
 
 
 class TestDynamicNamespaces:
@@ -269,3 +263,64 @@ class TestCounterContract:
             "event.cache-write": 1,
             "event.cache-hit": 1,
         }
+
+
+class TestUnlockedWriters:
+    """Cache writes take no lock: content addressing, the atomic rename
+    and the seal are what keep racing writers safe."""
+
+    def test_racing_threads_leave_whole_entries(self, tmp_path):
+        import os
+        import sys
+        import threading
+
+        threads = 2 * (os.cpu_count() or 1) + 2  # more threads than cores
+        keys_per_thread = 12
+
+        def payload(key):
+            return {"class": key, "diagnostics": [key * 40] * 20, "dfa_flat": None}
+
+        shared = "5a" * 32
+        cache = InferenceCache(tmp_path)
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def writer(index):
+            try:
+                barrier.wait(timeout=30)
+                for step in range(keys_per_thread):
+                    cache.put("class", shared, payload(shared))
+                    key = f"{index:02x}{step:02x}" + "c" * 60
+                    cache.put("class", key, payload(key))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the writers as finely as possible
+        try:
+            workers = [
+                threading.Thread(target=writer, args=(index,))
+                for index in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert cache.stats.write_failures == {"class": 0}
+
+        fresh = InferenceCache(tmp_path)  # reads from disk, not memory
+        keys = [shared] + [
+            f"{index:02x}{step:02x}" + "c" * 60
+            for index in range(threads)
+            for step in range(keys_per_thread)
+        ]
+        for key in keys:
+            assert fresh.get("class", key) == payload(key)
+        audit = fresh.verify()
+        assert audit["class"]["corrupt"] == 0
+        assert audit["class"]["ok"] == len(keys)
+        assert fresh.orphan_count() == 0

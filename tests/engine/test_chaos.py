@@ -65,7 +65,7 @@ class TestCrashRecovery:
         [
             "store-write:sigkill:state:times=1",
             "store-rename:sigkill:state:times=1",
-            "store-write:sigkill:method/*:times=1",
+            "store-write:sigkill:class/*:times=1",
             "store-rename:sigkill:class/*:times=1",
         ],
     )
@@ -78,7 +78,7 @@ class TestCrashRecovery:
         # The kill fired after the temp file was written and before (or
         # instead of) the publish — so the wreckage is an orphan, never
         # a corrupt published entry.
-        survivor = InferenceCache(tmp_path, tmp_gc_min_age=10_000.0)
+        survivor = InferenceCache(tmp_path)
         assert survivor.orphan_count() >= 1
         assert audit(tmp_path) == 0
 
@@ -88,14 +88,14 @@ class TestCrashRecovery:
 
         # Post-recovery the store audits clean and the orphans sweep.
         assert audit(tmp_path) == 0
-        swept = InferenceCache(tmp_path, tmp_gc_min_age=10_000.0).gc_tmp()
+        swept = InferenceCache(tmp_path).gc_tmp()
         assert swept >= 1
         assert InferenceCache(tmp_path).orphan_count() == 0
 
     def test_repeated_kills_then_recovery(self, tmp_path, cold_reference):
         """Three crashes in a row leave the store recoverable."""
         for sync_point in (
-            "store-write:sigkill:method/*:times=1",
+            "store-rename:sigkill:class/*:times=1",
             "store-write:sigkill:class/*:times=1",
             "store-rename:sigkill:state:times=1",
         ):
@@ -112,7 +112,7 @@ class TestTornWriteRecovery:
         """A torn-but-published entry (the failure rename cannot stop)
         is caught by the seal and healed into one recomputation."""
         torn = run_check(
-            tmp_path, faults="store-write:torn:method/*:times=1:arg=40"
+            tmp_path, faults="store-write:torn:class/*:times=1:arg=40"
         )
         # The writing process is unaffected (its memory layer serves
         # it); only the published bytes are damaged.

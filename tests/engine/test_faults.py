@@ -189,15 +189,15 @@ class TestActivePlan:
 
 class TestCorruptCacheEntry:
     def test_corrupt_at_put_truncates_the_file(self, tmp_path):
-        faults.install(parse_faults("cache-put:corrupt:method/*"))
+        faults.install(parse_faults("cache-put:corrupt:class/*"))
         cache = InferenceCache(tmp_path)
-        cache.put("method", "abcdef", {"v": 1})
-        path = tmp_path / "method" / "ab" / "abcdef.json"
+        cache.put("class", "abcdef", {"v": 1})
+        path = tmp_path / "class" / "ab" / "abcdef.json"
         with pytest.raises(ValueError):
             json.loads(path.read_text())
         # A fresh cache self-heals: miss, file deleted, stat counted.
         faults.install(None)
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "abcdef") is None
-        assert fresh.stats.corrupt["method"] == 1
+        assert fresh.get("class", "abcdef") is None
+        assert fresh.stats.corrupt["class"] == 1
         assert not path.exists()

@@ -195,12 +195,12 @@ import sys
 from repro.engine.cache import InferenceCache
 
 root, worker = sys.argv[1], int(sys.argv[2])
-cache = InferenceCache(root, lock_timeout=10.0)
+cache = InferenceCache(root)
 for round_ in range(20):
     for k in range(8):
         key = f"{'deadbeef'}{k:02d}"
-        cache.put("method", key, {"key": key, "round_invariant": k})
-        got = cache.get("method", key)
+        cache.put("class", key, {"key": key, "round_invariant": k})
+        got = cache.get("class", key)
         assert got is not None and got["round_invariant"] == k, got
 print("done", cache.stats.write_failures)
 """
@@ -222,11 +222,11 @@ print("done", cache.stats.write_failures)
 
         survivor = InferenceCache(root)
         audit = survivor.verify()
-        assert audit["method"]["corrupt"] == 0
-        assert audit["method"]["ok"] == 8
+        assert audit["class"]["corrupt"] == 0
+        assert audit["class"]["ok"] == 8
         for k in range(8):
             key = f"deadbeef{k:02d}"
-            assert survivor.get("method", key) == {
+            assert survivor.get("class", key) == {
                 "key": key,
                 "round_invariant": k,
             }

@@ -251,6 +251,37 @@ class TestRemoteCacheCLI:
             server.shutdown()
             server.server_close()
 
+    def test_reported_uploads_include_queued_ones(self, tmp_path, capsys):
+        """A slow remote still has uploads queued when the run ends; the
+        shard result, ``--stats`` and ``--metrics-out`` count them all."""
+        from repro.cli import main
+
+        target = _write_project(tmp_path)
+        server = run_cache_server(tmp_path / "served")
+        try:
+            code = main(
+                [
+                    "check", str(target), "--stats",
+                    "--cache", "--cache-dir", str(tmp_path / "local"),
+                    "--remote-cache", server.endpoint,
+                    "--faults", "remote-put:delay:*:arg=0.1",
+                    "--shards", "1", "--shard-index", "0",
+                    "--shard-out", str(tmp_path / "shard.json"),
+                    "--metrics-out", str(tmp_path / "metrics.json"),
+                ]
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code in (0, 1)
+        metrics = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
+        writes = metrics["cache"]["writes"]
+        assert writes > 0
+        assert metrics["remote"]["puts"] == writes
+        shard = json.loads((tmp_path / "shard.json").read_text("utf-8"))
+        assert shard["metrics"]["remote_puts"] == writes
+        assert f"{writes} upload(s)" in capsys.readouterr().out
+
     def test_shard_flags_validate(self, tmp_path):
         target = _write_project(tmp_path)
         missing_index = _cli(["check", str(target), "--shards", "2"], tmp_path)

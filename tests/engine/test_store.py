@@ -116,11 +116,14 @@ class TestOrphanGC:
         assert store.orphan_tmp_files(tmp_path / "nope") == []
         assert store.gc_tmp_files(tmp_path / "nope") == 0
 
-    def test_cache_startup_gc_sweeps_and_counts(self, tmp_path):
+    def test_opening_a_cache_leaves_old_orphans_to_gc(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
-        self._plant_orphan(tmp_path / "method", age_seconds=7200)
+        cache.put("class", "aa11", {"v": 1})
+        self._plant_orphan(tmp_path / "class", age_seconds=7200)
         reopened = InferenceCache(tmp_path)
+        assert reopened.stats.orphans_removed == 0
+        assert reopened.orphan_count() == 1
+        assert reopened.gc_tmp(min_age_seconds=3600) == 1
         assert reopened.stats.orphans_removed == 1
         assert reopened.orphan_count() == 0
 
@@ -138,11 +141,11 @@ class TestSealedCacheEntries:
     checksum-specific healing counters."""
 
     def _entry_path(self, tmp_path, cache, key="cafebabe"):
-        return cache._path("method", key)
+        return cache._path("class", key)
 
     def test_entries_on_disk_are_sealed(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
+        cache.put("class", "cafebabe", {"v": 1})
         envelope = json.loads(
             self._entry_path(tmp_path, cache).read_text(encoding="utf-8")
         )
@@ -170,50 +173,50 @@ class TestSealedCacheEntries:
     ):
         """The signature failure mode: valid JSON, wrong content."""
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
+        cache.put("class", "cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["payload"] = {"v": 2}  # tampered, still valid JSON
         path.write_text(json.dumps(envelope), encoding="utf-8")
 
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "cafebabe") is None
-        assert fresh.stats.misses["method"] == 1
-        assert fresh.stats.corrupt["method"] == 1
-        assert fresh.stats.checksum["method"] == 1
+        assert fresh.get("class", "cafebabe") is None
+        assert fresh.stats.misses["class"] == 1
+        assert fresh.stats.corrupt["class"] == 1
+        assert fresh.stats.checksum["class"] == 1
         assert not path.exists()  # healed
 
     def test_structural_corruption_is_not_a_checksum_failure(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
+        cache.put("class", "cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         path.write_text("garbage", encoding="utf-8")
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "cafebabe") is None
-        assert fresh.stats.corrupt["method"] == 1
-        assert fresh.stats.checksum["method"] == 0
+        assert fresh.get("class", "cafebabe") is None
+        assert fresh.stats.corrupt["class"] == 1
+        assert fresh.stats.checksum["class"] == 0
 
     def test_version_skew_left_in_place(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
+        cache.put("class", "cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         path.write_text(
             json.dumps(store.seal({"cache_version": 99, "payload": {"v": 1}})),
             encoding="utf-8",
         )
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("method", "cafebabe") is None
-        assert fresh.stats.corrupt["method"] == 0
+        assert fresh.get("class", "cafebabe") is None
+        assert fresh.stats.corrupt["class"] == 0
         assert path.exists()  # another build may still want it
 
     def test_write_failure_is_counted_and_memory_still_serves(self, tmp_path):
-        faults.install(faults.parse_faults("store-write:enospc:method/*"))
+        faults.install(faults.parse_faults("store-write:enospc:class/*"))
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
-        assert cache.stats.write_failures["method"] == 1
-        assert cache.get("method", "cafebabe") == {"v": 1}  # memory layer
+        cache.put("class", "cafebabe", {"v": 1})
+        assert cache.stats.write_failures["class"] == 1
+        assert cache.get("class", "cafebabe") == {"v": 1}  # memory layer
         faults.install(None)
-        assert InferenceCache(tmp_path).get("method", "cafebabe") is None
+        assert InferenceCache(tmp_path).get("class", "cafebabe") is None
 
 
 class TestStoreObsEvents:
@@ -232,33 +235,17 @@ class TestStoreObsEvents:
         from repro.obs import Tracer
 
         cache = InferenceCache(tmp_path)
-        cache.put("method", "cafebabe", {"v": 1})
-        path = cache._path("method", "cafebabe")
+        cache.put("class", "cafebabe", {"v": 1})
+        path = cache._path("class", "cafebabe")
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["payload"] = {"v": 2}
         path.write_text(json.dumps(envelope), encoding="utf-8")
 
         fresh = InferenceCache(tmp_path)
         fresh.tracer = tracer = Tracer()
-        assert fresh.get("method", "cafebabe") is None
+        assert fresh.get("class", "cafebabe") is None
         assert len(self._events(tracer, "checksum-fail")) == 1
         assert len(self._events(tracer, "cache-heal")) == 1
-
-    def test_forced_lock_timeout_emits_event_and_still_persists(
-        self, tmp_path
-    ):
-        from repro.obs import Tracer
-
-        faults.install(faults.parse_faults("lock-acquire:lock-timeout:method"))
-        cache = InferenceCache(tmp_path)
-        cache.tracer = tracer = Tracer()
-        cache.put("method", "cafebabe", {"v": 1})
-        assert cache.stats.lock_timeouts == 1
-        events = self._events(tracer, "lock-timeout")
-        assert events == [{"name": "lock-timeout", "lock": "method"}]
-        # Degradation contract: the write still happened.
-        faults.install(None)
-        assert InferenceCache(tmp_path).get("method", "cafebabe") == {"v": 1}
 
     def test_failed_state_save_emits_event_and_reports(self, tmp_path):
         from repro.engine.state import ProjectState, save_state
@@ -278,46 +265,47 @@ class TestStoreObsEvents:
 class TestVerifyAudit:
     def test_clean_store_verifies_clean(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
+        cache.put("class", "aa11", {"v": 1})
         cache.put("class", "bb22", {"v": 2})
         report = cache.verify()
-        assert report["method"] == {
-            "scanned": 1, "ok": 1, "version_skew": 0,
-            "corrupt": 0, "repaired": 0,
+        assert report == {
+            "class": {
+                "scanned": 2, "ok": 2, "version_skew": 0,
+                "corrupt": 0, "repaired": 0,
+            }
         }
-        assert report["class"]["ok"] == 1
 
     def test_corrupt_entry_found_and_repaired(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
-        path = cache._path("method", "aa11")
+        cache.put("class", "aa11", {"v": 1})
+        path = cache._path("class", "aa11")
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) // 2], encoding="utf-8")
 
         audit = cache.verify()
-        assert audit["method"]["corrupt"] == 1
-        assert audit["method"]["repaired"] == 0
+        assert audit["class"]["corrupt"] == 1
+        assert audit["class"]["repaired"] == 0
         assert path.exists()  # audit without repair never deletes
 
         repaired = cache.verify(repair=True)
-        assert repaired["method"]["repaired"] == 1
+        assert repaired["class"]["repaired"] == 1
         assert not path.exists()
-        assert cache.verify()["method"] == {
+        assert cache.verify()["class"] == {
             "scanned": 0, "ok": 0, "version_skew": 0,
             "corrupt": 0, "repaired": 0,
         }
 
     def test_version_skew_never_repaired(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("method", "aa11", {"v": 1})
-        path = cache._path("method", "aa11")
+        cache.put("class", "aa11", {"v": 1})
+        path = cache._path("class", "aa11")
         path.write_text(
             json.dumps(store.seal({"cache_version": 99, "payload": {}})),
             encoding="utf-8",
         )
         audit = cache.verify(repair=True)
-        assert audit["method"]["version_skew"] == 1
-        assert audit["method"]["repaired"] == 0
+        assert audit["class"]["version_skew"] == 1
+        assert audit["class"]["repaired"] == 0
         assert path.exists()
 
     def test_memory_only_cache_reports_zeros(self):

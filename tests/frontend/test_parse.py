@@ -4,7 +4,7 @@ listings and on adversarial inputs)."""
 import pytest
 
 from repro.frontend.model_ast import FrontendError, OpKind
-from repro.frontend.parse import parse_module
+from repro.frontend.parse import PARSE_MEMO_SIZE, _parse_source, parse_module
 from repro.paper import SECTION_2_MODULE
 
 
@@ -165,3 +165,50 @@ class TestAnnotationErrors:
         assert violations == []
         assert module.get_class("C") is not None
         assert module.get_class("C").operation("m").kind == OpKind.INITIAL_FINAL
+
+
+class TestParseMemo:
+    """Each distinct source text is parsed once per process; callers
+    still get their own module, name and violations list."""
+
+    def test_memo_is_bounded(self):
+        assert _parse_source.cache_info().maxsize == PARSE_MEMO_SIZE
+
+    def test_same_text_under_two_names(self):
+        first, first_violations = parse_module(SECTION_2_MODULE, "a.py")
+        hits = _parse_source.cache_info().hits
+        second, second_violations = parse_module(SECTION_2_MODULE, "b.py")
+        assert _parse_source.cache_info().hits == hits + 1
+        assert second.classes == first.classes
+        assert (first.source_name, second.source_name) == ("a.py", "b.py")
+        assert first_violations is not second_violations
+
+    def test_violations_list_is_the_callers_own(self):
+        source = "@sys(fields)\nclass C:\n    pass\n"
+        _module, violations = parse_module(source)
+        assert [v.code for v in violations] == ["bad-annotation"]
+        violations.clear()
+        _module, again = parse_module(source)
+        assert [v.code for v in again] == ["bad-annotation"]
+
+    def test_syntax_error_names_the_callers_file(self):
+        broken = "@sys\nclass Broken(:\n    pass\n"
+        with pytest.raises(FrontendError) as first:
+            parse_module(broken, "first.py")
+        assert "first.py" in str(first.value)
+        with pytest.raises(FrontendError) as second:
+            parse_module(broken, "second.py")
+        assert "second.py" in str(second.value)
+        assert "first.py" not in str(second.value)
+        assert second.value.violations[0].lineno == 2
+
+    def test_check_source_twice_is_byte_identical(self):
+        from repro.core.checker import check_source
+
+        source = SECTION_2_MODULE  # BadSector: real diagnostics
+        _parse_source.cache_clear()
+        cold = check_source(source, "m.py").format()
+        warm = check_source(source, "m.py").format()
+        assert _parse_source.cache_info().hits >= 1
+        assert warm == cold
+        assert "INVALID SUBSYSTEM USAGE" in cold

@@ -92,3 +92,20 @@ class TestCliDirectorySupport:
         out = capsys.readouterr().out
         assert "## class `Valve`" in out
         assert "## class `GoodSector`" in out
+
+
+class TestParseMemoInProjects:
+    def test_duplicate_class_messages_name_the_right_paths_on_memo_hits(
+        self, tmp_path
+    ):
+        for name in ("a_drivers.py", "m_drivers.py", "z_drivers.py"):
+            (tmp_path / name).write_text(VALVE, encoding="utf-8")
+        first = parse_project(tmp_path)
+        again = parse_project(tmp_path)  # every file is a memo hit now
+        for _module, violations in (first, again):
+            assert [v.message for v in violations] == [
+                f"@sys class Valve defined in both {tmp_path / 'a_drivers.py'} "
+                f"and {tmp_path / name}"
+                for name in ("m_drivers.py", "z_drivers.py")
+            ]
+        assert first[0].classes == again[0].classes

@@ -25,12 +25,11 @@ def busy_engine_payload() -> dict:
     """Every counter nonzero, incremental on, a live remote tier."""
     metrics = EngineMetrics(
         classes=4, waves=2, jobs=3, executor="thread", wall_seconds=0.5,
-        class_hits=1, class_misses=3, method_hits=5, method_misses=7,
+        class_hits=1, class_misses=3,
         cache_writes=9, timings=(), corrupt_entries=2,
         retries=3, quarantines=1, budget_trips=2, timeouts=4, pool_restarts=5,
         incremental=True, reused_verdicts=3, dirty_classes=1,
-        checksum_failures=1, write_failures=2, lock_waits=3,
-        lock_wait_seconds=0.125, lock_timeouts=4, orphans_removed=5,
+        checksum_failures=1, write_failures=2, orphans_removed=5,
         state_save_failures=6, state_merged_entries=7, state_generation=8,
         remote_hits=1, remote_misses=2, remote_puts=3, remote_errors=4,
         remote_degraded=1,
@@ -73,8 +72,6 @@ repro_wall_seconds 0.5
 # TYPE repro_cache_events_total counter
 repro_cache_events_total{kind="class_hits"} 1
 repro_cache_events_total{kind="class_misses"} 3
-repro_cache_events_total{kind="method_hits"} 5
-repro_cache_events_total{kind="method_misses"} 7
 repro_cache_events_total{kind="writes"} 9
 repro_cache_events_total{kind="corrupt_entries"} 2
 # HELP repro_incremental_classes_total Incremental run outcome per class, by kind.
@@ -88,14 +85,9 @@ repro_incremental_reuse_ratio 0.75
 # TYPE repro_store_events_total counter
 repro_store_events_total{kind="checksum_failures"} 1
 repro_store_events_total{kind="write_failures"} 2
-repro_store_events_total{kind="lock_waits"} 3
-repro_store_events_total{kind="lock_timeouts"} 4
 repro_store_events_total{kind="orphans_removed"} 5
 repro_store_events_total{kind="state_save_failures"} 6
 repro_store_events_total{kind="state_merged_entries"} 7
-# HELP repro_store_lock_wait_seconds_total Total time spent waiting on store write locks.
-# TYPE repro_store_lock_wait_seconds_total counter
-repro_store_lock_wait_seconds_total 0.125
 # HELP repro_store_state_generation Generation counter of the persisted project state.
 # TYPE repro_store_state_generation gauge
 repro_store_state_generation 8
@@ -284,8 +276,7 @@ def assert_well_formed(text: str) -> None:
 def idle_engine_payload() -> dict:
     metrics = EngineMetrics(
         classes=0, waves=0, jobs=1, executor="thread", wall_seconds=0.0,
-        class_hits=0, class_misses=0, method_hits=0, method_misses=0,
-        cache_writes=0, timings=(),
+        class_hits=0, class_misses=0, cache_writes=0, timings=(),
     )
     return metrics_payload(metrics.to_dict(), None)
 

@@ -110,15 +110,13 @@ class TestPrometheus:
             {
                 "store": {
                     "checksum_failures": 2,
-                    "lock_timeouts": 1,
-                    "lock_wait_seconds": 0.125,
+                    "write_failures": 1,
                     "state_generation": 7,
                 }
             }
         )
         assert 'repro_store_events_total{kind="checksum_failures"} 2' in text
-        assert 'repro_store_events_total{kind="lock_timeouts"} 1' in text
-        assert "repro_store_lock_wait_seconds_total 0.125" in text
+        assert 'repro_store_events_total{kind="write_failures"} 1' in text
         assert "# TYPE repro_store_state_generation gauge" in text
         assert "repro_store_state_generation 7" in text
 

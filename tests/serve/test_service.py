@@ -354,3 +354,31 @@ class TestRecovery:
         assert summary["completed"] + len(
             [job for job in loaded if not job.terminal]
         ) == 2
+
+    def test_start_sweeps_old_cache_orphans_and_spares_young_ones(self, tmp_path):
+        """Crashed writers' temp files go at daemon start, not when the
+        cache is opened; a young one may belong to a live writer."""
+        import os
+
+        from repro.engine import store
+
+        config = config_for(tmp_path)
+        service = VerificationService(config)
+        entries = tmp_path / "cache" / "class" / "ab"
+        entries.mkdir(parents=True)
+        old = entries / f"{store.TMP_PREFIX}crashed.json"
+        young = entries / f"{store.TMP_PREFIX}live.json"
+        for orphan in (old, young):
+            orphan.write_text("debris", encoding="utf-8")
+        stamp = old.stat().st_mtime - 2 * store.DEFAULT_TMP_GC_MIN_AGE
+        os.utime(old, (stamp, stamp))
+        assert service.cache.orphan_count() == 2
+
+        async def scenario():
+            await service.start()
+            await service.drain()
+
+        asyncio.run(scenario())
+        assert not old.exists()
+        assert young.exists()
+        assert service.cache.stats.orphans_removed == 1

@@ -244,7 +244,7 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         stats = capsys.readouterr().out
         assert f"cache at {cache_dir}:" in stats
-        assert "method" in stats and "class" in stats and "total" in stats
+        assert "class" in stats and "total" in stats
 
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed" in capsys.readouterr().out
@@ -284,7 +284,7 @@ class TestCacheCommand:
         clean = capsys.readouterr().out
         assert "0 corrupt" in clean
 
-        victim = next((cache_dir / "method").rglob("*.json"))
+        victim = next((cache_dir / "class").rglob("*.json"))
         victim.write_text("torn garbage", encoding="utf-8")
 
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
@@ -303,7 +303,7 @@ class TestCacheCommand:
     ):
         cache_dir = tmp_path / "cache"
         assert main(["check", good, "--cache", "--cache-dir", str(cache_dir)]) == 0
-        (cache_dir / "method" / ".tmp-orphan.json").write_text(
+        (cache_dir / "class" / ".tmp-orphan.json").write_text(
             "debris", encoding="utf-8"
         )
         capsys.readouterr()
@@ -317,10 +317,26 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         assert "orphaned temp files: 0" in capsys.readouterr().out
 
+    def test_check_leaves_old_orphans_for_gc(self, good, tmp_path, capsys):
+        import os
+
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "class").mkdir(parents=True)
+        orphan = cache_dir / "class" / ".tmp-crashed.json"
+        orphan.write_text("debris", encoding="utf-8")
+        os.utime(orphan, (0, 0))  # older than any age gate
+        assert main(["check", good, "--cache", "--cache-dir", str(cache_dir)]) == 0
+        assert orphan.exists()  # opening the cache walks nothing
+        capsys.readouterr()
+
+        assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+        assert "swept 1 orphaned temp file" in capsys.readouterr().out
+        assert not orphan.exists()
+
     def test_gc_min_age_spares_young_orphans(self, good, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert main(["check", good, "--cache", "--cache-dir", str(cache_dir)]) == 0
-        (cache_dir / "method" / ".tmp-young.json").write_text(
+        (cache_dir / "class" / ".tmp-young.json").write_text(
             "debris", encoding="utf-8"
         )
         capsys.readouterr()

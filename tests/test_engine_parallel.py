@@ -68,7 +68,7 @@ class TestWarmCacheTransparency:
         assert warm.metrics.fully_cached
         assert warm.metrics.class_hits == len(module.classes)
         assert warm.metrics.class_hit_rate == 1.0
-        assert warm.metrics.method_misses == 0
+        assert warm.metrics.cache_writes == 0
         assert warm.merged().format() == cold.merged().format()
 
     def test_warm_parallel_run_unchanged(self, example, tmp_path):
