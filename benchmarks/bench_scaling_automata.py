@@ -8,10 +8,12 @@ import random
 
 import pytest
 
-from repro.automata.determinize import determinize
-from repro.automata.minimize import minimize
-from repro.automata.thompson import thompson
-from repro.automata.to_regex import nfa_to_regex
+from repro.automata.kernel import (
+    bitdfa_to_regex,
+    determinize_bitset,
+    minimize_bitset,
+    thompson_bitnfa,
+)
 from repro.lang.generator import random_program_of_size
 from repro.lang.inference import infer
 from repro.regex.ast import size as regex_size
@@ -28,25 +30,25 @@ def _regex_of_size(target: int):
 @pytest.mark.parametrize("target", SIZES)
 def test_thompson_scaling(benchmark, target):
     regex = _regex_of_size(target)
-    nfa = benchmark(thompson, regex)
-    assert len(nfa.states) >= 2
-    print(f"\nregex size {regex_size(regex)} -> NFA states {len(nfa.states)}")
+    nfa = benchmark(thompson_bitnfa, regex)
+    assert nfa.n >= 2
+    print(f"\nregex size {regex_size(regex)} -> NFA states {nfa.n}")
 
 
 @pytest.mark.parametrize("target", SIZES)
 def test_determinize_scaling(benchmark, target):
-    nfa = thompson(_regex_of_size(target))
-    dfa = benchmark(determinize, nfa)
-    assert dfa.states
-    print(f"\nNFA {len(nfa.states)} states -> DFA {len(dfa.states)} states")
+    nfa = thompson_bitnfa(_regex_of_size(target))
+    dfa = benchmark(determinize_bitset, nfa)
+    assert dfa.n
+    print(f"\nNFA {nfa.n} states -> DFA {dfa.n} states")
 
 
 @pytest.mark.parametrize("target", SIZES)
 def test_minimize_scaling(benchmark, target):
-    dfa = determinize(thompson(_regex_of_size(target)))
-    minimal = benchmark(minimize, dfa)
-    assert len(minimal.states) <= len(dfa.states) + 1  # +1 for completion
-    print(f"\nDFA {len(dfa.states)} -> minimal {len(minimal.states)} states")
+    dfa = determinize_bitset(thompson_bitnfa(_regex_of_size(target)))
+    minimal = benchmark(minimize_bitset, dfa)
+    assert minimal.n <= dfa.n + 1  # +1 for completion
+    print(f"\nDFA {dfa.n} -> minimal {minimal.n} states")
 
 
 @pytest.mark.parametrize("target", [20, 100])
@@ -54,8 +56,8 @@ def test_corollary1_round_trip_scaling(benchmark, target):
     regex = _regex_of_size(target)
 
     def round_trip():
-        dfa = minimize(determinize(thompson(regex)))
-        return nfa_to_regex(dfa.to_nfa())
+        dfa = minimize_bitset(determinize_bitset(thompson_bitnfa(regex)))
+        return bitdfa_to_regex(dfa)
 
     recovered = benchmark(round_trip)
     from repro.regex.equivalence import equivalent

@@ -12,18 +12,10 @@ machine-independent "how many calibration units does this cost" score.
 Per kernel the minimum of ``--repeat`` runs is used — the minimum is the
 stable statistic under CI noise.
 
-Besides the regression gate, the smoke run races the checker (bitset
-kernel) against the classic reference pipeline
-(``repro.core.oracle.check_source_classic``) on the checker workloads
-and fails when the bitset kernel is not at least ``--min-speedup``
-times faster — the structural guarantee the kernel exists for.  The comparison (both normalized scores and the speedups)
-is written to ``--kernel-out`` for CI to archive.
-
 Usage::
 
     python benchmarks/ci_smoke.py --baseline benchmarks/BENCH_baseline.json \
-        --out BENCH_ci.json [--threshold 2.0] [--update-baseline] \
-        [--kernel-out BENCH_kernel.json] [--min-speedup 3.0]
+        --out BENCH_ci.json [--threshold 2.0] [--update-baseline]
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ if not any(Path(p).resolve() == REPO_ROOT / "src" for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.checker import check_source  # noqa: E402
-from repro.core.oracle import check_source_classic  # noqa: E402
 from repro.engine import BatchVerifier, InferenceCache, verify_incremental  # noqa: E402
 from repro.frontend.parse import parse_module  # noqa: E402
 from repro.frontend.project import parse_project  # noqa: E402
@@ -67,23 +58,21 @@ def _calibration() -> float:
 
 
 # Checker shapes are sized so automata work (determinize, inclusion,
-# claims) dominates parse/lint — these same workloads back the kernel
-# comparison below, which is only meaningful when the part the kernel
-# accelerates is the bulk of the measurement.
-def _kernel_checker_clean(check=check_source) -> None:
+# claims) dominates parse/lint.
+def _kernel_checker_clean() -> None:
     shape = HierarchyShape(
         base_operations=8, subsystems=4, composite_operations=3, seed=3
     )
     source = module_source(shape, correct=True, claim=lifecycle_claim(shape))
-    result = check(source)
+    result = check_source(source)
     assert result.ok, result.format()
 
 
-def _kernel_checker_counterexample(check=check_source) -> None:
+def _kernel_checker_counterexample() -> None:
     shape = HierarchyShape(
         base_operations=8, subsystems=5, composite_operations=3, seed=5
     )
-    result = check(module_source(shape, correct=False))
+    result = check_source(module_source(shape, correct=False))
     assert not result.ok
     assert result.by_code("invalid-subsystem-usage")
 
@@ -185,44 +174,6 @@ def measure(repeat: int) -> dict[str, float]:
     return scores
 
 
-#: Workloads the two kernels are raced on — the ones whose time is
-#: dominated by the decision procedures the bitset kernel replaces.
-KERNEL_RACE = ("checker_clean", "checker_counterexample")
-
-
-def measure_kernel_race(repeat: int) -> dict[str, object]:
-    """Time the checker workloads on the checker and on the classic oracle.
-
-    Both sides are normalized by the same calibration loop, so the
-    reported ``speedup`` (classic / bitset) is machine-independent; the
-    minimum of ``repeat`` runs is used on both sides.
-    """
-    workloads = {
-        "checker_clean": _kernel_checker_clean,
-        "checker_counterexample": _kernel_checker_counterexample,
-    }
-    checks = {"bitset": check_source, "classic": check_source_classic}
-    calibration = min(_calibration() for _ in range(repeat))
-    race: dict[str, object] = {"calibration_seconds": calibration}
-    for name in KERNEL_RACE:
-        workload = workloads[name]
-        entry: dict[str, float] = {}
-        for side, check in checks.items():
-            best = float("inf")
-            for _ in range(repeat):
-                started = time.perf_counter()
-                workload(check)
-                best = min(best, time.perf_counter() - started)
-            entry[side] = best / calibration
-        entry["speedup"] = (
-            entry["classic"] / entry["bitset"]
-            if entry["bitset"]
-            else float("inf")
-        )
-        race[name] = entry
-    return race
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -235,18 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         "--update-baseline",
         action="store_true",
         help="write the measurements to --baseline instead of gating",
-    )
-    parser.add_argument(
-        "--kernel-out",
-        default="BENCH_kernel.json",
-        help="where to write the bitset-vs-classic comparison",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=3.0,
-        help="fail unless the bitset kernel beats classic by this factor "
-        "on every checker workload (0 disables the gate)",
     )
     args = parser.parse_args(argv)
 
@@ -262,32 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     for name, value in sorted(scores.items()):
         print(f"  {name:26} {value:.4f}")
 
-    race = measure_kernel_race(args.repeat)
-    race_payload = {
-        "format": 1,
-        "python": sys.version.split()[0],
-        "repeat": args.repeat,
-        "min_speedup": args.min_speedup,
-        "race": race,
-    }
-    Path(args.kernel_out).write_text(
-        json.dumps(race_payload, indent=2, sort_keys=True)
-    )
-    print(f"wrote {args.kernel_out}")
-    kernel_failures = []
-    for name in KERNEL_RACE:
-        entry = race[name]
-        print(
-            f"  {name:26} bitset {entry['bitset']:.4f}  "
-            f"classic {entry['classic']:.4f}  "
-            f"speedup {entry['speedup']:.2f}x"
-        )
-        if args.min_speedup > 0 and entry["speedup"] < args.min_speedup:
-            kernel_failures.append(
-                f"{name}: bitset kernel only {entry['speedup']:.2f}x faster "
-                f"than classic (gate: {args.min_speedup}x)"
-            )
-
     if args.update_baseline:
         Path(args.baseline).write_text(json.dumps(payload, indent=2, sort_keys=True))
         print(f"updated baseline {args.baseline}")
@@ -298,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as error:
         print(f"error: cannot read baseline {args.baseline}: {error}")
         return 2
-    failures = list(kernel_failures)
+    failures = []
     if scores["obs_null_span"] > OBS_NULL_BOUND:
         failures.append(
             f"obs_null_span: {scores['obs_null_span']:.4f} calibration "

@@ -82,7 +82,7 @@ def part_4_per_exit_behaviors() -> None:
 
 
 def part_5_nusmv() -> None:
-    from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
+    from repro.automata.kernel import determinize_bitset
     from repro.core import behavior_nfa
     from repro.frontend.parse import parse_module
     from repro.ltlf import parse_claim
@@ -91,7 +91,7 @@ def part_5_nusmv() -> None:
 
     module, _ = parse_module(SECTION_2_MODULE)
     bad_sector = module.get_class("BadSector")
-    dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(bad_sector)))
+    dfa = determinize_bitset(behavior_nfa(bad_sector))
     claims = [parse_claim(text) for text in bad_sector.claims]
     text = emit_model(dfa, claims)
     head = "\n".join(text.splitlines()[:12])

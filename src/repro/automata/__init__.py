@@ -1,81 +1,56 @@
-"""Finite-automata library backing the checker.
+"""Finite automata backing the checker: the bitset kernel.
 
-Pipeline pieces:
+Every automaton of the package lives in :mod:`repro.automata.kernel`:
 
-* :class:`NFA` / :class:`NFABuilder` and :class:`DFA` — representations,
-* :func:`determinize` — subset construction,
-* :func:`minimize` — Hopcroft minimization (canonical DFAs),
-* :func:`intersection` / :func:`difference` — products,
-* :func:`included` / :func:`equivalent` / counterexample extraction,
-* :func:`lift_alphabet` / :func:`project_nfa` — the projection pair used
-  by the subsystem-usage check,
-* :func:`thompson` / :func:`nfa_to_regex` — regex ↔ automaton round trip
-  (Corollary 1),
-* :mod:`repro.automata.kernel` — the integer-interned bitset kernel (the
-  checker's only automata path; this package stays the reference
-  oracle, see docs/kernel.md).
+* :class:`BitNFA` / :class:`BitNFABuilder` and :class:`BitDFA` —
+  int-state representations over an interned :class:`Alphabet`,
+* :func:`thompson_bitnfa` — regex → NFA (one direction of Corollary 1),
+* :func:`determinize_bitset` — budgeted subset construction,
+* :func:`minimize_bitset` — Hopcroft minimization (canonical total DFAs),
+* :func:`bitset_difference_counterexample` /
+  :func:`bitset_intersection_counterexample` / :func:`bitset_included` /
+  :func:`bitset_equivalent` — fused product decisions with
+  length-lex-minimal witnesses,
+* :func:`project_bitnfa` — the projection used by claim checking,
+* :func:`bitdfa_to_regex` — state elimination (the other direction of
+  Corollary 1),
+* :class:`KernelCheck` — one class check's memoized automata.
+
+This package re-exports those names.
 """
 
 from repro.automata import kernel
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DEAD_STATE, DFA
-from repro.automata.minimize import minimize
-from repro.automata.nfa import (
-    NFA,
-    NFABuilder,
-    empty_language_nfa,
-    epsilon_language_nfa,
+from repro.automata.kernel import (
+    Alphabet,
+    BitDFA,
+    BitNFA,
+    BitNFABuilder,
+    KernelCheck,
+    bitdfa_to_regex,
+    bitset_difference_counterexample,
+    bitset_equivalent,
+    bitset_included,
+    bitset_intersection_counterexample,
+    determinize_bitset,
+    minimize_bitset,
+    project_bitnfa,
+    thompson_bitnfa,
 )
-from repro.automata.operations import (
-    concat_nfa,
-    equivalence_counterexample,
-    equivalent,
-    included,
-    inclusion_counterexample,
-    is_empty,
-    lift_alphabet,
-    nfa_included,
-    project_nfa,
-    union_nfa,
-    with_alphabet,
-)
-from repro.automata.product import difference, intersection, symmetric_difference
-from repro.automata.shortest import (
-    iter_accepted_words,
-    shortest_accepted_word,
-    shortest_accepted_word_nfa,
-)
-from repro.automata.thompson import regex_to_dfa, thompson
-from repro.automata.to_regex import nfa_to_regex
 
 __all__ = [
-    "DEAD_STATE",
-    "DFA",
-    "NFA",
-    "NFABuilder",
-    "concat_nfa",
-    "determinize",
-    "difference",
-    "empty_language_nfa",
-    "epsilon_language_nfa",
-    "equivalence_counterexample",
-    "equivalent",
-    "included",
-    "inclusion_counterexample",
-    "intersection",
-    "is_empty",
-    "iter_accepted_words",
+    "Alphabet",
+    "BitDFA",
+    "BitNFA",
+    "BitNFABuilder",
+    "KernelCheck",
+    "bitdfa_to_regex",
+    "bitset_difference_counterexample",
+    "bitset_equivalent",
+    "bitset_included",
+    "bitset_intersection_counterexample",
+    "determinize_bitset",
     "kernel",
-    "lift_alphabet",
-    "minimize",
-    "nfa_included",
-    "nfa_to_regex",
-    "project_nfa",
-    "regex_to_dfa",
-    "shortest_accepted_word",
-    "shortest_accepted_word_nfa",
-    "symmetric_difference",
-    "thompson",
-    "union_nfa",
-    "with_alphabet",
+    "minimize_bitset",
+    "project_bitnfa",
+    "thompson_bitnfa",
 ]

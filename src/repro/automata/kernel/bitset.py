@@ -8,20 +8,19 @@ of the subset construction is just ``OR`` over set bits.  A
 ``delta`` array of length ``n*k`` (``-1`` = missing move = reject) and
 an accepting bit mask.
 
-The checker's automata are built straight into these shapes
+Every automaton of the package is built straight into these shapes
 (:class:`BitNFABuilder`, :mod:`repro.automata.kernel.thompson`,
-``ClassSpec.bitnfa``, ``repro.ltlf.translate.formula_to_bitdfa``).
-:func:`bitdfa_to_dfa` is the classic-object view the exporters read;
-:func:`nfa_to_bitnfa` / :func:`dfa_to_bitdfa` intern arbitrary classic
-automata and serve the differential tests only.
+``ClassSpec.bitnfa``, ``repro.ltlf.translate.formula_to_bitdfa``), and
+the exporters, walks and metrics read a :class:`BitDFA` directly.
+Symbol ids follow sorted symbol order (:class:`Alphabet`), so a walk
+over ids ``0..k-1`` visits symbols alphabetically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import deque
+from typing import Iterable, Iterator
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 from repro.automata.kernel.alphabet import Alphabet
 
 
@@ -172,6 +171,8 @@ class BitNFABuilder:
     def build(self, initial: int, accepting: int, alphabet: Alphabet) -> BitNFA:
         """The automaton with ``initial``/``accepting`` state masks over
         ``alphabet``, which must contain every symbol of the moves."""
+        if (initial | accepting) >> len(self.eps):
+            raise ValueError("initial or accepting mask names a state never added")
         id_of = alphabet.id_of
         k = len(alphabet)
         succ = [[0] * k for _ in self.eps]
@@ -209,6 +210,16 @@ class BitDFA:
         self.initial = initial
         self.accepting = accepting
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality: same alphabet ids, states and moves."""
+        if not isinstance(other, BitDFA):
+            return NotImplemented
+        return (self.alphabet, self.n, self.delta, self.initial, self.accepting) == (
+            other.alphabet, other.n, other.delta, other.initial, other.accepting
+        )
+
+    __hash__ = None  # ``delta`` is a mutable list
+
     # ------------------------------------------------------------------
 
     def successor(self, state: int, symbol_id: int) -> int:
@@ -239,6 +250,39 @@ class BitDFA:
             found.append(low.bit_length() - 1)
             mask ^= low
         return tuple(found)
+
+    def moves(self) -> Iterator[tuple[int, str, int]]:
+        """Every defined move ``(source, symbol, target)``, by source
+        state, then symbol id."""
+        symbols = self.alphabet.symbols
+        k = len(symbols)
+        for index, target in enumerate(self.delta):
+            if target >= 0:
+                source, symbol_id = divmod(index, k)
+                yield source, symbols[symbol_id], target
+
+    def accepted_words(self, max_length: int) -> Iterator[tuple[str, ...]]:
+        """All accepted words up to ``max_length``, in length-lex order.
+
+        This enumerates *words*, not states, so the number of results
+        can be exponential in the bound; keep bounds small.
+        """
+        symbols = self.alphabet.symbols
+        k = len(symbols)
+        delta = self.delta
+        accepting = self.accepting
+        queue: deque[tuple[tuple[str, ...], int]] = deque([((), self.initial)])
+        while queue:
+            word, state = queue.popleft()
+            if accepting >> state & 1:
+                yield word
+            if len(word) >= max_length:
+                continue
+            base = state * k
+            for symbol_id in range(k):
+                target = delta[base + symbol_id]
+                if target >= 0:
+                    queue.append((word + (symbols[symbol_id],), target))
 
 
 # ----------------------------------------------------------------------
@@ -275,88 +319,12 @@ def _closures(n: int, eps: list[int]) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Conversions
+# Projection
 # ----------------------------------------------------------------------
 
-def nfa_to_bitnfa(nfa: NFA, alphabet: Alphabet | None = None) -> BitNFA:
-    """Intern a classic :class:`~repro.automata.nfa.NFA` into bitsets
-    (the differential tests' bridge from the oracle to the kernel).
-
-    ``alphabet`` (optional) supplies a shared interner; it must contain
-    every symbol of ``nfa``.  State names are dropped — the id order is
-    the sorted-by-``str`` order of the original states, which keeps the
-    conversion deterministic across processes (state names hash
-    differently per process, but sort identically).
-    """
-    if alphabet is None:
-        alphabet = Alphabet(nfa.alphabet)
-    states = sorted(nfa.states, key=str)
-    index = {state: i for i, state in enumerate(states)}
-    n = len(states)
-    k = len(alphabet)
-    succ: list[list[int]] = [[0] * k for _ in range(n)]
-    for (source, symbol), targets in nfa.transitions.items():
-        mask = 0
-        for target in targets:
-            mask |= 1 << index[target]
-        succ[index[source]][alphabet.id_of(symbol)] |= mask
-    eps = [0] * n
-    for source, targets in nfa.epsilon_moves.items():
-        mask = 0
-        for target in targets:
-            mask |= 1 << index[target]
-        eps[index[source]] |= mask
-    initial = 0
-    for state in nfa.initial_states:
-        initial |= 1 << index[state]
-    accepting = 0
-    for state in nfa.accepting_states:
-        accepting |= 1 << index[state]
-    return BitNFA(alphabet, n, succ, eps, initial, accepting)
-
-
-def dfa_to_bitdfa(dfa: DFA, alphabet: Alphabet | None = None) -> BitDFA:
-    """Intern a classic :class:`~repro.automata.dfa.DFA` into bitsets."""
-    if alphabet is None:
-        alphabet = Alphabet(dfa.alphabet)
-    states = sorted(dfa.states, key=str)
-    index = {state: i for i, state in enumerate(states)}
-    n = len(states)
-    k = len(alphabet)
-    delta = [-1] * (n * k)
-    for (source, symbol), target in dfa.transitions.items():
-        delta[index[source] * k + alphabet.id_of(symbol)] = index[target]
-    accepting = 0
-    for state in dfa.accepting_states:
-        accepting |= 1 << index[state]
-    return BitDFA(alphabet, n, delta, index[dfa.initial_state], accepting)
-
-
-def bitdfa_to_dfa(bitdfa: BitDFA) -> DFA:
-    """The classic-object view of a :class:`BitDFA` (int state names)."""
-    k = len(bitdfa.alphabet)
-    symbols = bitdfa.alphabet.symbols
-    delta = bitdfa.delta
-    transitions: dict[tuple[int, str], int] = {}
-    for state in range(bitdfa.n):
-        base = state * k
-        for symbol_id in range(k):
-            target = delta[base + symbol_id]
-            if target >= 0:
-                transitions[(state, symbols[symbol_id])] = target
-    return DFA(
-        states=frozenset(range(max(bitdfa.n, 1))) if bitdfa.n else frozenset({0}),
-        alphabet=frozenset(symbols),
-        transitions=transitions,
-        initial_state=bitdfa.initial,
-        accepting_states=frozenset(bitdfa.accepting_states()),
-    )
-
-
 def project_bitnfa(bitnfa: BitNFA, keep: Iterable[str]) -> BitNFA:
-    """Project onto a sub-vocabulary: dropped symbols become epsilon.
-
-    The kernel twin of :func:`repro.automata.operations.project_nfa`.
+    """Project onto a sub-vocabulary: dropped symbols become epsilon,
+    so the result accepts exactly the projections of accepted words.
     The result's alphabet is exactly ``keep`` (canonically interned),
     including symbols the automaton never produces — those simply have
     no transitions, which is what lets a claim observe an event that a

@@ -1,16 +1,14 @@
 """Per-check memoization: one :class:`KernelCheck` per class check.
 
-The classic pipeline recomputes the same automata many times inside a
-single class check — the vacuity screen re-determinizes the projection
-that the claim check already built, every strengthening mutant
-re-translates over the same observed alphabet, and each subsystem field
-re-determinizes its spec.  A ``KernelCheck`` is the bitset kernel's
-answer: it owns the class's :class:`~repro.automata.kernel.bitset.BitNFA`
+A class check asks about the same automata many times — the vacuity
+screen re-asks about the projection that the claim check already
+built, every strengthening mutant re-translates over the same observed
+alphabet, and each subsystem field needs its spec's DFA.  A
+``KernelCheck`` owns the class's :class:`~repro.automata.kernel.bitset.BitNFA`
 and memoizes every derived DFA for the lifetime of one
 ``check_parsed_class`` call.  Every machine is built straight into
 bitsets — spec automata by ``ClassSpec.bitnfa``, negated claims by
-LTLf progression — so no classic automaton is built on the way.
-Memoization is a pure cache — every entry is a deterministic function
+LTLf progression.  Memoization is a pure cache — every entry is a deterministic function
 of the behavior NFA and the key — so verdicts are unchanged; only the
 wall clock moves.
 """
@@ -35,10 +33,10 @@ class KernelCheck:
     """Memoized bitset automata for one class check.
 
     ``max_states`` and ``deadline`` carry the check's resource budget
-    into the behavior determinization (the step the budget classically
-    guards); derived machines (spec DFAs, projections, negated-formula
-    DFAs) run under their sites' default caps, exactly as they do on
-    the classic path.  The deadline also bounds the LTLf progression.
+    into the behavior determinization (the step the budget guards);
+    derived machines (spec DFAs, projections, negated-formula DFAs) run
+    under their sites' default caps.  The deadline also bounds the LTLf
+    progression.
     """
 
     def __init__(
@@ -85,8 +83,8 @@ class KernelCheck:
 
         This is the machine both the claim check and the vacuity screen
         need per formula — memoizing it is the single biggest saving of
-        the kernel path (the classic path rebuilds it three times per
-        holding claim: claims, the vacuity hold-check, and the mutants).
+        a check (unmemoized, a holding claim would rebuild it three
+        times: claims, the vacuity hold-check, and the mutants).
         """
         found = self._projections.get(observed)
         if found is None:
@@ -136,9 +134,8 @@ class KernelCheck:
         """Shortest trace violating ``formula``, or ``None`` if it holds.
 
         The fused product of the projected behavior with the negated
-        formula — the kernel twin of the classic ``intersection`` +
-        ``shortest_accepted_word`` pair (both alphabets are ``observed``,
-        so no alignment step is needed).
+        formula (both alphabets are ``observed``, so no alignment step
+        is needed).
         """
         return bitset_intersection_counterexample(
             self.projected_dfa(observed), self.negation_dfa(formula, observed)

@@ -1,10 +1,9 @@
 """Bitset subset construction: BitNFA → BitDFA.
 
-Semantically identical to :mod:`repro.automata.determinize` — same BFS
-discovery order (sorted symbols, FIFO subsets), same partiality (the
-empty subset is not a state), same resource budget — but a subset is a
-single int, so the visited check is an int-keyed dict lookup instead of
-hashing a frozenset of structured state names.
+States are discovered breadth-first (sorted symbols, FIFO subsets) and
+numbered in that order; the empty subset is not a state, so the result
+is partial.  A subset is a single int, so the visited check is an
+int-keyed dict lookup.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ from operator import or_
 
 from repro.automata.kernel.bitset import BitDFA, BitNFA
 
-#: Deadline-check stride, matching the classic implementation.
+#: How many subset expansions happen between deadline checks; keeps the
+#: clock out of the hot loop while bounding overshoot.
 _DEADLINE_STRIDE = 256
 
 
@@ -27,15 +27,15 @@ def determinize_bitset(
 ) -> BitDFA:
     """Determinize ``bitnfa`` by the subset construction.
 
-    Budget semantics mirror :func:`repro.automata.determinize.determinize`
-    exactly: ``max_states=None`` applies the default cap, ``<= 0``
-    disables it, and either trip raises
-    :class:`repro.core.limits.BudgetExceeded`.  The produced DFA's state
-    ids are BFS discovery order, which coincides with the classic
-    DFA's :meth:`~repro.automata.dfa.DFA.renumbered` numbering.
+    ``max_states=None`` applies the default cap
+    (:data:`~repro.core.limits.DEFAULT_MAX_STATES`, read at call time),
+    ``<= 0`` disables it; ``deadline`` is an absolute
+    :func:`time.monotonic` timestamp checked every few expansions.
+    Either trip raises :class:`repro.core.limits.BudgetExceeded`.  The
+    produced DFA's state ids are BFS discovery order.
     """
     # Lazy import: repro.core.limits sits above the automata layer in
-    # the import graph, same pattern as the classic determinizer.
+    # the import graph.
     from repro.core.limits import (
         DEFAULT_MAX_STATES,
         charge_states,

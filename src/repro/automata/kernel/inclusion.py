@@ -1,14 +1,12 @@
 """Fused on-the-fly product decision procedures.
 
-The classic pipeline materializes ``difference(completed(left),
-completed(lifted(right)))`` and then BFSes it for a shortest word.  The
-kernel fuses all of that into one search: pairs ``(left state, right
+No product automaton is materialized.  One search does it all: pairs ``(left state, right
 state)`` are explored breadth-first in sorted-symbol order directly from
 the two transition arrays, the lift (self-loop on foreign symbols) and
 the completion (explicit dead side) are applied on the fly, and the
 search **short-circuits on the first accepting pair** — which, because
 BFS over sorted symbols discovers states along length-lex-minimal
-paths, yields exactly the classic implementation's counterexample word.
+paths, yields the length-lex-minimal counterexample word.
 
 Dead-side encoding: the right automaton's sink is ``-1`` (reachable,
 non-accepting, absorbing).  A dead *left* side can never satisfy either
@@ -113,7 +111,7 @@ def bitset_difference_counterexample(
     With ``foreign="lift"`` the right automaton self-loops on symbols
     outside its alphabet (the inverse-projection reading used by the
     subsystem-usage check); with ``"reject"`` it rejects them (the
-    aligned-alphabets reading of the classic ``included``).
+    reading over the joint alphabet, used to compare two specs).
     """
     return _search(left, right, right_accepts=False, foreign=foreign)
 

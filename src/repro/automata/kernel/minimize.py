@@ -6,10 +6,8 @@ smaller-half worklist trick keeps the refinement ``O(n k log n)``.
 
 The result is the canonical minimal *total* DFA of the input language:
 completed with a dead sink first, refined, quotiented, trimmed to the
-reachable part and renumbered in BFS order — exactly the contract of the
-classic :func:`repro.automata.minimize.minimize`, so the two agree on
-state counts and structure for language-equal inputs (the differential
-harness pins this).
+reachable part and renumbered in BFS order, so language-equal inputs
+minimize to identical automata.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ def minimize_bitset(
 ) -> BitDFA:
     """The minimal total DFA for ``bitdfa``'s language.
 
-    ``max_states`` bounds the *input* size (same contract as classic
-    minimize): oversized inputs raise
+    ``max_states`` (``None`` = unlimited) bounds the *input* size:
+    oversized inputs raise
     :class:`repro.core.limits.BudgetExceeded` up front.
     """
     if max_states is not None and max_states > 0 and bitdfa.n > max_states:

@@ -1,10 +1,8 @@
 """Thompson construction straight into a :class:`BitNFABuilder`.
 
-The kernel twin of :func:`repro.automata.thompson.thompson`: the same
-fragment per regex node (an entry and an exit state, epsilon glue), the
-states allocated in the same preorder, so the result has exactly the
-classic automaton's states and moves — only the names are ints.  The
-behavior construction (:func:`repro.core.behavior.behavior_nfa`)
+One fragment per regex node — an entry and an exit state, epsilon glue
+— allocated in preorder, so the automaton of ``r`` has exactly twice
+as many states as ``r`` has nodes.  The behavior construction (:func:`repro.core.behavior.behavior_nfa`)
 splices these fragments into one automaton per class.
 """
 
@@ -66,7 +64,7 @@ def thompson_bitnfa(regex: Regex, alphabet: Iterable[str] = ()) -> BitNFA:
     """A :class:`BitNFA` accepting exactly the language of ``regex``.
 
     ``alphabet`` optionally widens the alphabet beyond the regex's
-    symbols, as for the classic construction.
+    symbols (useful before products).
     """
     builder = BitNFABuilder()
     entry, exit_ = add_thompson(builder, regex)

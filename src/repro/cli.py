@@ -50,10 +50,13 @@ Subcommands::
 
 Exit status: 0 when the target verifies (or the command succeeds); 1
 when the report lists verification errors or a ``--fail-fast`` run
-aborts; 2 on usage errors — bad flags or engine settings, a missing or
-unparseable target, a malformed ``REPRO_FAULTS`` or ``--remote-cache``
-URL — and when a coordinated run's shards fail (their message is
-reported).
+aborts, and when a command that builds a class's automaton outside the
+batch engine (``export --what dfa``, ``nusmv``, ``report``,
+``explain``) exceeds the state budget — it prints ``error:`` and the
+budget message, where ``repro check`` reports ``ENGINE BUDGET``; 2 on
+usage errors — bad flags or engine settings, a missing or unparseable
+target, a malformed ``REPRO_FAULTS`` or ``--remote-cache`` URL — and
+when a coordinated run's shards fail (their message is reported).
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from pathlib import Path
 from repro.core.behavior import behavior_nfa, operation_exit_regexes
 from repro.core.checker import Checker
 from repro.core.dependency import extract_dependency_graph
+from repro.core.limits import BudgetExceeded
 from repro.core.spec import ClassSpec
 from repro.engine import (
     BatchVerifier,
@@ -478,7 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.limits import BudgetExceeded
     from repro.obs import Tracer, render_profile
 
     tracer = Tracer()
@@ -630,7 +633,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
+    from repro.automata.kernel import determinize_bitset
     from repro.core.model_io import dump_dependency_graph, dump_dfa, dump_spec
     from repro.core.spec import ClassSpec
 
@@ -641,7 +644,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     elif args.what == "deps":
         print(dump_dependency_graph(extract_dependency_graph(parsed)))
     else:  # behavior DFA
-        print(dump_dfa(bitdfa_to_dfa(determinize_bitset(behavior_nfa(parsed)))))
+        print(dump_dfa(determinize_bitset(behavior_nfa(parsed))))
     return 0
 
 
@@ -767,14 +770,13 @@ def _cmd_viz(args: argparse.Namespace) -> int:
 
 
 def _cmd_nusmv(args: argparse.Namespace) -> int:
-    from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
+    from repro.automata.kernel import determinize_bitset
     from repro.ltlf.parser import parse_claim
     from repro.nusmv.emit import emit_model
 
     module, _violations = _load(args.file)
     parsed = _select_class(module, args.cls, args.file)
-    # Kernel state ids are BFS discovery order: already renumbered.
-    dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(parsed)))
+    dfa = determinize_bitset(behavior_nfa(parsed))
     claims = [parse_claim(text) for text in parsed.claims]
     print(emit_model(dfa, claims), end="")
     return 0
@@ -1268,6 +1270,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as error:
         print(error, file=_sys.stderr)
         raise
+    except BudgetExceeded as error:
+        print(f"error: {error}", file=_sys.stderr)
+        return 1
     except BrokenPipeError:  # pragma: no cover - terminal plumbing
         return 0
 

@@ -74,12 +74,11 @@ def behavior_nfa(
     back to on-the-fly inference.  The construction itself is a pure
     function of the parsed class and those regexes.
 
-    The states are those of the classic construction
-    (:func:`repro.core.oracle.classic_behavior_nfa`) — ``start``, one
-    ``entered`` state per operation, each exit's Thompson fragment and
-    one state per exit — numbered as they are added; a name that
-    recurs (an operation defined twice) reuses its state, as in the
-    classic automaton.
+    The states are ``start``, one ``entered`` state per operation, each
+    exit's Thompson fragment and one state per exit, numbered as they
+    are added; a name that recurs (an operation defined twice) reuses
+    its state.  ``tests/golden/automata.json`` pins the state counts and
+    determinized automata on the paper listings.
 
     ``max_states`` / ``deadline`` bound the splicing: after each
     operation's fragments are added the state count is charged against

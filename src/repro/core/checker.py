@@ -50,7 +50,6 @@ def check_parsed_class(
     exit_regexes: Mapping[str, Mapping[int, Regex]] | None = None,
     limits: Limits | None = None,
     tracer=None,
-    automata=KernelCheck,
 ) -> tuple[CheckResult, BitDFA | None]:
     """Run the full pipeline on one class — a pure function.
 
@@ -75,13 +74,10 @@ def check_parsed_class(
     Tracing never changes the verdict; with the null tracer the function
     is byte-for-byte the old pipeline.
 
-    ``automata`` builds the per-class facade that answers every automata
-    question: the bitset :class:`~repro.automata.kernel.KernelCheck`,
-    over the :class:`~repro.automata.kernel.BitNFA` that
-    :func:`~repro.core.behavior.behavior_nfa` builds.  Only the
-    differential oracle passes anything else
-    (:class:`repro.core.oracle.ClassicCheck`), and such a facade names
-    the constructor of its own behavior automaton as ``behavior_nfa``.
+    Every automata question is answered by one
+    :class:`~repro.automata.kernel.KernelCheck` over the
+    :class:`~repro.automata.kernel.BitNFA` that
+    :func:`~repro.core.behavior.behavior_nfa` builds.
 
     Returns the diagnostics plus the determinized behavior DFA when the
     check computed one (composite classes past the structural gate).
@@ -101,16 +97,15 @@ def check_parsed_class(
         # The behavior automaton would be built from a broken spec;
         # usage/claim verdicts on it would be noise.
         return result, None
-    construct = behavior_nfa if automata is KernelCheck else automata.behavior_nfa
     with tracer.span("phase", "infer"):
-        behavior = construct(
+        behavior = behavior_nfa(
             parsed,
             exit_regexes=exit_regexes,
             max_states=limits.max_states,
             deadline=deadline,
             tracer=tracer,
         )
-    kernel = automata(
+    kernel = KernelCheck(
         behavior,
         max_states=limits.max_states,
         deadline=deadline,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset, minimize_bitset
-from repro.automata.shortest import iter_accepted_words
+from repro.automata.kernel import determinize_bitset, minimize_bitset
 from repro.core.behavior import behavior_nfa
 from repro.core.dependency import extract_dependency_graph
 from repro.core.spec import ClassSpec
@@ -68,38 +67,30 @@ def collect_metrics(
     spec = ClassSpec.of(parsed)
     graph = extract_dependency_graph(parsed)
     with tracer.span("phase", "minimize"):
-        # Determinize + Hopcroft on bitsets, then view the results as
-        # classic DFAs for the metric computations below (state counts
-        # agree with classic minimize — the differential harness pins
-        # this).
-        spec_minimal = bitdfa_to_dfa(
-            minimize_bitset(determinize_bitset(spec.bitnfa()), tracer=tracer)
+        spec_minimal = minimize_bitset(
+            determinize_bitset(spec.bitnfa()), tracer=tracer
         )
-        behavior_minimal = bitdfa_to_dfa(
-            minimize_bitset(
-                determinize_bitset(behavior_nfa(parsed)), tracer=tracer
-            )
+        behavior_minimal = minimize_bitset(
+            determinize_bitset(behavior_nfa(parsed)), tracer=tracer
         )
 
     # Constrainedness over the *live* part of the minimal spec DFA: the
     # fraction of (live state, operation) pairs whose move leads nowhere
-    # useful (undefined or into a dead state).
+    # useful (into the dead sink; a minimal DFA is total, and every one
+    # of its states is reachable).
     from repro.testing.paths import shortest_suffixes
 
-    co_reaching = set(shortest_suffixes(spec_minimal))
-    reachable = spec_minimal.reachable_states() & co_reaching
-    total_pairs = max(1, len(reachable) * len(spec_minimal.alphabet))
+    live = set(shortest_suffixes(spec_minimal))
+    k = len(spec_minimal.alphabet)
+    total_pairs = max(1, len(live) * k)
     allowed_pairs = sum(
         1
-        for state in reachable
-        for symbol in spec_minimal.alphabet
-        if spec_minimal.successor(state, symbol) in co_reaching
+        for index, target in enumerate(spec_minimal.delta)
+        if index // k in live and target in live
     )
     constrainedness = 1.0 - allowed_pairs / total_pairs
 
-    lifecycles = sum(
-        1 for _ in iter_accepted_words(spec_minimal, lifecycle_bound)
-    )
+    lifecycles = sum(1 for _ in spec_minimal.accepted_words(lifecycle_bound))
     return ModelMetrics(
         class_name=parsed.name,
         operations=len(parsed.operations),
@@ -107,8 +98,8 @@ def collect_metrics(
         final_operations=len(spec.final_operations()),
         exit_points=len(graph.exits),
         dependency_arcs=graph.arc_count,
-        spec_states_minimal=len(spec_minimal.states),
-        behavior_states_minimal=len(behavior_minimal.states),
+        spec_states_minimal=spec_minimal.n,
+        behavior_states_minimal=behavior_minimal.n,
         body_ir_nodes=sum(program_size(op.body) for op in parsed.operations),
         lifecycles_up_to_6=lifecycles,
         constrainedness=constrainedness,

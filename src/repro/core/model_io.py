@@ -7,7 +7,8 @@ reproduction.  Three payload kinds share an envelope with a ``kind`` and
 
 * ``class-spec`` — a :class:`ClassSpec` (operations, kinds, exits),
 * ``dependency-graph`` — the §3.1 graph,
-* ``dfa`` — any determinized automaton (states renumbered).
+* ``dfa`` — a kernel :class:`~repro.automata.kernel.BitDFA` (states
+  ``0..n-1``, as the kernel numbers them: BFS order).
 
 Round trips are exact: ``load_spec(dump_spec(spec)) == spec`` up to the
 frontend-only fields (body IR and match facts are *not* serialized —
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.automata.dfa import DFA
+from repro.automata.kernel import Alphabet, BitDFA
 from repro.core.dependency import DependencyGraph, extract_dependency_graph
 from repro.core.spec import ClassSpec
 from repro.frontend.model_ast import OperationDef, OpKind, ParsedClass, ReturnPoint
@@ -179,46 +180,58 @@ def load_dependency_graph(text: str) -> DependencyGraph:
 # Automata
 # ----------------------------------------------------------------------
 
-def dfa_to_dict(dfa: DFA) -> dict[str, Any]:
-    """Serialize a DFA (states renumbered to stable integers first)."""
-    stable = dfa.renumbered()
+def dfa_to_dict(dfa: BitDFA) -> dict[str, Any]:
+    """Serialize a DFA: its states keep their ids, so a kernel DFA's BFS
+    numbering is the stable output order."""
     return _envelope(
         "dfa",
         {
-            "alphabet": sorted(stable.alphabet),
-            "states": sorted(stable.states),
-            "initial": stable.initial_state,
-            "accepting": sorted(stable.accepting_states),
-            "transitions": [
-                [source, symbol, target]
-                for (source, symbol), target in sorted(
-                    stable.transitions.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-            ],
+            "alphabet": sorted(dfa.alphabet),
+            "states": list(range(dfa.n)),
+            "initial": dfa.initial,
+            "accepting": list(dfa.accepting_states()),
+            "transitions": sorted([*move] for move in dfa.moves()),
         },
     )
 
 
-def dfa_from_dict(data: dict[str, Any]) -> DFA:
+def dfa_from_dict(data: dict[str, Any]) -> BitDFA:
+    """Rebuild a DFA, refusing states outside ``0..n-1``, symbols outside
+    the alphabet and two targets for one (state, symbol)."""
     _check_envelope(data, "dfa")
     try:
-        return DFA(
-            states=frozenset(data["states"]),
-            alphabet=frozenset(data["alphabet"]),
-            transitions={
-                (source, symbol): target
-                for source, symbol, target in data["transitions"]
-            },
-            initial_state=data["initial"],
-            accepting_states=frozenset(data["accepting"]),
+        alphabet = Alphabet(data["alphabet"])
+        n = len(data["states"])
+        if data["states"] != list(range(n)):
+            raise ValueError(f"states must be 0..{n - 1}")
+
+        def state(value: Any, role: str) -> int:
+            if type(value) is not int or not 0 <= value < n:
+                raise ValueError(f"{role} {value!r} is not a declared state")
+            return value
+
+        k = len(alphabet)
+        delta = [-1] * (n * k)
+        for source, symbol, target in data["transitions"]:
+            if symbol not in alphabet:
+                raise ValueError(f"symbol {symbol!r} is not in the alphabet")
+            slot = state(source, "source") * k + alphabet.id_of(symbol)
+            if delta[slot] >= 0:
+                raise ValueError(f"two targets for ({source}, {symbol!r})")
+            delta[slot] = state(target, "target")
+        accepting = 0
+        for value in data["accepting"]:
+            accepting |= 1 << state(value, "accepting state")
+        return BitDFA(
+            alphabet, n, delta, state(data["initial"], "initial state"), accepting
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ModelFormatError(f"malformed dfa payload: {error}") from error
 
 
-def dump_dfa(dfa: DFA, indent: int | None = 2) -> str:
+def dump_dfa(dfa: BitDFA, indent: int | None = 2) -> str:
     return json.dumps(dfa_to_dict(dfa), indent=indent, sort_keys=True)
 
 
-def load_dfa(text: str) -> DFA:
+def load_dfa(text: str) -> BitDFA:
     return dfa_from_dict(json.loads(text))

@@ -13,12 +13,17 @@ L(general)`` (the refinement direction used when *strengthening* a
 spec); ``check_substitutable(old, new)`` is the deployment question
 above.  Both produce diagnostics with a shortest witness lifecycle, and
 a per-operation compatibility pre-check gives actionable messages when
-the alphabets do not even line up.
+the alphabets do not even line up.  The inclusions are read over the
+joint alphabet: a spec rejects every lifecycle that uses an operation
+it does not declare.
 """
 
 from __future__ import annotations
 
-from repro.automata.operations import inclusion_counterexample
+from repro.automata.kernel import (
+    bitset_difference_counterexample,
+    bitset_equivalent,
+)
 from repro.core.diagnostics import CheckResult, Diagnostic, Severity
 from repro.core.spec import ClassSpec
 
@@ -50,7 +55,7 @@ def check_refinement(general: ClassSpec, refined: ClassSpec) -> CheckResult:
     """
     result = CheckResult()
     result.diagnostics.extend(_alphabet_report(refined, general))
-    witness = inclusion_counterexample(refined.dfa(), general.dfa())
+    witness = bitset_difference_counterexample(refined.dfa(), general.dfa())
     if witness is not None:
         result.diagnostics.append(
             Diagnostic(
@@ -77,7 +82,7 @@ def check_substitutable(old: ClassSpec, new: ClassSpec) -> CheckResult:
     """
     result = CheckResult()
     result.diagnostics.extend(_alphabet_report(old, new))
-    witness = inclusion_counterexample(old.dfa(), new.dfa())
+    witness = bitset_difference_counterexample(old.dfa(), new.dfa())
     if witness is not None:
         result.diagnostics.append(
             Diagnostic(
@@ -97,6 +102,4 @@ def check_substitutable(old: ClassSpec, new: ClassSpec) -> CheckResult:
 
 def equivalent_specs(left: ClassSpec, right: ClassSpec) -> bool:
     """Do the two specifications denote the same lifecycle language?"""
-    from repro.automata.operations import equivalent
-
-    return equivalent(left.dfa(), right.dfa())
+    return bitset_equivalent(left.dfa(), right.dfa())

@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
 from repro.automata.kernel.alphabet import Alphabet
-from repro.automata.kernel.bitset import BitNFA, BitNFABuilder
-from repro.automata.nfa import NFA, NFABuilder
+from repro.automata.kernel.bitset import BitDFA, BitNFA, BitNFABuilder
+from repro.automata.kernel.determinize import determinize_bitset
 from repro.frontend.model_ast import OperationDef, ParsedClass, ReturnPoint
 
 #: State names used by the specification automaton; ``start`` is state 0
@@ -110,8 +108,8 @@ class ClassSpec:
 
         Event ``prefix + m`` leads to each exit of operation ``m`` — from
         ``start`` when ``m`` is initial, and from every exit whose
-        next-method set lists ``m``.  Both :meth:`nfa` and
-        :meth:`bitnfa` are built from this one enumeration.
+        next-method set lists ``m``.  :meth:`bitnfa` is built from this
+        enumeration.
         """
         by_name: dict[str, OperationDef] = {}
         for operation in self.operations:
@@ -136,30 +134,16 @@ class ClassSpec:
                         connect(source, next_operation)
         return arcs
 
-    def nfa(self, prefix: str = "") -> NFA:
-        """The specification automaton, with events ``prefix + op name``.
+    def bitnfa(self, prefix: str = "", alphabet: Alphabet | None = None) -> BitNFA:
+        """The specification automaton, with events ``prefix + op name``:
+        epsilon-free, states numbered in :meth:`states` order.
 
         ``prefix`` is how a composite's subsystem instance scopes its
         events: ``Valve`` used as field ``a`` has events ``a.test`` etc.
-        """
-        builder = NFABuilder()
-        builder.add_states(self.states())
-        builder.mark_initial(START_STATE)
-        for state in self.accepting_states():
-            builder.mark_accepting(state)
-        for source, label, target in self.arcs(prefix):
-            builder.add_transition(source, label, target)
-        # Ensure every operation name is in the alphabet even when it is
-        # unreachable (diagnosed separately) so products line up.
-        builder.alphabet.update(prefix + name for name in self.operation_names())
-        return builder.build()
-
-    def bitnfa(self, prefix: str = "", alphabet: Alphabet | None = None) -> BitNFA:
-        """:meth:`nfa` as an epsilon-free kernel automaton, states
-        numbered in :meth:`states` order.
-
-        ``alphabet`` optionally supplies a shared interner; it must
-        contain every ``prefix + op name``.
+        Every operation name is in the alphabet, even an unreachable one
+        (diagnosed separately), so products line up.  ``alphabet``
+        optionally supplies a shared interner; it must contain every
+        ``prefix + op name``.
         """
         if alphabet is None:
             alphabet = Alphabet(prefix + name for name in self.operation_names())
@@ -172,9 +156,9 @@ class ClassSpec:
             accepting |= 1 << index[state]
         return builder.build(1 << index[START_STATE], accepting, alphabet)
 
-    def dfa(self, prefix: str = "") -> DFA:
-        """Determinized specification automaton."""
-        return determinize(self.nfa(prefix))
+    def dfa(self, prefix: str = "") -> BitDFA:
+        """Determinized specification automaton (BFS-numbered states)."""
+        return determinize_bitset(self.bitnfa(prefix))
 
     @cached_property
     def table(self) -> "SpecTable":

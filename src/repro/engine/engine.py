@@ -932,17 +932,16 @@ def cached_behavior_dfa(
     Only composite classes that passed the structural gate carry one
     (base-class checks never determinize).  Returns ``None`` on a cache
     miss, when no DFA was recorded, or when the flat payload does not
-    decode; the DFA comes back as a classic
-    :class:`~repro.automata.dfa.DFA` for downstream consumers.
+    decode; the DFA comes back as a
+    :class:`~repro.automata.kernel.BitDFA`.
     """
-    from repro.automata.kernel import bitdfa_to_dfa
     from repro.engine.serialize import FlatFormatError, bitdfa_from_flat
 
     payload = cache.get("class", class_key(parsed, classes_in_scope))
     if payload is None or payload.get("dfa_flat") is None:
         return None
     try:
-        return bitdfa_to_dfa(bitdfa_from_flat(payload["dfa_flat"]))
+        return bitdfa_from_flat(payload["dfa_flat"])
     except FlatFormatError:
         return None
 

@@ -11,7 +11,9 @@ reproduction, so we *bounded-model-check* the same statements instead
   ``⟦p⟧`` matches exactly the status-``0`` traces, and the returned set
   ``s`` matches exactly the status-``R`` traces;
 * **Corollary 1 (regularity)** — ``infer(p)`` survives the round trip
-  regex → NFA → DFA → regex with its language intact.
+  regex → NFA → DFA → regex with its language intact, on the bitset
+  kernel the checker runs (Thompson, subset construction, Hopcroft,
+  state elimination).
 
 Each check runs over *all* programs of the bare calculus up to a size
 budget and over all traces up to a length budget, so every inference
@@ -88,15 +90,18 @@ def check_returned_lemma(program: Program, max_length: int) -> bool:
 
 def check_regularity(program: Program, max_length: int) -> bool:
     """Corollary 1 on one program: the language survives the automaton
-    round trip regex → NFA → DFA → regex."""
-    from repro.automata.determinize import determinize
-    from repro.automata.minimize import minimize
-    from repro.automata.thompson import thompson
-    from repro.automata.to_regex import nfa_to_regex
+    round trip regex → NFA → DFA → regex, on the kernel construction the
+    checker runs."""
+    from repro.automata.kernel import (
+        bitdfa_to_regex,
+        determinize_bitset,
+        minimize_bitset,
+        thompson_bitnfa,
+    )
 
     inferred = infer(program)
-    dfa = minimize(determinize(thompson(inferred)))
-    round_tripped = nfa_to_regex(dfa.to_nfa())
+    dfa = minimize_bitset(determinize_bitset(thompson_bitnfa(inferred)))
+    round_tripped = bitdfa_to_regex(dfa)
     return words_up_to(inferred, max_length) == words_up_to(round_tripped, max_length)
 
 

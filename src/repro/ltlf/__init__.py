@@ -53,8 +53,8 @@ from repro.ltlf.patterns import (
 from repro.ltlf.to_regex import formula_to_regex, violation_regex
 from repro.ltlf.translate import (
     TranslationOverflowError,
-    formula_to_dfa,
-    negation_to_dfa,
+    formula_to_bitdfa,
+    negation_to_bitdfa,
 )
 
 __all__ = [
@@ -87,12 +87,12 @@ __all__ = [
     "evaluate",
     "existence",
     "format_formula",
-    "formula_to_dfa",
+    "formula_to_bitdfa",
     "formula_to_regex",
     "implies",
     "neg",
     "never_adjacent",
-    "negation_to_dfa",
+    "negation_to_bitdfa",
     "parse_claim",
     "precedence",
     "progress",

@@ -5,7 +5,7 @@ regular-languages" instead of re-encoding into ω-regular NuSMV models.
 This module completes that programme: a claim formula translates to a
 regular expression over event labels by composing the progression DFA
 (:mod:`repro.ltlf.translate`) with state elimination
-(:mod:`repro.automata.to_regex`), optionally simplified.
+(:mod:`repro.automata.kernel.to_regex`), optionally simplified.
 
 With both programs (via ``infer``) and claims as regexes, claim checking
 becomes pure regular-language inclusion — exercised by the tests and by
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.automata.minimize import minimize
-from repro.automata.to_regex import nfa_to_regex
+from repro.automata.kernel import bitdfa_to_regex, minimize_bitset
 from repro.ltlf.ast import Formula, atoms as formula_atoms, neg
-from repro.ltlf.translate import formula_to_dfa
+from repro.ltlf.translate import formula_to_bitdfa
 from repro.regex.ast import Regex
 from repro.regex.simplify import simplify
 
@@ -39,8 +38,7 @@ def formula_to_regex(
     """
     if alphabet is None:
         alphabet = sorted(formula_atoms(formula))
-    dfa = minimize(formula_to_dfa(formula, alphabet))
-    regex = nfa_to_regex(dfa.to_nfa())
+    regex = bitdfa_to_regex(minimize_bitset(formula_to_bitdfa(formula, alphabet)))
     return simplify(regex) if simplified else regex
 
 

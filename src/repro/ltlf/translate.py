@@ -6,9 +6,8 @@ is exact for finite traces: the resulting DFA accepts a word iff the
 word satisfies the formula under :mod:`repro.ltlf.semantics`.
 
 One progression loop, :func:`formula_to_bitdfa`, emits a kernel
-:class:`~repro.automata.kernel.BitDFA` (states numbered in BFS order);
-:func:`formula_to_dfa` / :func:`negation_to_dfa` are its classic-object
-view for the exporters, the regex translation and the oracle.
+:class:`~repro.automata.kernel.BitDFA` (states numbered in BFS order)
+for claim checking and the regex translation.
 
 The paper delegates its claims to NuSMV by re-encoding into ω-regular
 form and names direct regular-language approaches as future work — this
@@ -19,9 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.automata.dfa import DFA
 from repro.automata.kernel.alphabet import Alphabet
-from repro.automata.kernel.bitset import BitDFA, bitdfa_to_dfa
+from repro.automata.kernel.bitset import BitDFA
 from repro.core.limits import BudgetExceeded, check_deadline
 from repro.ltlf.ast import Formula, atoms as formula_atoms, neg
 from repro.ltlf.progression import accepts_empty, progress
@@ -103,22 +101,3 @@ def negation_to_bitdfa(
     """DFA of ``!formula`` — the violation language used by claim checking."""
     return formula_to_bitdfa(neg(formula), alphabet, max_states, deadline)
 
-
-def formula_to_dfa(
-    formula: Formula,
-    alphabet: Iterable[str] | None = None,
-    max_states: int | None = None,
-    deadline: float | None = None,
-) -> DFA:
-    """:func:`formula_to_bitdfa` as a classic DFA (int states, BFS order)."""
-    return bitdfa_to_dfa(formula_to_bitdfa(formula, alphabet, max_states, deadline))
-
-
-def negation_to_dfa(
-    formula: Formula,
-    alphabet: Iterable[str] | None = None,
-    max_states: int | None = None,
-    deadline: float | None = None,
-) -> DFA:
-    """:func:`negation_to_bitdfa` as a classic DFA (int states, BFS order)."""
-    return bitdfa_to_dfa(negation_to_bitdfa(formula, alphabet, max_states, deadline))

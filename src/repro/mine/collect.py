@@ -129,23 +129,22 @@ def random_lifecycles(
     instead, which narrows to the feasible subset automatically.
     """
     dfa = spec.dfa()
+    symbols = dfa.alphabet.symbols
+    k = len(symbols)
     words: list[tuple[str, ...]] = []
     for _ in range(runs):
-        state = dfa.initial_state
+        state = dfa.initial
         word: list[str] = []
         for _ in range(max_len):
-            moves = sorted(
-                symbol
-                for symbol in dfa.alphabet
-                if dfa.successor(state, symbol) is not None
-            )
+            row = dfa.delta[state * k : state * k + k]
+            moves = [symbol_id for symbol_id, target in enumerate(row) if target >= 0]
             if not moves:
                 break
-            if state in dfa.accepting_states and rng.random() < 0.3:
+            if dfa.accepting >> state & 1 and rng.random() < 0.3:
                 break
-            symbol = moves[rng.randrange(len(moves))]
-            state = dfa.successor(state, symbol)
-            word.append(symbol)
+            symbol_id = moves[rng.randrange(len(moves))]
+            state = row[symbol_id]
+            word.append(symbols[symbol_id])
         words.append(tuple(word))
     return words
 
@@ -246,16 +245,18 @@ def transition_coverage(spec: ClassSpec, corpus: TraceCorpus) -> float:
     automaton's full transition relation (live by construction).
     """
     dfa = spec.dfa()
-    total = len(dfa.transitions)
+    total = sum(1 for target in dfa.delta if target >= 0)
     if total == 0:
         return 1.0
-    covered: set[tuple] = set()
+    k = len(dfa.alphabet)
+    covered: set[int] = set()  # moves taken, as slots ``state * k + symbol id``
     for sample in corpus:
-        state = dfa.initial_state
+        state = dfa.initial
         for symbol in sample.word:
-            successor = dfa.successor(state, symbol)
-            if successor is None:
+            symbol_id = dfa.alphabet.get(symbol)
+            slot = state * k + symbol_id
+            if symbol_id < 0 or dfa.delta[slot] < 0:
                 break
-            covered.add((state, symbol))
-            state = successor
+            covered.add(slot)
+            state = dfa.delta[slot]
     return len(covered) / total

@@ -31,10 +31,8 @@ same automaton.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.automata.dfa import DFA
 from repro.automata.kernel.alphabet import Alphabet
 from repro.automata.kernel.bitset import BitDFA
 from repro.mine.corpus import TraceCorpus
@@ -66,31 +64,33 @@ class MineStats:
 class MinedModel:
     """The learner's output: a DFA shaped like a class specification.
 
-    ``dfa`` is partial (missing moves reject), states are dense ints in
-    BFS discovery order, and the alphabet is the full operation
-    vocabulary of the mined class — aligned with ``spec.dfa()`` so the
-    differential engine can run kernel inclusion directly.
+    ``dfa`` is a partial kernel DFA (missing moves reject), states are
+    dense ints in BFS discovery order, and the alphabet is the full
+    operation vocabulary of the mined class — aligned with
+    ``spec.dfa()`` so the differential engine can run kernel inclusion
+    directly.
     """
 
     class_name: str
-    dfa: DFA
+    dfa: BitDFA
     stats: MineStats
 
     def accepts(self, word) -> bool:
         return self.dfa.accepts(word)
 
     def bitdfa(self, alphabet: Alphabet) -> BitDFA:
-        """:attr:`dfa` on the kernel, over ``alphabet`` (a superset of
-        its own); its dense int states keep their numbers."""
-        k = len(alphabet)
-        n = len(self.dfa.states)
-        delta = [-1] * (n * k)
-        for (source, symbol), target in self.dfa.transitions.items():
-            delta[source * k + alphabet.id_of(symbol)] = target
-        accepting = 0
-        for state in self.dfa.accepting_states:
-            accepting |= 1 << state
-        return BitDFA(alphabet, n, delta, self.dfa.initial_state, accepting)
+        """:attr:`dfa` over ``alphabet`` (a superset of its own); its
+        states keep their numbers."""
+        own = self.dfa
+        if alphabet == own.alphabet:
+            return own
+        k, own_k = len(alphabet), len(own.alphabet)
+        ids = [alphabet.id_of(symbol) for symbol in own.alphabet]
+        delta = [-1] * (own.n * k)
+        for slot, target in enumerate(own.delta):
+            state, own_id = divmod(slot, own_k)
+            delta[state * k + ids[own_id]] = target
+        return BitDFA(alphabet, own.n, delta, own.initial, own.accepting)
 
 
 class _Quotient:
@@ -211,7 +211,7 @@ def learn(
             stats.promotions += 1
 
     dfa = _extract(quotient, pta.alphabet, resolve)
-    stats.mined_states = len(dfa.states)
+    stats.mined_states = dfa.n
     tracer.event(
         "mine-learned",
         class_name=class_name,
@@ -222,31 +222,27 @@ def learn(
     return MinedModel(class_name=class_name, dfa=dfa, stats=stats)
 
 
-def _extract(quotient: _Quotient, alphabet, resolve) -> DFA:
-    """The quotient as a dense, BFS-renumbered classic DFA."""
+def _extract(quotient: _Quotient, alphabet, resolve) -> BitDFA:
+    """The quotient as a dense, BFS-renumbered kernel DFA over
+    ``alphabet`` plus any symbol the corpus words read beyond it."""
+    symbols = Alphabet([*alphabet, *(s for children in quotient.children for s in children)])
+    k = len(symbols)
     ids: dict[int, int] = {resolve(0): 0}
     order: list[int] = [resolve(0)]
-    queue = deque(order)
-    transitions: dict[tuple[int, str], int] = {}
-    while queue:
-        state = queue.popleft()
+    delta: list[int] = []
+    accepting = 0
+    for state in order:  # ``order`` grows: a BFS queue
+        row = [-1] * k
         for symbol in sorted(quotient.children[state]):
             target = resolve(quotient.children[state][symbol])
             if target not in ids:
                 ids[target] = len(order)
                 order.append(target)
-                queue.append(target)
-            transitions[(ids[state], symbol)] = ids[target]
-    accepting = frozenset(
-        ids[state] for state in order if quotient.final[state]
-    )
-    return DFA(
-        states=frozenset(range(len(order))),
-        alphabet=frozenset(alphabet),
-        transitions=transitions,
-        initial_state=0,
-        accepting_states=accepting,
-    )
+            row[symbols.id_of(symbol)] = ids[target]
+        delta.extend(row)
+        if quotient.final[state]:
+            accepting |= 1 << ids[state]
+    return BitDFA(symbols, len(order), delta, 0, accepting)
 
 
 def mine_corpus(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.automata.dfa import DFA
+from repro.automata.kernel import BitDFA
 from repro.ltlf.ast import (
     And,
     Atom,
@@ -53,9 +53,13 @@ DONE_STATE = "done"
 DEAD_STATE = "dead"
 
 
-def emit_dfa(dfa: DFA, module_name: str = "main") -> str:
-    """Emit a NuSMV module for the ω-lifting of ``dfa``."""
-    ordered_states = sorted(dfa.states, key=str)
+def emit_dfa(dfa: BitDFA, module_name: str = "main") -> str:
+    """Emit a NuSMV module for the ω-lifting of ``dfa``.
+
+    States are listed in ``str`` order of their ids (``10`` before
+    ``2``); the missing moves of a partial DFA go to the ``dead`` sink.
+    """
+    ordered_states = sorted(range(dfa.n), key=str)
     ordered_events = sorted(dfa.alphabet)
     state_names = unique_names([str(s) for s in ordered_states] + [DONE_STATE, DEAD_STATE])
     event_names = unique_names(list(ordered_events) + [END_EVENT])
@@ -77,8 +81,8 @@ def emit_dfa(dfa: DFA, module_name: str = "main") -> str:
     branches: list[tuple[str, str]] = []
     for state in ordered_states:
         for event in ordered_events:
-            successor = dfa.successor(state, event)
-            if successor is None:
+            successor = dfa.successor(state, dfa.alphabet.id_of(event))
+            if successor < 0:
                 continue
             branches.append(
                 (
@@ -86,7 +90,7 @@ def emit_dfa(dfa: DFA, module_name: str = "main") -> str:
                     state_id(successor),
                 )
             )
-    for state in sorted(dfa.accepting_states, key=str):
+    for state in sorted(dfa.accepting_states(), key=str):
         branches.append(
             (
                 f"state = {state_id(state)} & event = {event_names[END_EVENT]}",
@@ -102,11 +106,11 @@ def emit_dfa(dfa: DFA, module_name: str = "main") -> str:
     branches.append(("TRUE", state_names[DEAD_STATE]))
 
     lines.append("ASSIGN")
-    lines.append(f"  init(state) := {state_id(dfa.initial_state)};")
+    lines.append(f"  init(state) := {state_id(dfa.initial)};")
     lines.append("  next(state) := " + case_expression(branches, indent="    ") + ";")
     lines.append("DEFINE")
     accepting_terms = [
-        f"state = {state_id(s)}" for s in sorted(dfa.accepting_states, key=str)
+        f"state = {state_id(s)}" for s in sorted(dfa.accepting_states(), key=str)
     ]
     lines.append(f"  accepting := {disjunction(accepting_terms)};")
     lines.append(f"  finished := state = {state_names[DONE_STATE]};")
@@ -166,7 +170,7 @@ def formula_to_nusmv(formula: Formula, event_names: dict[str, str]) -> str:
 
 
 def emit_model(
-    dfa: DFA,
+    dfa: BitDFA,
     claims: Sequence[Formula] = (),
     module_name: str = "main",
 ) -> str:

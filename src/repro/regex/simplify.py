@@ -1,7 +1,7 @@
 """Language-preserving regex simplification beyond canonical construction.
 
 The smart constructors in :mod:`repro.regex.ast` apply only *local* unit
-and ACI laws.  State elimination (:mod:`repro.automata.to_regex`) and
+and ACI laws.  State elimination (:mod:`repro.automata.kernel.to_regex`) and
 long inference chains still produce noisy terms; :func:`simplify`
 rewrites them with a bounded set of additional Kleene-algebra laws:
 

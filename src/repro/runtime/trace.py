@@ -44,7 +44,7 @@ class TraceRecorder:
         A composite's subsystem instance scopes its events the way the
         static models do (``Valve`` used as field ``a`` emits ``a.test``),
         so one shared recorder collects the *interleaved* hierarchical
-        trace — directly replayable against ``spec.nfa(prefix="a.")``.
+        trace — directly replayable against ``spec.bitnfa(prefix="a.")``.
         Scoping nests: ``r.scoped("a").scoped("b")`` records ``a.b.m``.
         """
         return ScopedRecorder(root=self, prefix=_join_prefix("", field_name))

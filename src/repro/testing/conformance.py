@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.automata.determinize import determinize
 from repro.core.spec import ClassSpec
 from repro.runtime.monitor import (
     IncompleteLifecycleError,
@@ -99,7 +98,7 @@ def generate_suite(spec: ClassSpec, max_sequences: int | None = None) -> list[tu
     cut to its first ``max_sequences`` (which must not be negative)."""
     if max_sequences is not None and max_sequences < 0:
         raise ValueError(f"max_sequences must be >= 0, got {max_sequences}")
-    suite = transition_cover(determinize(spec.nfa()))
+    suite = transition_cover(spec.dfa())
     if max_sequences is not None:
         suite = suite[:max_sequences]
     return suite

@@ -19,38 +19,43 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.automata.dfa import DFA, State
+from repro.automata.kernel import BitDFA
 
 
-def shortest_prefixes(dfa: DFA) -> dict[State, tuple[str, ...]]:
+def shortest_prefixes(dfa: BitDFA) -> dict[int, tuple[str, ...]]:
     """Shortest word from the initial state to each reachable state."""
-    prefixes: dict[State, tuple[str, ...]] = {dfa.initial_state: ()}
-    queue = deque([dfa.initial_state])
+    symbols = dfa.alphabet.symbols
+    k = len(symbols)
+    delta = dfa.delta
+    prefixes: dict[int, tuple[str, ...]] = {dfa.initial: ()}
+    queue = deque([dfa.initial])
     while queue:
         state = queue.popleft()
-        for symbol in sorted(dfa.alphabet):
-            successor = dfa.successor(state, symbol)
-            if successor is not None and successor not in prefixes:
-                prefixes[successor] = prefixes[state] + (symbol,)
+        base = state * k
+        for symbol_id in range(k):
+            successor = delta[base + symbol_id]
+            if successor >= 0 and successor not in prefixes:
+                prefixes[successor] = prefixes[state] + (symbols[symbol_id],)
                 queue.append(successor)
     return prefixes
 
 
-def shortest_suffixes(dfa: DFA) -> dict[State, tuple[str, ...]]:
+def shortest_suffixes(dfa: BitDFA) -> dict[int, tuple[str, ...]]:
     """Shortest word from each state to *some* accepting state.
 
     States that cannot reach acceptance (dead states) are absent from
-    the result.  Computed by backward BFS over the reversed automaton.
+    the result.  Computed by backward BFS over the reversed automaton;
+    ties go to the source whose id sorts first as a string (``10``
+    before ``2``).
     """
     # Build the reverse adjacency once.
-    reverse: dict[State, list[tuple[State, str]]] = {}
-    for (source, symbol), target in dfa.transitions.items():
+    reverse: dict[int, list[tuple[int, str]]] = {}
+    for source, symbol, target in dfa.moves():
         reverse.setdefault(target, []).append((source, symbol))
 
-    suffixes: dict[State, tuple[str, ...]] = {
-        state: () for state in dfa.accepting_states
-    }
-    queue = deque(sorted(dfa.accepting_states, key=str))
+    accepting = dfa.accepting_states()
+    suffixes: dict[int, tuple[str, ...]] = {state: () for state in accepting}
+    queue = deque(sorted(accepting, key=str))
     while queue:
         state = queue.popleft()
         for source, symbol in sorted(
@@ -62,7 +67,7 @@ def shortest_suffixes(dfa: DFA) -> dict[State, tuple[str, ...]]:
     return suffixes
 
 
-def transition_cover(dfa: DFA) -> list[tuple[str, ...]]:
+def transition_cover(dfa: BitDFA) -> list[tuple[str, ...]]:
     """One accepted word per *live* transition.
 
     A transition ``(s, a) -> t`` is live when ``s`` is reachable and
@@ -74,7 +79,7 @@ def transition_cover(dfa: DFA) -> list[tuple[str, ...]]:
     prefixes = shortest_prefixes(dfa)
     suffixes = shortest_suffixes(dfa)
     words: set[tuple[str, ...]] = set()
-    for (source, symbol), target in dfa.transitions.items():
+    for source, symbol, target in dfa.moves():
         if source not in prefixes or target not in suffixes:
             continue
         word = prefixes[source] + (symbol,) + suffixes[target]
@@ -82,14 +87,14 @@ def transition_cover(dfa: DFA) -> list[tuple[str, ...]]:
     # The empty lifecycle is part of every spec language (never-used
     # instance); include it when accepted so suites exercise finalize-
     # without-calls too.
-    if dfa.initial_state in dfa.accepting_states:
+    if dfa.accepting >> dfa.initial & 1:
         words.add(())
     for word in words:
         assert dfa.accepts(word), word
     return sorted(words, key=lambda w: (len(w), w))
 
 
-def state_cover(dfa: DFA) -> list[tuple[str, ...]]:
+def state_cover(dfa: BitDFA) -> list[tuple[str, ...]]:
     """One accepted word visiting each live state (smaller than a
     transition cover; useful as a smoke suite)."""
     prefixes = shortest_prefixes(dfa)

@@ -7,8 +7,8 @@ Three diagram kinds, matching the paper's figures:
   into each initial operation, double circles on final operations;
 * :func:`dependency_diagram` — the §3.1 method-dependency graph of
   Figure 3, with entry and exit nodes drawn separately;
-* :func:`nfa_dot` / :func:`dfa_dot` — generic automaton diagrams for
-  debugging and documentation.
+* :func:`dfa_dot` — a generic kernel-DFA diagram for debugging and
+  documentation.
 
 Output is plain DOT text: render with any Graphviz installation
 (``dot -Tpng``), no Python dependency required.
@@ -16,8 +16,7 @@ Output is plain DOT text: render with any Graphviz installation
 
 from __future__ import annotations
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
+from repro.automata.kernel import BitDFA
 from repro.core.dependency import DependencyGraph, EntryNode, ExitNode
 from repro.core.spec import ClassSpec
 
@@ -79,43 +78,20 @@ def dependency_diagram(graph: DependencyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def nfa_dot(nfa: NFA, title: str = "nfa") -> str:
-    """A generic NFA diagram (epsilon moves drawn dashed)."""
+def dfa_dot(dfa: BitDFA, title: str = "dfa") -> str:
+    """A generic DFA diagram; states and moves go in ``str`` order of
+    the state ids (``10`` before ``2``)."""
     lines = [f"digraph {_quote(title)} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=circle, fontname="Helvetica"];')
     lines.append('  __start__ [shape=point, label=""];')
-    for state in sorted(nfa.states, key=str):
-        shape = "doublecircle" if state in nfa.accepting_states else "circle"
+    for state in sorted(range(dfa.n), key=str):
+        shape = "doublecircle" if dfa.accepting >> state & 1 else "circle"
         lines.append(f"  {_quote(str(state))} [shape={shape}];")
-    for state in sorted(nfa.initial_states, key=str):
-        lines.append(f"  __start__ -> {_quote(str(state))};")
-    for source, symbol, target in nfa.iter_transitions():
-        if symbol is None:
-            lines.append(
-                f"  {_quote(str(source))} -> {_quote(str(target))} "
-                '[label="ε", style=dashed];'
-            )
-        else:
-            lines.append(
-                f"  {_quote(str(source))} -> {_quote(str(target))} "
-                f"[label={_quote(symbol)}];"
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def dfa_dot(dfa: DFA, title: str = "dfa") -> str:
-    """A generic DFA diagram."""
-    lines = [f"digraph {_quote(title)} {{"]
-    lines.append("  rankdir=LR;")
-    lines.append('  node [shape=circle, fontname="Helvetica"];')
-    lines.append('  __start__ [shape=point, label=""];')
-    for state in sorted(dfa.states, key=str):
-        shape = "doublecircle" if state in dfa.accepting_states else "circle"
-        lines.append(f"  {_quote(str(state))} [shape={shape}];")
-    lines.append(f"  __start__ -> {_quote(str(dfa.initial_state))};")
-    for source, symbol, target in dfa.iter_transitions():
+    lines.append(f"  __start__ -> {_quote(str(dfa.initial))};")
+    for source, symbol, target in sorted(
+        dfa.moves(), key=lambda move: (str(move[0]), move[1])
+    ):
         lines.append(
             f"  {_quote(str(source))} -> {_quote(str(target))} "
             f"[label={_quote(symbol)}];"

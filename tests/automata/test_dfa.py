@@ -1,35 +1,43 @@
-"""DFA representation: runs, completion, complement, renumbering."""
+"""Kernel DFAs: runs, the dead sink, complement readings, renumbering."""
 
 import pytest
 
-from repro.automata.dfa import DEAD_STATE, DFA
+from repro.automata.kernel import (
+    Alphabet,
+    BitDFA,
+    bitdfa_to_regex,
+    bitset_difference_counterexample,
+    bitset_intersection_counterexample,
+    minimize_bitset,
+    thompson_bitnfa,
+)
+from tests.automata.machines import make_dfa, word_dfa
+
+WORDS = ([], ["a"], ["b"], ["a", "a"], ["a", "b"], ["b", "a"], ["b", "b"], ["a", "b", "a"])
 
 
-def even_as_dfa() -> DFA:
+def even_as_dfa() -> BitDFA:
     """Accepts words with an even number of a's (total over {a, b})."""
-    return DFA(
-        states=frozenset({"even", "odd"}),
-        alphabet=frozenset({"a", "b"}),
-        transitions={
-            ("even", "a"): "odd",
-            ("odd", "a"): "even",
-            ("even", "b"): "even",
-            ("odd", "b"): "odd",
-        },
-        initial_state="even",
-        accepting_states=frozenset({"even"}),
+    return make_dfa(
+        [(0, "a", 1), (1, "a", 0), (0, "b", 0), (1, "b", 1)],
+        n=2,
+        accepting=[0],
+        alphabet="ab",
     )
 
 
-def partial_dfa() -> DFA:
+def partial_dfa() -> BitDFA:
     """Accepts exactly "ab" (partial: missing moves reject)."""
-    return DFA(
-        states=frozenset({0, 1, 2}),
-        alphabet=frozenset({"a", "b"}),
-        transitions={(0, "a"): 1, (1, "b"): 2},
-        initial_state=0,
-        accepting_states=frozenset({2}),
-    )
+    return make_dfa([(0, "a", 1), (1, "b", 2)], n=3, accepting=[2], alphabet="ab")
+
+
+def run(dfa: BitDFA, word) -> list[int]:
+    """The states visited on ``word`` (``-1`` once stuck)."""
+    states = [dfa.initial]
+    for symbol in word:
+        state = states[-1]
+        states.append(-1 if state < 0 else dfa.successor(state, dfa.alphabet.id_of(symbol)))
+    return states
 
 
 class TestAcceptance:
@@ -47,91 +55,100 @@ class TestAcceptance:
         assert not dfa.accepts(["a", "b", "a"])
 
     def test_run_records_states(self):
-        dfa = partial_dfa()
-        assert dfa.run(["a", "b"]) == [0, 1, 2]
+        assert run(partial_dfa(), ["a", "b"]) == [0, 1, 2]
 
     def test_run_goes_none_when_stuck(self):
-        dfa = partial_dfa()
-        assert dfa.run(["b", "a"]) == [0, None, None]
+        assert run(partial_dfa(), ["b", "a"]) == [0, -1, -1]
 
 
 class TestCompletion:
+    """``minimize_bitset`` returns the minimal *total* DFA: it completes
+    the input with a dead sink first."""
+
     def test_is_total(self):
-        assert even_as_dfa().is_total()
-        assert not partial_dfa().is_total()
+        assert -1 not in even_as_dfa().delta
+        assert -1 in partial_dfa().delta
+        assert -1 not in minimize_bitset(partial_dfa()).delta
 
     def test_completed_adds_dead_state(self):
-        total = partial_dfa().completed()
-        assert total.is_total()
-        assert DEAD_STATE in total.states
+        total = minimize_bitset(partial_dfa())
+        assert total.n == 4  # the chain plus the sink
+        sink = total.successor(total.initial, total.alphabet.id_of("b"))
+        assert not total.accepting >> sink & 1
+        assert all(total.successor(sink, a) == sink for a in range(len(total.alphabet)))
 
     def test_completed_preserves_language(self):
         dfa = partial_dfa()
-        total = dfa.completed()
-        for word in ([], ["a"], ["a", "b"], ["b"], ["a", "b", "b"]):
+        total = minimize_bitset(dfa)
+        for word in WORDS:
             assert dfa.accepts(word) == total.accepts(word)
 
     def test_completed_total_is_identity(self):
         dfa = even_as_dfa()
-        assert dfa.completed() is dfa
+        assert minimize_bitset(dfa) == dfa
 
     def test_completed_rejects_name_clash(self):
-        dfa = DFA(
-            states=frozenset({DEAD_STATE}),
-            alphabet=frozenset({"a"}),
-            transitions={},
-            initial_state=DEAD_STATE,
-            accepting_states=frozenset(),
+        # The sink takes a fresh id, so it cannot clash with a state of
+        # the input; an input sink of its own merges with it.
+        dfa = make_dfa(
+            [(0, "a", 1), (1, "a", 2), (2, "a", 2), (2, "b", 2)],
+            n=3,
+            accepting=[1],
+            alphabet="ab",
         )
-        with pytest.raises(ValueError):
-            dfa.completed()
+        total = minimize_bitset(dfa)
+        assert total.n == 3  # start, accept, one sink
+        assert total.accepts(["a"]) and not total.accepts(["a", "a"])
 
 
 class TestComplement:
+    """The fused search reads the right operand's missing moves as a dead
+    sink, so ``L(word) \\ L(dfa)`` is non-empty exactly for the words the
+    DFA rejects — the complement, never materialized."""
+
     def test_complement_flips_membership(self):
         dfa = partial_dfa()
-        flipped = dfa.complemented()
-        for word in ([], ["a"], ["a", "b"], ["b", "b"], ["a", "b", "a"]):
-            assert dfa.accepts(word) != flipped.accepts(word)
+        for word in WORDS + (["b", "b"],):
+            in_complement = bitset_difference_counterexample(word_dfa(word, "ab"), dfa)
+            assert (in_complement is not None) != dfa.accepts(word), word
 
     def test_double_complement_is_same_language(self):
         dfa = even_as_dfa()
-        double = dfa.complemented().complemented()
-        for word in ([], ["a"], ["a", "a"], ["a", "b", "a"]):
-            assert dfa.accepts(word) == double.accepts(word)
+        for word in WORDS:
+            in_language = bitset_intersection_counterexample(word_dfa(word, "ab"), dfa)
+            in_complement = bitset_difference_counterexample(word_dfa(word, "ab"), dfa)
+            assert (in_language is not None) == dfa.accepts(word) != (in_complement is not None)
 
 
 class TestTransformations:
     def test_trim_drops_unreachable(self):
-        dfa = DFA(
-            states=frozenset({0, 1, 99}),
-            alphabet=frozenset({"a"}),
-            transitions={(0, "a"): 1, (99, "a"): 99},
-            initial_state=0,
-            accepting_states=frozenset({1, 99}),
+        dfa = make_dfa(
+            [(0, "a", 1), (2, "a", 2)], n=3, accepting=[1, 2], alphabet="a"
         )
-        trimmed = dfa.trim()
-        assert trimmed.states == {0, 1}
+        minimal = minimize_bitset(dfa)
+        assert minimal.n == 3  # start, accept, sink: state 2 is gone
+        assert not minimal.accepts(["a", "a"])
 
     def test_renumbered_preserves_language(self):
-        dfa = even_as_dfa()
-        renamed = dfa.renumbered()
-        assert renamed.initial_state == 0
-        for word in ([], ["a"], ["a", "a"], ["b", "a"]):
+        # Initial state 1: minimization renumbers it to 0 in BFS order.
+        dfa = make_dfa(
+            [(1, "a", 0), (0, "a", 1), (1, "b", 1), (0, "b", 0)],
+            n=2,
+            accepting=[1],
+            alphabet="ab",
+            initial=1,
+        )
+        renamed = minimize_bitset(dfa)
+        assert renamed.initial == 0
+        for word in WORDS:
             assert dfa.accepts(word) == renamed.accepts(word)
 
     def test_to_nfa_same_language(self):
         dfa = partial_dfa()
-        nfa = dfa.to_nfa()
-        for word in ([], ["a"], ["a", "b"], ["b"]):
+        nfa = thompson_bitnfa(bitdfa_to_regex(dfa), "ab")
+        for word in WORDS:
             assert dfa.accepts(word) == nfa.accepts(word)
 
     def test_validates_initial_state(self):
         with pytest.raises(ValueError):
-            DFA(
-                states=frozenset({0}),
-                alphabet=frozenset(),
-                transitions={},
-                initial_state=1,
-                accepting_states=frozenset(),
-            )
+            BitDFA(Alphabet(), 1, [], 1, 0)

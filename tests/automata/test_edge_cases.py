@@ -1,67 +1,49 @@
-"""Automata edge cases: degenerate alphabets, multiple initial states,
-self-loops through projection, and adjunction properties."""
+"""Kernel edge cases: degenerate alphabets, multiple initial states,
+projection and the lift reading, and their adjunction."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.determinize import determinize
-from repro.automata.dfa import DFA
-from repro.automata.minimize import minimize
-from repro.automata.nfa import NFABuilder
-from repro.automata.operations import (
-    included,
-    lift_alphabet,
-    project_nfa,
-    with_alphabet,
+from repro.automata.kernel import (
+    Alphabet,
+    BitDFA,
+    bitset_difference_counterexample,
+    bitset_included,
+    bitset_intersection_counterexample,
+    determinize_bitset,
+    minimize_bitset,
+    project_bitnfa,
+    thompson_bitnfa,
 )
-from repro.automata.shortest import shortest_accepted_word
-from repro.automata.thompson import thompson
 from repro.regex.parser import parse_regex
+from tests.automata.machines import make_dfa, make_nfa, word_dfa
+
+
+def dfa_of(text: str, alphabet=()):
+    return determinize_bitset(thompson_bitnfa(parse_regex(text), alphabet))
 
 
 class TestDegenerateAutomata:
     def test_empty_alphabet_dfa(self):
-        dfa = DFA(
-            states=frozenset({0}),
-            alphabet=frozenset(),
-            transitions={},
-            initial_state=0,
-            accepting_states=frozenset({0}),
-        )
+        dfa = BitDFA(Alphabet(), 1, [], 0, 1)
         assert dfa.accepts([])
-        assert dfa.is_total()
-        assert minimize(dfa).accepts([])
+        assert -1 not in dfa.delta  # trivially total
+        assert minimize_bitset(dfa).accepts([])
 
     def test_single_state_rejecting_everything(self):
-        dfa = DFA(
-            states=frozenset({0}),
-            alphabet=frozenset({"a"}),
-            transitions={(0, "a"): 0},
-            initial_state=0,
-            accepting_states=frozenset(),
-        )
-        assert shortest_accepted_word(dfa) is None
-        assert len(minimize(dfa).states) == 1
+        dfa = make_dfa([(0, "a", 0)], n=1, accepting=[], alphabet="a")
+        anything = make_dfa([(0, "a", 0)], n=1, accepting=[0], alphabet="a")
+        assert bitset_intersection_counterexample(dfa, anything) is None
+        assert minimize_bitset(dfa).n == 1
 
     def test_multiple_initial_states_union_semantics(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.mark_initial(1)
-        builder.add_transition(0, "a", 2)
-        builder.add_transition(1, "b", 2)
-        builder.mark_accepting(2)
-        nfa = builder.build()
+        nfa = make_nfa([(0, "a", 2), (1, "b", 2)], initial=[0, 1], accepting=[2])
         assert nfa.accepts(["a"])
         assert nfa.accepts(["b"])
-        dfa = determinize(nfa)
+        dfa = determinize_bitset(nfa)
         assert dfa.accepts(["a"]) and dfa.accepts(["b"])
 
     def test_accepting_initial_with_epsilon_cycle(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_epsilon(0, 1)
-        builder.add_epsilon(1, 0)
-        builder.mark_accepting(1)
-        nfa = builder.build()
+        nfa = make_nfa([], initial=[0], accepting=[1], epsilon=[(0, 1), (1, 0)])
         assert nfa.accepts([])
 
 
@@ -83,37 +65,45 @@ class TestProjectionLiftAdjunction:
     )
     @settings(max_examples=50, deadline=None)
     def test_adjunction(self, behavior_text, spec_text):
-        full_alphabet = frozenset({"a", "b", "x"})
-        behavior = thompson(parse_regex(behavior_text), full_alphabet)
-        spec = determinize(thompson(parse_regex(spec_text), frozenset({"a", "b"})))
-        projected = determinize(project_nfa(behavior, {"a", "b"}))
-        left_side = included(projected, spec)
-        lifted = lift_alphabet(spec, full_alphabet)
-        right_side = included(determinize(behavior), lifted)
+        behavior = thompson_bitnfa(parse_regex(behavior_text), {"a", "b", "x"})
+        spec = dfa_of(spec_text, {"a", "b"})
+        projected = determinize_bitset(project_bitnfa(behavior, {"a", "b"}))
+        left_side = bitset_included(projected, spec)
+        right_side = (
+            bitset_difference_counterexample(
+                determinize_bitset(behavior), spec, foreign="lift"
+            )
+            is None
+        )
         assert left_side == right_side
 
     def test_projection_to_empty_alphabet(self):
-        behavior = thompson(parse_regex("x . y"), frozenset({"x", "y"}))
-        projected = determinize(project_nfa(behavior, set()))
+        behavior = thompson_bitnfa(parse_regex("x . y"), {"x", "y"})
+        projected = determinize_bitset(project_bitnfa(behavior, set()))
         assert projected.accepts([])
 
     def test_lift_of_everything_accepts_interleavings(self):
-        spec = determinize(thompson(parse_regex("a"), frozenset({"a"})))
-        lifted = lift_alphabet(spec, {"a", "x", "y"})
-        assert lifted.accepts(["x", "a", "y", "x"])
-        assert not lifted.accepts(["x", "y"])
+        spec = dfa_of("a", {"a"})
+        xyz = {"a", "x", "y"}
+
+        def lifted_accepts(word):
+            return (
+                bitset_difference_counterexample(word_dfa(word, xyz), spec, foreign="lift")
+                is None
+            )
+
+        assert lifted_accepts(["x", "a", "y", "x"])
+        assert not lifted_accepts(["x", "y"])
 
 
 class TestWithAlphabetInteractions:
     def test_with_alphabet_then_minimize(self):
-        dfa = determinize(thompson(parse_regex("a")))
-        grown = with_alphabet(dfa, {"a", "b"})
-        small = minimize(grown)
+        small = minimize_bitset(dfa_of("a", {"a", "b"}))
         assert small.accepts(["a"])
         assert not small.accepts(["b"])
 
     def test_included_reflexive_after_alphabet_growth(self):
-        dfa = determinize(thompson(parse_regex("(a . b)*")))
-        grown = with_alphabet(dfa, dfa.alphabet | {"z"})
-        assert included(dfa, grown)
-        assert included(grown, dfa)
+        dfa = dfa_of("(a . b)*")
+        grown = dfa_of("(a . b)*", {"a", "b", "z"})
+        assert bitset_included(dfa, grown)
+        assert bitset_included(grown, dfa)

@@ -1,8 +1,9 @@
 """Unit tests for the bitset automata kernel.
 
-The differential harness (test_kernel_differential.py) pins the kernel
-against the classic oracle on random inputs; these tests cover the
-kernel's own contracts — representations, budgets, memoization — directly.
+The independent oracle (test_kernel_differential.py) checks the kernel
+against reference simulators, regex matching, the spec table and
+goldens; these tests cover the kernel's own contracts —
+representations, budgets, memoization — directly.
 """
 
 import pytest
@@ -11,36 +12,16 @@ from repro.automata.kernel import (
     Alphabet,
     BitDFA,
     KernelCheck,
-    bitdfa_to_dfa,
     bitset_difference_counterexample,
     bitset_equivalent,
     bitset_included,
     bitset_intersection_counterexample,
     determinize_bitset,
-    dfa_to_bitdfa,
     minimize_bitset,
-    nfa_to_bitnfa,
     project_bitnfa,
 )
-from repro.automata.nfa import NFABuilder
 from repro.core.limits import BudgetExceeded
-
-
-def make_nfa(transitions, *, initial, accepting, alphabet=(), epsilon=()):
-    builder = NFABuilder()
-    for source, symbol, target in transitions:
-        builder.add_transition(source, symbol, target)
-    for source, target in epsilon:
-        builder.add_epsilon(source, target)
-    for state in initial:
-        builder.add_state(state)
-        builder.mark_initial(state)
-    for state in accepting:
-        builder.add_state(state)
-        builder.mark_accepting(state)
-    for symbol in alphabet:
-        builder.alphabet.add(symbol)
-    return builder.build()
+from tests.automata.machines import make_nfa, reference_accepts
 
 
 # ----------------------------------------------------------------------
@@ -60,11 +41,12 @@ def test_default_kernel_is_bitset():
     assert isinstance(dfa, BitDFA)
 
 
-def test_check_builds_no_classic_automaton(monkeypatch):
-    """Behavior, spec and claim automata are all built straight into
-    bitsets: a check constructs no classic NFA or DFA."""
-    from repro.automata.dfa import DFA
-    from repro.automata.nfa import NFA
+def test_check_builds_no_classic_automaton():
+    """The kernel is the only automata library: no second one is left to
+    build a behavior, spec or claim automaton, and checks still report
+    both kinds of violation."""
+    import importlib.util
+
     from repro.core.checker import check_source
     from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
     from repro.workloads.hierarchy import (
@@ -73,9 +55,10 @@ def test_check_builds_no_classic_automaton(monkeypatch):
         module_source,
     )
 
-    def refuse(self):
-        raise AssertionError(f"classic {type(self).__name__} built")
-
+    for name in ("nfa", "dfa", "determinize", "minimize", "operations",
+                 "product", "shortest", "thompson", "to_regex"):
+        assert importlib.util.find_spec(f"repro.automata.{name}") is None, name
+    assert importlib.util.find_spec("repro.core.oracle") is None
     shape = HierarchyShape(base_operations=6, subsystems=3, seed=11)
     sources = [
         GOOD_MODULE,
@@ -83,8 +66,6 @@ def test_check_builds_no_classic_automaton(monkeypatch):
         SECTOR_MODULE,
         module_source(shape, correct=False, claim=lifecycle_claim(shape)),
     ]
-    monkeypatch.setattr(NFA, "__post_init__", refuse)
-    monkeypatch.setattr(DFA, "__post_init__", refuse)
     reports = [check_source(source).format() for source in sources]
     assert any("INVALID SUBSYSTEM USAGE" in report for report in reports)
     assert any("FAIL TO MEET REQUIREMENT" in report for report in reports)
@@ -95,20 +76,20 @@ def test_check_builds_no_classic_automaton(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_bitnfa_accepts_matches_classic():
-    nfa = make_nfa(
-        [("s", "a", "t"), ("t", "b", "u")],
-        initial=["s"],
-        accepting=["u"],
-        epsilon=[("s", "t")],
-    )
-    bit = nfa_to_bitnfa(nfa)
+    """The bitset reading agrees with a set-based simulation of the same
+    transition list."""
+    moves = [("s", "a", "t"), ("t", "b", "u")]
+    bit = make_nfa(moves, initial=["s"], accepting=["u"], epsilon=[("s", "t")])
     for word in [(), ("a",), ("b",), ("a", "b"), ("b", "b"), ("a", "a")]:
-        assert bit.accepts(word) == nfa.accepts(word), word
+        expected = reference_accepts(
+            moves, word, initial={"s"}, accepting={"u"}, epsilon=[("s", "t")]
+        )
+        assert bit.accepts(word) == expected, word
 
 
 def test_bitnfa_rejects_foreign_symbols():
     nfa = make_nfa([("s", "a", "t")], initial=["s"], accepting=["t"])
-    assert not nfa_to_bitnfa(nfa).accepts(("z",))
+    assert not nfa.accepts(("z",))
 
 
 def test_bitdfa_validates_delta_length():
@@ -122,36 +103,36 @@ def test_bitdfa_validates_initial():
 
 
 def test_epsilon_free_conversion_shares_tables():
-    nfa = make_nfa([("s", "a", "t")], initial=["s"], accepting=["t"])
-    bit = nfa_to_bitnfa(nfa)
+    bit = make_nfa([("s", "a", "t")], initial=["s"], accepting=["t"])
     assert bit.closed_succ is bit.succ  # the fast path really ran
 
 
 def test_epsilon_closure_chains():
     # s -ε-> t -ε-> u, only u accepts: the empty word is accepted.
-    nfa = make_nfa(
+    bit = make_nfa(
         [("u", "a", "u")],
         initial=["s"],
         accepting=["u"],
         epsilon=[("s", "t"), ("t", "u")],
     )
-    bit = nfa_to_bitnfa(nfa)
     assert bit.accepts(())
     assert bit.accepts(("a",))
 
 
 def test_round_trip_through_classic_dfa():
+    """Through the model interchange JSON and the cache's flat arrays:
+    the same automaton comes back."""
+    from repro.core.model_io import dump_dfa, load_dfa
+    from repro.engine.serialize import bitdfa_from_flat, bitdfa_to_flat
+
     nfa = make_nfa(
         [("s", "a", "t"), ("s", "a", "u"), ("t", "b", "u")],
         initial=["s"],
         accepting=["u"],
     )
-    bitdfa = determinize_bitset(nfa_to_bitnfa(nfa))
-    classic = bitdfa_to_dfa(bitdfa)
-    again = dfa_to_bitdfa(classic)
-    for word in [(), ("a",), ("a", "b"), ("b",), ("a", "a")]:
-        assert classic.accepts(word) == bitdfa.accepts(word)
-        assert again.accepts(word) == bitdfa.accepts(word)
+    bitdfa = determinize_bitset(nfa)
+    assert load_dfa(dump_dfa(bitdfa)) == bitdfa
+    assert bitdfa_from_flat(bitdfa_to_flat(bitdfa)) == bitdfa
 
 
 # ----------------------------------------------------------------------
@@ -165,11 +146,11 @@ def _chain_nfa(length: int):
 
 def test_determinize_charges_state_budget():
     with pytest.raises(BudgetExceeded):
-        determinize_bitset(nfa_to_bitnfa(_chain_nfa(64)), max_states=4)
+        determinize_bitset((_chain_nfa(64)), max_states=4)
 
 
 def test_determinize_zero_cap_disables_budget():
-    bitdfa = determinize_bitset(nfa_to_bitnfa(_chain_nfa(64)), max_states=0)
+    bitdfa = determinize_bitset((_chain_nfa(64)), max_states=0)
     assert bitdfa.n == 65
 
 
@@ -178,13 +159,13 @@ def test_determinize_deadline_trips():
 
     with pytest.raises(BudgetExceeded):
         determinize_bitset(
-            nfa_to_bitnfa(_chain_nfa(4096)), max_states=0,
+            (_chain_nfa(4096)), max_states=0,
             deadline=time.monotonic() - 1.0,
         )
 
 
 def test_minimize_input_budget_trips():
-    bitdfa = determinize_bitset(nfa_to_bitnfa(_chain_nfa(32)))
+    bitdfa = determinize_bitset((_chain_nfa(32)))
     with pytest.raises(BudgetExceeded):
         minimize_bitset(bitdfa, max_states=4)
 
@@ -200,7 +181,7 @@ def test_minimize_collapses_equivalent_states():
         initial=["s"],
         accepting=["u1", "u2"],
     )
-    minimal = minimize_bitset(determinize_bitset(nfa_to_bitnfa(nfa)))
+    minimal = minimize_bitset(determinize_bitset(nfa))
     assert minimal.n == 4  # start, after-a, accept, dead
     assert minimal.accepts(("a", "b"))
     assert not minimal.accepts(("a",))
@@ -211,19 +192,16 @@ def test_minimize_collapses_equivalent_states():
 # ----------------------------------------------------------------------
 
 def _dfa_of(words, alphabet):
-    builder = NFABuilder()
-    builder.mark_initial("r")
+    moves, accepting = [], []
     for index, word in enumerate(words):
         state = "r"
         for position, symbol in enumerate(word):
             nxt = f"w{index}p{position}"
-            builder.add_transition(state, symbol, nxt)
+            moves.append((state, symbol, nxt))
             state = nxt
-        builder.add_state(state)
-        builder.mark_accepting(state)
-    for symbol in alphabet:
-        builder.alphabet.add(symbol)
-    return determinize_bitset(nfa_to_bitnfa(builder.build()))
+        accepting.append(state)
+    nfa = make_nfa(moves, initial=["r"], accepting=accepting, alphabet=alphabet)
+    return determinize_bitset(nfa)
 
 
 def test_included_and_counterexample():
@@ -292,16 +270,14 @@ def test_projection_drops_symbols_to_epsilon():
         initial=["s"],
         accepting=["u"],
     )
-    projected = project_bitnfa(nfa_to_bitnfa(nfa), frozenset({"a"}))
+    projected = project_bitnfa(nfa, frozenset({"a"}))
     assert tuple(projected.alphabet.symbols) == ("a",)
     assert projected.accepts(("a",))  # "hidden" became an epsilon move
 
 
 def test_projection_keeps_unproduced_symbols_in_alphabet():
     nfa = make_nfa([("s", "a", "t")], initial=["s"], accepting=["t"])
-    projected = project_bitnfa(
-        nfa_to_bitnfa(nfa), frozenset({"a", "never"})
-    )
+    projected = project_bitnfa(nfa, frozenset({"a", "never"}))
     assert "never" in projected.alphabet
     assert not projected.accepts(("never",))
 
@@ -316,13 +292,13 @@ def test_kernel_check_memoizes_projections():
         initial=["s"],
         accepting=["u"],
     )
-    ctx = KernelCheck(nfa_to_bitnfa(nfa))
+    ctx = KernelCheck(nfa)
     observed = frozenset({"a", "b"})
     assert ctx.projected_dfa(observed) is ctx.projected_dfa(observed)
     assert ctx.behavior_dfa() is ctx.behavior_dfa()
 
 
 def test_kernel_check_budget_flows_to_behavior_dfa():
-    ctx = KernelCheck(nfa_to_bitnfa(_chain_nfa(64)), max_states=4)
+    ctx = KernelCheck((_chain_nfa(64)), max_states=4)
     with pytest.raises(BudgetExceeded):
         ctx.behavior_dfa()

@@ -1,29 +1,46 @@
-"""Language decision procedures and the projection/lifting pair."""
+"""Language decision procedures and the projection/lift pair, on the
+kernel's fused search."""
 
 import pytest
 
-from repro.automata.determinize import determinize
-from repro.automata.operations import (
-    concat_nfa,
-    equivalence_counterexample,
-    equivalent,
-    included,
-    inclusion_counterexample,
-    is_empty,
-    lift_alphabet,
-    nfa_included,
-    project_nfa,
-    union_nfa,
-    with_alphabet,
+from repro.automata.kernel import (
+    Alphabet,
+    BitNFABuilder,
+    bitset_difference_counterexample,
+    bitset_equivalent,
+    bitset_included,
+    bitset_intersection_counterexample,
+    determinize_bitset,
+    project_bitnfa,
+    thompson_bitnfa,
 )
-from repro.automata.thompson import thompson
+from repro.regex.ast import EMPTY, union_all
 from repro.regex.parser import parse_regex
+from tests.automata.machines import word_dfa
 
 ALPHABET = frozenset({"a", "b"})
 
 
 def dfa_of(text: str, alphabet=ALPHABET):
-    return determinize(thompson(parse_regex(text), alphabet))
+    return determinize_bitset(thompson_bitnfa(parse_regex(text), alphabet))
+
+
+def is_empty(dfa) -> bool:
+    everything = dfa_of("(a + b)*", dfa.alphabet)
+    return bitset_intersection_counterexample(dfa, everything) is None
+
+
+def equivalence_counterexample(left, right):
+    """Shortest word accepted by exactly one operand, if any."""
+    found = [
+        word
+        for word in (
+            bitset_difference_counterexample(left, right),
+            bitset_difference_counterexample(right, left),
+        )
+        if word is not None
+    ]
+    return min(found, key=lambda word: (len(word), word), default=None)
 
 
 class TestDecisions:
@@ -33,24 +50,25 @@ class TestDecisions:
         assert not is_empty(dfa_of("a*"))  # contains epsilon
 
     def test_included_basic(self):
-        assert included(dfa_of("a"), dfa_of("a + b"))
-        assert not included(dfa_of("a + b"), dfa_of("a"))
+        assert bitset_included(dfa_of("a"), dfa_of("a + b"))
+        assert not bitset_included(dfa_of("a + b"), dfa_of("a"))
 
     def test_included_handles_different_alphabets(self):
-        small = determinize(thompson(parse_regex("a")))
+        small = dfa_of("a", ())
         big = dfa_of("a + b")
-        assert included(small, big)
+        assert bitset_included(small, big)
+        assert not bitset_included(big, small)  # "b" is foreign: rejected
 
     def test_equivalent(self):
-        assert equivalent(dfa_of("(a + b)*"), dfa_of("(a* . b*)*"))
-        assert not equivalent(dfa_of("a*"), dfa_of("a* . b"))
+        assert bitset_equivalent(dfa_of("(a + b)*"), dfa_of("(a* . b*)*"))
+        assert not bitset_equivalent(dfa_of("a*"), dfa_of("a* . b"))
 
     def test_inclusion_counterexample_is_shortest(self):
-        witness = inclusion_counterexample(dfa_of("a*"), dfa_of("a . a*"))
+        witness = bitset_difference_counterexample(dfa_of("a*"), dfa_of("a . a*"))
         assert witness == ()  # epsilon distinguishes
 
     def test_inclusion_counterexample_none_when_included(self):
-        assert inclusion_counterexample(dfa_of("a"), dfa_of("a*")) is None
+        assert bitset_difference_counterexample(dfa_of("a"), dfa_of("a*")) is None
 
     def test_equivalence_counterexample(self):
         witness = equivalence_counterexample(dfa_of("a"), dfa_of("a + b"))
@@ -59,66 +77,76 @@ class TestDecisions:
 
 class TestAlphabetAdjustment:
     def test_with_alphabet_rejects_new_symbols(self):
-        grown = with_alphabet(determinize(thompson(parse_regex("a"))), {"a", "b"})
+        grown = dfa_of("a", {"a", "b"})
         assert grown.accepts(["a"])
         assert not grown.accepts(["b"])
         assert not grown.accepts(["a", "b"])
 
     def test_with_alphabet_requires_superset(self):
-        with pytest.raises(ValueError):
-            with_alphabet(dfa_of("a + b"), {"a"})
+        # The alphabet an automaton is built over must hold every symbol
+        # its moves read.
+        builder = BitNFABuilder()
+        source, target = builder.add_state(), builder.add_state()
+        builder.add_transition(source, "b", target)
+        with pytest.raises(KeyError):
+            builder.build(1, 2, Alphabet({"a"}))
 
     def test_lift_alphabet_ignores_new_symbols(self):
-        lifted = lift_alphabet(determinize(thompson(parse_regex("a"))), {"a", "x"})
-        assert lifted.accepts(["a"])
-        assert lifted.accepts(["x", "a", "x"])
-        assert not lifted.accepts(["x"])
+        spec = dfa_of("a", {"a"})
 
-    def test_lift_requires_superset(self):
-        with pytest.raises(ValueError):
-            lift_alphabet(dfa_of("a + b"), {"a"})
+        def lifted_accepts(word):
+            return (
+                bitset_difference_counterexample(
+                    word_dfa(word, {"a", "x"}), spec, foreign="lift"
+                )
+                is None
+            )
+
+        assert lifted_accepts(["a"])
+        assert lifted_accepts(["x", "a", "x"])
+        assert not lifted_accepts(["x"])
 
     def test_project_then_lift_adjunction(self):
         # Projection of L onto K is included in M iff L is included in
         # lift(M).  Check one concrete instance of each direction.
-        behavior = thompson(parse_regex("x . a . x . b"), frozenset({"a", "b", "x"}))
-        projected = determinize(project_nfa(behavior, {"a", "b"}))
+        behavior = thompson_bitnfa(parse_regex("x . a . x . b"), {"a", "b", "x"})
+        projected = determinize_bitset(project_bitnfa(behavior, {"a", "b"}))
         spec_ab = dfa_of("a . b")
-        assert included(projected, spec_ab)
-        lifted = lift_alphabet(spec_ab, {"a", "b", "x"})
-        assert included(determinize(behavior), lifted)
+        assert bitset_included(projected, spec_ab)
+        assert (
+            bitset_difference_counterexample(
+                determinize_bitset(behavior), spec_ab, foreign="lift"
+            )
+            is None
+        )
 
     def test_project_drops_foreign_symbols(self):
-        nfa = thompson(parse_regex("a . x . b"), frozenset({"a", "b", "x"}))
-        projected = determinize(project_nfa(nfa, {"a", "b"}))
+        nfa = thompson_bitnfa(parse_regex("a . x . b"), {"a", "b", "x"})
+        projected = determinize_bitset(project_bitnfa(nfa, {"a", "b"}))
         assert projected.accepts(["a", "b"])
         assert not projected.accepts(["a", "x", "b"])
 
 
 class TestNfaCombinators:
+    """The kernel unions and concatenates by splicing Thompson fragments."""
+
     def test_union_nfa(self):
-        left = thompson(parse_regex("a"))
-        right = thompson(parse_regex("b . b"))
-        joined = union_nfa([left, right])
+        joined = thompson_bitnfa(union_all([parse_regex("a"), parse_regex("b . b")]))
         assert joined.accepts(["a"])
         assert joined.accepts(["b", "b"])
         assert not joined.accepts(["b"])
 
     def test_union_nfa_empty_list(self):
-        joined = union_nfa([])
-        assert not joined.accepts([])
+        assert union_all([]) is EMPTY
+        assert not thompson_bitnfa(union_all([])).accepts([])
 
     def test_concat_nfa(self):
-        left = thompson(parse_regex("a + b"))
-        right = thompson(parse_regex("b*"))
-        joined = concat_nfa(left, right)
+        joined = thompson_bitnfa(parse_regex("(a + b) . b*"))
         assert joined.accepts(["a"])
         assert joined.accepts(["a", "b", "b"])
         assert joined.accepts(["b", "b"])
         assert not joined.accepts(["b", "a"])
 
     def test_nfa_included(self):
-        assert nfa_included(thompson(parse_regex("a . b")), thompson(parse_regex("(a . b)*")))
-        assert not nfa_included(
-            thompson(parse_regex("(a . b)*")), thompson(parse_regex("a . b"))
-        )
+        assert bitset_included(dfa_of("a . b", ()), dfa_of("(a . b)*", ()))
+        assert not bitset_included(dfa_of("(a . b)*", ()), dfa_of("a . b", ()))

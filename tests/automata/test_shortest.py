@@ -1,19 +1,28 @@
-"""Shortest-word extraction (counterexample machinery)."""
+"""Shortest words (the counterexample machinery) and bounded word
+enumeration, on the kernel."""
 
-from repro.automata.determinize import determinize
-from repro.automata.shortest import (
-    iter_accepted_words,
-    shortest_accepted_word,
-    shortest_accepted_word_nfa,
+from repro.automata.kernel import (
+    Alphabet,
+    BitNFABuilder,
+    bitset_difference_counterexample,
+    determinize_bitset,
+    thompson_bitnfa,
 )
-from repro.automata.thompson import thompson
 from repro.regex.parser import parse_regex
 
 ALPHABET = frozenset({"a", "b"})
 
 
 def dfa_of(text: str):
-    return determinize(thompson(parse_regex(text), ALPHABET))
+    return determinize_bitset(thompson_bitnfa(parse_regex(text), ALPHABET))
+
+
+#: The empty language: the difference against it is the language itself.
+NOTHING = determinize_bitset(BitNFABuilder().build(0, 0, Alphabet(ALPHABET)))
+
+
+def shortest_accepted_word(dfa):
+    return bitset_difference_counterexample(dfa, NOTHING)
 
 
 class TestShortestDfa:
@@ -35,21 +44,18 @@ class TestShortestDfa:
 
 class TestShortestNfa:
     def test_matches_dfa_result(self):
-        nfa = thompson(parse_regex("a . a + b"), ALPHABET)
-        assert shortest_accepted_word_nfa(nfa) == ("b",)
+        assert shortest_accepted_word(dfa_of("a . a + b")) == ("b",)
 
     def test_empty_language(self):
-        nfa = thompson(parse_regex("{}"), ALPHABET)
-        assert shortest_accepted_word_nfa(nfa) is None
+        assert shortest_accepted_word(dfa_of("{}")) is None
 
     def test_epsilon(self):
-        nfa = thompson(parse_regex("eps"), ALPHABET)
-        assert shortest_accepted_word_nfa(nfa) == ()
+        assert shortest_accepted_word(dfa_of("eps")) == ()
 
 
 class TestIterAcceptedWords:
     def test_enumerates_in_length_lex_order(self):
-        words = list(iter_accepted_words(dfa_of("a* . b"), 3))
+        words = list(dfa_of("a* . b").accepted_words(3))
         assert words == [
             ("b",),
             ("a", "b"),
@@ -57,5 +63,4 @@ class TestIterAcceptedWords:
         ]
 
     def test_respects_bound(self):
-        words = list(iter_accepted_words(dfa_of("a*"), 2))
-        assert words == [(), ("a",), ("a", "a")]
+        assert list(dfa_of("a*").accepted_words(2)) == [(), ("a",), ("a", "a")]

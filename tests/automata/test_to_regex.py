@@ -1,60 +1,42 @@
-"""State elimination: NFA → regex (the Corollary 1 round trip)."""
+"""State elimination: kernel DFA → regex (the Corollary 1 round trip)."""
 
-from repro.automata.determinize import determinize
-from repro.automata.minimize import minimize
-from repro.automata.nfa import NFABuilder
-from repro.automata.thompson import thompson
-from repro.automata.to_regex import nfa_to_regex
+from repro.automata.kernel import (
+    bitdfa_to_regex,
+    determinize_bitset,
+    minimize_bitset,
+    thompson_bitnfa,
+)
 from repro.regex.ast import EMPTY
 from repro.regex.equivalence import equivalent
 from repro.regex.matching import matches
 from repro.regex.parser import parse_regex
+from tests.automata.machines import make_dfa, make_nfa
 
 
 class TestNfaToRegex:
     def test_simple_chain(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_transition(0, "a", 1)
-        builder.add_transition(1, "b", 2)
-        builder.mark_accepting(2)
-        regex = nfa_to_regex(builder.build())
-        assert equivalent(regex, parse_regex("a . b"))
+        dfa = make_dfa([(0, "a", 1), (1, "b", 2)], n=3, accepting=[2], alphabet="ab")
+        assert equivalent(bitdfa_to_regex(dfa), parse_regex("a . b"))
 
     def test_loop(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_transition(0, "a", 0)
-        builder.mark_accepting(0)
-        regex = nfa_to_regex(builder.build())
-        assert equivalent(regex, parse_regex("a*"))
+        dfa = make_dfa([(0, "a", 0)], n=1, accepting=[0], alphabet="a")
+        assert equivalent(bitdfa_to_regex(dfa), parse_regex("a*"))
 
     def test_empty_language(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_transition(0, "a", 1)
-        # no accepting states
-        assert nfa_to_regex(builder.build()) is EMPTY
+        dfa = make_dfa([(0, "a", 1)], n=2, accepting=[], alphabet="a")
+        assert bitdfa_to_regex(dfa) is EMPTY
 
     def test_epsilon_moves_preserved(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_epsilon(0, 1)
-        builder.add_transition(1, "a", 2)
-        builder.mark_accepting(2)
-        regex = nfa_to_regex(builder.build())
+        nfa = make_nfa([(1, "a", 2)], initial=[0], accepting=[2], epsilon=[(0, 1)])
+        regex = bitdfa_to_regex(determinize_bitset(nfa))
         assert matches(regex, ["a"])
         assert not matches(regex, [])
 
     def test_multiple_accepting_states(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_transition(0, "a", 1)
-        builder.add_transition(0, "b", 2)
-        builder.mark_accepting(1)
-        builder.mark_accepting(2)
-        regex = nfa_to_regex(builder.build())
-        assert equivalent(regex, parse_regex("a + b"))
+        dfa = make_dfa(
+            [(0, "a", 1), (0, "b", 2)], n=3, accepting=[1, 2], alphabet="ab"
+        )
+        assert equivalent(bitdfa_to_regex(dfa), parse_regex("a + b"))
 
 
 class TestRoundTrip:
@@ -69,18 +51,11 @@ class TestRoundTrip:
             "(a . c)* + (a . c)* . a . b",  # Example 3's inferred regex
         ]:
             original = parse_regex(text)
-            dfa = minimize(determinize(thompson(original)))
-            recovered = nfa_to_regex(dfa.to_nfa())
-            assert equivalent(original, recovered), text
+            dfa = minimize_bitset(determinize_bitset(thompson_bitnfa(original)))
+            assert equivalent(original, bitdfa_to_regex(dfa)), text
 
     def test_round_trip_from_handmade_nfa(self):
-        builder = NFABuilder()
-        builder.mark_initial(0)
-        builder.add_transition(0, "a", 1)
-        builder.add_transition(1, "b", 0)
-        builder.mark_accepting(1)
-        nfa = builder.build()
-        regex = nfa_to_regex(nfa)
-        back = thompson(regex)
+        nfa = make_nfa([(0, "a", 1), (1, "b", 0)], initial=[0], accepting=[1])
+        back = thompson_bitnfa(bitdfa_to_regex(determinize_bitset(nfa)))
         for word in ([], ["a"], ["a", "b"], ["a", "b", "a"], ["b"]):
             assert nfa.accepts(word) == back.accepts(word)

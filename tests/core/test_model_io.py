@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.automata.determinize import determinize
-from repro.automata.operations import equivalent
-from repro.core.oracle import classic_behavior_nfa
+from repro.automata.kernel import bitset_equivalent, determinize_bitset
+from repro.core.behavior import behavior_nfa
 from repro.core.dependency import extract_dependency_graph
 from repro.core.model_io import (
     ModelFormatError,
@@ -38,7 +37,7 @@ class TestSpecRoundTrip:
         for parsed in (valve, bad_sector):
             spec = ClassSpec.of(parsed)
             loaded = load_spec(dump_spec(spec))
-            assert equivalent(spec.dfa(), loaded.dfa())
+            assert bitset_equivalent(spec.dfa(), loaded.dfa())
 
     def test_user_value_flag_preserved(self, good_sector):
         spec = ClassSpec.of(good_sector)
@@ -66,13 +65,16 @@ class TestDependencyGraphRoundTrip:
 
 class TestDfaRoundTrip:
     def test_behavior_dfa_round_trip(self, bad_sector):
-        dfa = determinize(classic_behavior_nfa(bad_sector))
-        loaded = load_dfa(dump_dfa(dfa))
-        assert equivalent(dfa, loaded)
+        dfa = determinize_bitset(behavior_nfa(bad_sector))
+        assert load_dfa(dump_dfa(dfa)) == dfa
 
     def test_renumbering_makes_output_json_stable(self, bad_sector):
-        dfa = determinize(classic_behavior_nfa(bad_sector))
-        assert dump_dfa(dfa) == dump_dfa(dfa.renumbered())
+        # Kernel DFAs are BFS-numbered, so a dump is a fixed point.
+        text = dump_dfa(determinize_bitset(behavior_nfa(bad_sector)))
+        assert dump_dfa(load_dfa(text)) == text
+        payload = json.loads(text)
+        assert payload["states"] == list(range(len(payload["states"])))
+        assert payload["transitions"] == sorted(payload["transitions"])
 
 
 class TestErrors:
@@ -103,3 +105,52 @@ class TestErrors:
     def test_non_object_rejected(self):
         with pytest.raises(ModelFormatError):
             load_dfa("[1, 2, 3]")
+
+
+def _dfa_payload(**changes):
+    """A valid two-state DFA payload over {a, b}, with ``changes``."""
+    payload = {
+        "kind": "dfa",
+        "version": 1,
+        "alphabet": ["a", "b"],
+        "states": [0, 1],
+        "initial": 0,
+        "accepting": [1],
+        "transitions": [[0, "a", 1]],
+    }
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+class TestMalformedDfa:
+    def test_valid_payload_loads(self):
+        dfa = load_dfa(_dfa_payload())
+        assert dfa.accepts(["a"]) and not dfa.accepts(["b"])
+        assert dump_dfa(dfa) == dump_dfa(load_dfa(dump_dfa(dfa)))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"transitions": [[0, "a", 7]]},  # undeclared target
+            {"transitions": [[5, "a", 1]]},  # undeclared source
+            {"transitions": [[0, "z", 1]]},  # symbol outside the alphabet
+            {"transitions": [[0, "a", 1], [0, "a", 0]]},  # two targets
+            {"initial": 2},
+            {"accepting": [1, 3]},
+            {"states": [0, 2]},  # not 0..n-1
+            {"transitions": [[0, "a"]]},
+        ],
+        ids=[
+            "undeclared-target",
+            "undeclared-source",
+            "foreign-symbol",
+            "two-targets",
+            "initial-out-of-range",
+            "accepting-out-of-range",
+            "states-not-dense",
+            "short-transition",
+        ],
+    )
+    def test_malformed_payload_refused(self, changes):
+        with pytest.raises(ModelFormatError):
+            load_dfa(_dfa_payload(**changes))

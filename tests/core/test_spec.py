@@ -27,7 +27,7 @@ class TestQueries:
 
 class TestValveAutomaton:
     def accepted(self, spec, word):
-        return spec.nfa().accepts(word)
+        return spec.bitnfa().accepts(word)
 
     def test_empty_lifecycle_is_valid(self, valve):
         assert self.accepted(ClassSpec.of(valve), [])
@@ -52,17 +52,18 @@ class TestValveAutomaton:
 
     def test_prefix_applies_to_events(self, valve):
         spec = ClassSpec.of(valve)
-        prefixed = spec.nfa(prefix="a.")
+        prefixed = spec.bitnfa(prefix="a.")
         assert prefixed.accepts(["a.test", "a.clean"])
         assert not prefixed.accepts(["test", "clean"])
 
     def test_alphabet_has_all_operations(self, valve):
         spec = ClassSpec.of(valve)
-        assert spec.nfa().alphabet == {"test", "open", "close", "clean"}
+        assert set(spec.bitnfa().alphabet) == {"test", "open", "close", "clean"}
 
     def test_dfa_agrees_with_nfa(self, valve):
         spec = ClassSpec.of(valve)
-        nfa, dfa = spec.nfa(), spec.dfa()
+        nfa, dfa = spec.bitnfa(), spec.dfa()
+        assert dfa.alphabet == nfa.alphabet
         for word in (
             [],
             ["test"],
@@ -105,16 +106,16 @@ class TestBadSectorAutomaton:
         # open_a is initial_final: a user may legally stop after it —
         # exactly the hole the usage check reports against Valve 'a'.
         spec = ClassSpec.of(bad_sector)
-        assert spec.nfa().accepts(["open_a"])
+        assert spec.bitnfa().accepts(["open_a"])
 
     def test_open_a_then_open_b(self, bad_sector):
         spec = ClassSpec.of(bad_sector)
-        assert spec.nfa().accepts(["open_a", "open_b"])
+        assert spec.bitnfa().accepts(["open_a", "open_b"])
 
     def test_open_b_not_initial(self, bad_sector):
         spec = ClassSpec.of(bad_sector)
-        assert not spec.nfa().accepts(["open_b"])
+        assert not spec.bitnfa().accepts(["open_b"])
 
     def test_nothing_after_empty_exit(self, bad_sector):
         spec = ClassSpec.of(bad_sector)
-        assert not spec.nfa().accepts(["open_a", "open_b", "open_a"])
+        assert not spec.bitnfa().accepts(["open_a", "open_b", "open_a"])

@@ -10,15 +10,10 @@ import json
 
 import pytest
 
-from repro.automata.determinize import determinize
-from repro.automata.kernel import (
-    bitdfa_to_dfa,
-    bitset_equivalent,
-    determinize_bitset,
-    dfa_to_bitdfa,
-)
+from repro.automata.kernel import bitset_equivalent, determinize_bitset
 from repro.core.behavior import behavior_nfa
-from repro.core.oracle import check_source_classic, classic_behavior_nfa
+from repro.core.checker import check_source
+from repro.core.model_io import dump_dfa, load_dfa
 from repro.engine import BatchVerifier, InferenceCache, cached_behavior_dfa
 from repro.engine.fingerprint import class_key
 from repro.engine.serialize import (
@@ -119,14 +114,12 @@ class TestCachePayloads:
     def test_kernels_cache_language_equal_dfas(self, tmp_path):
         _, cache, classes = self._run(tmp_path)
         cached = cached_behavior_dfa(cache, classes["Controller0"], classes)
-        classic = determinize(classic_behavior_nfa(classes["Controller0"]))
-        assert cached is not None
-        assert bitset_equivalent(dfa_to_bitdfa(cached), dfa_to_bitdfa(classic))
+        fresh = determinize_bitset(behavior_nfa(classes["Controller0"]))
+        assert cached == fresh
 
     def test_verdicts_identical_across_kernels(self, tmp_path):
         batch, _, _ = self._run(tmp_path)
-        classic = check_source_classic(self.SOURCE)
-        assert batch.merged().format() == classic.format()
+        assert batch.merged().format() == check_source(self.SOURCE).format()
 
 
 def test_worker_outcome_round_trips_through_processes():
@@ -139,9 +132,9 @@ def test_worker_outcome_round_trips_through_processes():
     assert batch.ok
 
 
-def test_bitdfa_to_dfa_view_matches_flat_round_trip():
+def test_model_json_and_flat_round_trips_agree():
+    """The model interchange JSON and the cache's flat arrays carry the
+    same automaton."""
     for bitdfa in _behavior_bitdfas(SECTION_2_MODULE):
         via_flat = bitdfa_from_flat(bitdfa_to_flat(bitdfa))
-        classic_view = bitdfa_to_dfa(bitdfa)
-        for word in [(), ("step",)]:
-            assert classic_view.accepts(word) == via_flat.accepts(word)
+        assert load_dfa(dump_dfa(bitdfa)) == via_flat

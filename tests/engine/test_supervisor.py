@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.automata.kernel import KernelCheck
 from repro.core.checker import Checker, check_parsed_class
 from repro.core.limits import BudgetExceeded, Limits
-from repro.core.oracle import ClassicCheck
 from repro.engine import (
     BatchVerifier,
     EngineAborted,
@@ -103,14 +101,11 @@ class TestClaimTranslationBudget:
         return [parsed for parsed in module.classes if parsed.claims]
 
     @staticmethod
-    def _verdicts(parsed, specs, limits):
-        """The kernel's and the oracle's ``BudgetExceeded`` trips."""
-        trips = []
-        for automata in (KernelCheck, ClassicCheck):
-            with pytest.raises(BudgetExceeded) as trip:
-                check_parsed_class(parsed, specs, limits=limits, automata=automata)
-            trips.append((trip.value.resource, str(trip.value)))
-        return trips
+    def _trip(parsed, specs, limits):
+        """The serial checker's ``BudgetExceeded`` trip."""
+        with pytest.raises(BudgetExceeded) as trip:
+            check_parsed_class(parsed, specs, limits=limits)
+        return trip.value.resource, str(trip.value)
 
     def test_overflow_is_one_attempt_engine_budget(
         self, monkeypatch, no_ambient_faults
@@ -129,10 +124,9 @@ class TestClaimTranslationBudget:
             assert "ENGINE BUDGET" in report
             assert "after 1 attempt:" in report
             assert "ENGINE CRASH" not in report
-            kernel, classic = self._verdicts(parsed, specs, Limits())
-            assert kernel == classic
-            assert kernel[0] == "states"
-            assert kernel[1] in report
+            resource, message = self._trip(parsed, specs, Limits())
+            assert resource == "states"
+            assert message in report
 
     def test_tiny_timeout_is_engine_timeout(self, no_ambient_faults):
         module, violations = _parse(SECTION_2_MODULE)
@@ -144,9 +138,8 @@ class TestClaimTranslationBudget:
         assert "ENGINE CRASH" not in batch.merged().format()
         specs = Checker(module, violations).specs
         for parsed in self._claimed(module):
-            kernel, classic = self._verdicts(parsed, specs, Limits(timeout=1e-9))
-            assert kernel == classic
-            assert kernel[0] == "wall-clock"
+            resource, _message = self._trip(parsed, specs, Limits(timeout=1e-9))
+            assert resource == "wall-clock"
 
 
 class TestRetries:

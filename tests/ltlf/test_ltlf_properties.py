@@ -20,7 +20,7 @@ from repro.ltlf.ast import (
 )
 from repro.ltlf.progression import satisfies_by_progression
 from repro.ltlf.semantics import evaluate
-from repro.ltlf.translate import formula_to_dfa
+from repro.ltlf.translate import formula_to_bitdfa
 
 ALPHABET = ["a", "b"]
 
@@ -58,7 +58,7 @@ def test_progression_agrees_with_evaluation(formula, trace):
 @given(formulas(), traces())
 @settings(max_examples=150, deadline=None)
 def test_dfa_agrees_with_evaluation(formula, trace):
-    dfa = formula_to_dfa(formula, ALPHABET, max_states=20_000)
+    dfa = formula_to_bitdfa(formula, ALPHABET, max_states=20_000)
     assert dfa.accepts(trace) == evaluate(formula, trace)
 
 

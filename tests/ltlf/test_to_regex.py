@@ -82,25 +82,26 @@ class TestViolationRegex:
 class TestClaimCheckingViaRegexes:
     def test_bad_sector_claim_as_pure_regex_inclusion(self, bad_sector):
         """The §5 programme end to end: program behavior and claim both
-        as regexes; the claim fails iff behavior ∩ violations ≠ ∅."""
-        from repro.automata.determinize import determinize
-        from repro.automata.operations import project_nfa, with_alphabet
-        from repro.automata.product import intersection
-        from repro.automata.shortest import shortest_accepted_word
-        from repro.automata.thompson import thompson
-        from repro.core.oracle import classic_behavior_nfa
+        as regexes; the claim fails iff behavior ∩ violations ≠ ∅.  The
+        witness is confirmed by regex matching and by the trace
+        semantics, not by the progression DFA the checker uses."""
+        from repro.automata.kernel import (
+            bitset_intersection_counterexample,
+            determinize_bitset,
+            project_bitnfa,
+            thompson_bitnfa,
+        )
+        from repro.core.behavior import behavior_nfa
 
-        behavior = classic_behavior_nfa(bad_sector)
+        behavior = behavior_nfa(bad_sector)
         observed = sorted(l for l in behavior.alphabet if "." in l)
-        projected = determinize(project_nfa(behavior, observed))
+        projected = determinize_bitset(project_bitnfa(behavior, observed))
 
         formula = parse_claim("(!a.open) W b.open")
         violating = violation_regex(formula, observed)
-        violating_dfa = determinize(thompson(violating, frozenset(observed)))
+        violating_dfa = determinize_bitset(thompson_bitnfa(violating, observed))
 
-        joint = projected.alphabet | violating_dfa.alphabet
-        bad = intersection(
-            with_alphabet(projected, joint), with_alphabet(violating_dfa, joint)
-        )
-        witness = shortest_accepted_word(bad)
+        witness = bitset_intersection_counterexample(projected, violating_dfa)
         assert witness == ("a.test", "a.open")
+        assert matches(violating, witness)
+        assert not evaluate(formula, witness)

@@ -20,8 +20,7 @@ from repro.ltlf.semantics import evaluate
 from repro.ltlf.translate import (
     TranslationOverflowError,
     formula_to_bitdfa,
-    formula_to_dfa,
-    negation_to_dfa,
+    negation_to_bitdfa,
 )
 
 A = atom("a")
@@ -52,37 +51,37 @@ class TestFormulaToDfa:
         ],
     )
     def test_dfa_agrees_with_semantics(self, formula):
-        dfa = formula_to_dfa(formula, ALPHABET)
+        dfa = formula_to_bitdfa(formula, ALPHABET)
         for trace in all_traces(4):
             assert dfa.accepts(trace) == evaluate(formula, trace), trace
 
     def test_alphabet_must_cover_atoms(self):
         with pytest.raises(ValueError):
-            formula_to_dfa(Until(A, B), alphabet=["a"])
+            formula_to_bitdfa(Until(A, B), alphabet=["a"])
 
     def test_default_alphabet_is_atoms(self):
-        dfa = formula_to_dfa(Until(A, B))
-        assert dfa.alphabet == {"a", "b"}
+        dfa = formula_to_bitdfa(Until(A, B))
+        assert dfa.alphabet.symbols == ("a", "b")
 
     def test_foreign_events_break_atoms(self):
-        dfa = formula_to_dfa(Globally(A), ALPHABET)
+        dfa = formula_to_bitdfa(Globally(A), ALPHABET)
         assert dfa.accepts(["a", "a"])
         assert not dfa.accepts(["a", "c"])
 
     def test_dfa_is_total(self):
-        dfa = formula_to_dfa(parse_claim("(!a) W b"), ALPHABET)
-        assert dfa.is_total()
+        dfa = formula_to_bitdfa(parse_claim("(!a) W b"), ALPHABET)
+        assert -1 not in dfa.delta
 
     def test_state_count_is_small_for_paper_claim(self):
-        dfa = formula_to_dfa(parse_claim("(!a) W b"), ALPHABET)
-        assert len(dfa.states) <= 4
+        dfa = formula_to_bitdfa(parse_claim("(!a) W b"), ALPHABET)
+        assert dfa.n <= 4
 
     def test_overflow_guard(self):
         formula = conj(
             [Eventually(atom(name)) for name in ("a", "b", "c")]
         )
         with pytest.raises(TranslationOverflowError):
-            formula_to_dfa(formula, ALPHABET, max_states=2)
+            formula_to_bitdfa(formula, ALPHABET, max_states=2)
 
     def test_overflow_is_a_state_budget_trip(self):
         from repro.core.limits import BudgetExceeded
@@ -104,24 +103,21 @@ class TestFormulaToDfa:
         assert trip.value.resource == "wall-clock"
 
     def test_classic_view_is_the_bfs_numbered_kernel_dfa(self):
-        formula = parse_claim("G (a -> X b)")
-        bit = formula_to_bitdfa(formula, ALPHABET)
-        dfa = formula_to_dfa(formula, ALPHABET)
-        assert dfa.initial_state == bit.initial == 0
-        assert len(dfa.states) == bit.n
-        for trace in all_traces(3):
-            assert dfa.accepts(trace) == bit.accepts(trace)
+        from tests.automata.machines import is_bfs_numbered
+
+        assert is_bfs_numbered(formula_to_bitdfa(parse_claim("G (a -> X b)"), ALPHABET))
 
 
 class TestNegationToDfa:
     def test_violation_language(self):
         formula = parse_claim("(!a) W b")
-        violations = negation_to_dfa(formula, ALPHABET)
+        violations = negation_to_bitdfa(formula, ALPHABET)
         for trace in all_traces(4):
             assert violations.accepts(trace) == (not evaluate(formula, trace))
 
     def test_shortest_violation_of_paper_claim(self):
-        from repro.automata.shortest import shortest_accepted_word
+        from repro.automata.kernel import BitDFA, bitset_difference_counterexample
 
-        violations = negation_to_dfa(parse_claim("(!a.open) W b.open"), ["a.open", "b.open"])
-        assert shortest_accepted_word(violations) == ("a.open",)
+        violations = negation_to_bitdfa(parse_claim("(!a.open) W b.open"), ["a.open", "b.open"])
+        nothing = BitDFA(violations.alphabet, 1, [0, 0], 0, 0)
+        assert bitset_difference_counterexample(violations, nothing) == ("a.open",)

@@ -1,6 +1,6 @@
 """The mined-vs-static differential engine."""
 
-from repro.automata.dfa import DFA
+from repro.automata.kernel import Alphabet, BitDFA
 from repro.core.spec import ClassSpec
 from repro.frontend.parse import parse_module
 from repro.mine.diff import diff_mined
@@ -27,13 +27,12 @@ def pump_spec() -> ClassSpec:
 
 
 def model_of(transitions, accepting, states) -> MinedModel:
-    dfa = DFA(
-        states=frozenset(range(states)),
-        alphabet=frozenset({"start", "stop"}),
-        transitions=transitions,
-        initial_state=0,
-        accepting_states=frozenset(accepting),
-    )
+    alphabet = Alphabet({"start", "stop"})
+    delta = [-1] * (states * len(alphabet))
+    for (source, symbol), target in transitions.items():
+        delta[source * len(alphabet) + alphabet.id_of(symbol)] = target
+    accepting_mask = sum(1 << state for state in accepting)
+    dfa = BitDFA(alphabet, states, delta, 0, accepting_mask)
     return MinedModel(class_name="Pump", dfa=dfa, stats=MineStats())
 
 

@@ -2,11 +2,11 @@
 
 from itertools import islice
 
-from repro.automata.shortest import iter_accepted_words
 from repro.core.spec import ClassSpec
 from repro.frontend.parse import parse_module
 from repro.mine.api import load_implementations
 from repro.mine.collect import CollectConfig, collect_corpus
+from repro.mine.corpus import TraceCorpus, TraceSample
 from repro.mine.learn import mine_corpus
 from repro.mine.pta import PrefixTreeAcceptor
 from repro.workloads.hierarchy import HierarchyShape, module_source
@@ -34,9 +34,9 @@ class TestLearner:
         spec_dfa = spec.dfa()
         # Same language: every mined word is spec-accepted and every
         # spec word is mined-accepted, up to a bounding length.
-        for word in islice(iter_accepted_words(model.dfa, 7), 300):
+        for word in islice(model.dfa.accepted_words(7), 300):
             assert spec_dfa.accepts(word), word
-        for word in islice(iter_accepted_words(spec_dfa, 7), 300):
+        for word in islice(spec_dfa.accepted_words(7), 300):
             assert model.accepts(word), word
 
     def test_accepts_every_positive_corpus_word(self):
@@ -69,7 +69,7 @@ class TestLearner:
         model = mine_corpus(corpus)
         stats = model.stats
         assert stats.pta_states == len(PrefixTreeAcceptor.from_corpus(corpus))
-        assert stats.mined_states == len(model.dfa.states)
+        assert stats.mined_states == model.dfa.n
         assert stats.mined_states <= stats.pta_states
         assert stats.merges_tested >= stats.merges_accepted
         # Mined states = promoted reds (+ root).
@@ -94,3 +94,12 @@ class TestLearner:
             (dict(node.children), node.allowed, node.final)
             for node in pta.nodes
         ]
+
+    def test_word_outside_the_corpus_alphabet_is_kept(self):
+        """A replayed corpus may read an event its alphabet omits; the
+        mined DFA still accepts the observed lifecycle."""
+        corpus = TraceCorpus(class_name="Pump", alphabet=("start",))
+        corpus.add(TraceSample(word=("start", "stop"), completed=True))
+        model = mine_corpus(corpus)
+        assert model.accepts(("start", "stop"))
+        assert "stop" in model.dfa.alphabet

@@ -20,10 +20,10 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.shortest import iter_accepted_words
 from repro.mine.api import mine_source
 from repro.mine.collect import CollectConfig
 from repro.workloads.hierarchy import HierarchyShape, module_source
+from tests.automata.machines import spec_table_accepts
 
 shapes = st.builds(
     HierarchyShape,
@@ -56,16 +56,16 @@ def test_round_trip_recovers_specification(shape, collect_seed):
             diff.unsound_witness,
         )
         # Soundness again, via direct word enumeration: no mined word
-        # up to length 6 may be spec-rejected.  Cross-validates the
-        # kernel path with the classic DFA path.
+        # up to length 6 may be rejected by the runtime monitor's spec
+        # table.  Cross-validates the kernel inclusion search with an
+        # independent reading of the specification.
         from repro.core.spec import ClassSpec
         from repro.frontend.parse import parse_module
 
         module, _violations = parse_module(source)
         spec = ClassSpec.of(module.get_class(result.class_name))
-        spec_dfa = spec.dfa()
-        for word in islice(iter_accepted_words(result.model.dfa, 6), 200):
-            assert spec_dfa.accepts(word), (result.class_name, word)
+        for word in islice(result.model.dfa.accepted_words(6), 200):
+            assert spec_table_accepts(spec, word), (result.class_name, word)
         # Generated workloads are single-exit: the covering suite is
         # fully feasible, so coverage must be total...
         assert result.coverage == 1.0

@@ -1,8 +1,6 @@
 """NuSMV emission: structure, determinism, and the ω-lifting encoding."""
 
-from repro.automata.determinize import determinize
-from repro.automata.kernel import bitdfa_to_dfa, determinize_bitset
-from repro.automata.thompson import thompson
+from repro.automata.kernel import determinize_bitset, thompson_bitnfa
 from repro.core.behavior import behavior_nfa
 from repro.ltlf.parser import parse_claim
 from repro.nusmv.emit import emit_dfa, emit_model, formula_to_nusmv
@@ -11,7 +9,7 @@ from repro.regex.parser import parse_regex
 
 
 def simple_dfa():
-    return determinize(thompson(parse_regex("a . b"), frozenset({"a", "b"}))).renumbered()
+    return determinize_bitset(thompson_bitnfa(parse_regex("a . b"), {"a", "b"}))
 
 
 class TestEmitDfa:
@@ -57,7 +55,7 @@ class TestEmitDfa:
         assert emit_dfa(simple_dfa()) == emit_dfa(simple_dfa())
 
     def test_golden_structure_for_bad_sector(self, bad_sector):
-        dfa = bitdfa_to_dfa(determinize_bitset(behavior_nfa(bad_sector)))
+        dfa = determinize_bitset(behavior_nfa(bad_sector))
         text = emit_dfa(dfa)
         # Every event of the behavior automaton appears, mangled.
         for event in ("open_a", "open_b", "a_test", "b_close"):

@@ -2,12 +2,11 @@
 
 A composite's subsystem traces use the ``field.method`` vocabulary of
 the static models (§3's usage words), so a recorder scoped to a field
-must produce events replayable against ``spec.nfa(prefix="field.")``.
+must produce events replayable against ``spec.dfa(prefix="field.")``.
 """
 
 import pytest
 
-from repro.automata.determinize import determinize
 from repro.core.spec import ClassSpec
 from repro.frontend.parse import parse_module
 from repro.runtime.monitor import finalize, monitored, set_recorder
@@ -93,7 +92,7 @@ class TestPrefixedReplay:
             set_recorder(wrapped, None)
         trace = recorder.as_trace()
         assert trace == ("s0.start", "s0.stop")
-        prefixed_dfa = determinize(spec.nfa(prefix="s0."))
+        prefixed_dfa = spec.dfa(prefix="s0.")
         assert prefixed_dfa.accepts(trace)
         assert not prefixed_dfa.accepts(("s0.start",))
 
@@ -102,8 +101,8 @@ class TestPrefixedReplay:
         wrapped = monitored(cls, spec=spec)
         recorder = TraceRecorder()
         prefixed = {
-            "a": determinize(spec.nfa(prefix="a.")),
-            "b": determinize(spec.nfa(prefix="b.")),
+            "a": spec.dfa(prefix="a."),
+            "b": spec.dfa(prefix="b."),
         }
         try:
             for field_name in ("a", "b"):

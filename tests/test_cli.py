@@ -53,6 +53,28 @@ class TestCheck:
         assert "no such file" in stderr
 
 
+class TestBudgetTrip:
+    """A command that builds a class's automaton outside the batch engine
+    reports a state-budget trip as one ``error:`` line and exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "{file}", "BadSector", "--what", "dfa"],
+            ["nusmv", "{file}", "BadSector"],
+            ["report", "{file}"],
+            ["explain", "{file}"],
+        ],
+        ids=["export-dfa", "nusmv", "report", "explain"],
+    )
+    def test_budget_trip_is_an_error_line(self, argv, section2, monkeypatch, capsys):
+        monkeypatch.setattr("repro.core.limits.DEFAULT_MAX_STATES", 2)
+        assert main([part.format(file=section2) for part in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: state budget exceeded")
+        assert err.count("\n") == 1
+
+
 class TestCheckBatch:
     def test_jobs_flag_keeps_output_identical(self, section2, capsys):
         assert main(["check", section2]) == 1

@@ -78,10 +78,8 @@ class TestSpecAcceptedTracesRunClean:
         # Enumerate accepted traces up to length 6 and replay each —
         # skipping the ones the *implementation's data flow* cannot take
         # (the monitor narrows by actual return values).
-        from repro.automata.shortest import iter_accepted_words
-
         replayed = 0
-        for trace in iter_accepted_words(dfa, 6):
+        for trace in dfa.accepted_words(6):
             try:
                 self.drive(cls, trace)
                 replayed += 1
@@ -209,12 +207,13 @@ class TestEveryStaticCounterexampleTripsMonitor:
         move on ``word[i]``; ``("incomplete", len(word))`` when the walk
         completes in a non-accepting state; ``None`` when accepted."""
         dfa = spec.dfa()
-        state = dfa.initial_state
+        state = dfa.initial
         for index, symbol in enumerate(word):
-            state = dfa.successor(state, symbol)
-            if state is None:
+            symbol_id = dfa.alphabet.get(symbol)
+            state = -1 if symbol_id < 0 else dfa.successor(state, symbol_id)
+            if state < 0:
                 return ("order", index)
-        if state not in dfa.accepting_states:
+        if not dfa.accepting >> state & 1:
             return ("incomplete", len(word))
         return None
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.automata.determinize import determinize
 from repro.core.spec import ClassSpec
 from repro.frontend.parse import parse_module
 from repro.testing.conformance import Outcome, check_conformance, generate_suite
@@ -12,31 +11,39 @@ from repro.testing.paths import (
     state_cover,
     transition_cover,
 )
+from tests.automata.machines import spec_table_accepts
 
 
 @pytest.fixture
 def valve_dfa(valve):
-    return determinize(ClassSpec.of(valve).nfa())
+    return ClassSpec.of(valve).dfa()
+
+
+def walk(dfa, word, state=None):
+    """The state ``word`` leads to from ``state`` (default: initial)."""
+    state = dfa.initial if state is None else state
+    for symbol in word:
+        state = dfa.successor(state, dfa.alphabet.id_of(symbol))
+    return state
 
 
 class TestPaths:
     def test_prefixes_reach_all_states(self, valve_dfa):
         prefixes = shortest_prefixes(valve_dfa)
-        assert set(prefixes) == valve_dfa.reachable_states()
+        assert set(prefixes) == set(range(valve_dfa.n))  # all reachable
         for state, word in prefixes.items():
-            assert valve_dfa.run(word)[-1] == state
+            assert walk(valve_dfa, word) == state
 
     def test_suffixes_complete_to_acceptance(self, valve_dfa):
         suffixes = shortest_suffixes(valve_dfa)
         for state, word in suffixes.items():
-            current = state
-            for symbol in word:
-                current = valve_dfa.successor(current, symbol)
-            assert current in valve_dfa.accepting_states
+            assert valve_dfa.accepting >> walk(valve_dfa, word, state) & 1
 
-    def test_transition_cover_words_accepted(self, valve_dfa):
+    def test_transition_cover_words_accepted(self, valve, valve_dfa):
+        spec = ClassSpec.of(valve)
         for word in transition_cover(valve_dfa):
             assert valve_dfa.accepts(word)
+            assert spec_table_accepts(spec, word)
 
     def test_transition_cover_covers_every_live_transition(self, valve_dfa):
         suite = transition_cover(valve_dfa)
@@ -44,15 +51,15 @@ class TestPaths:
         suffixes = shortest_suffixes(valve_dfa)
         live = {
             (source, symbol)
-            for (source, symbol), target in valve_dfa.transitions.items()
+            for source, symbol, target in valve_dfa.moves()
             if source in prefixes and target in suffixes
         }
         covered = set()
         for word in suite:
-            state = valve_dfa.initial_state
+            state = valve_dfa.initial
             for symbol in word:
                 covered.add((state, symbol))
-                state = valve_dfa.successor(state, symbol)
+                state = walk(valve_dfa, [symbol], state)
         assert live <= covered
 
     def test_empty_lifecycle_included(self, valve_dfa):

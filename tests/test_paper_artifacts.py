@@ -77,7 +77,7 @@ class TestTable1:
 class TestFigure1:
     def test_valve_spec_language(self, valve):
         """Figure 1's diagram, read as the language it denotes."""
-        nfa = ClassSpec.of(valve).nfa()
+        nfa = ClassSpec.of(valve).bitnfa()
         assert nfa.accepts(["test", "open", "close"])
         assert nfa.accepts(["test", "clean", "test", "open", "close"])
         assert not nfa.accepts(["test", "open"])

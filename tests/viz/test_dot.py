@@ -2,7 +2,7 @@
 
 from repro.core.dependency import extract_dependency_graph
 from repro.core.spec import ClassSpec
-from repro.viz.dot import dependency_diagram, dfa_dot, nfa_dot, spec_diagram
+from repro.viz.dot import dependency_diagram, dfa_dot, spec_diagram
 
 
 class TestFigure1Valve:
@@ -71,27 +71,19 @@ class TestFigure3Dependency:
 
 
 class TestGenericAutomata:
-    def test_nfa_dot_epsilon_dashed(self, bad_sector):
-        from repro.core.oracle import classic_behavior_nfa
-
-        dot = nfa_dot(classic_behavior_nfa(bad_sector), "behavior")
-        assert "style=dashed" in dot
-        assert 'label="ε"' in dot
-
     def test_dfa_dot(self, valve):
-        dot = dfa_dot(ClassSpec.of(valve).dfa().renumbered(), "valve")
+        spec = ClassSpec.of(valve)
+        dot = dfa_dot(spec.dfa(), "valve")
         assert dot.startswith('digraph "valve" {')
-        assert "__start__ ->" in dot
+        assert '__start__ -> "0";' in dot
+        # Every operation labels some edge, and nothing else does.
+        edges = [line for line in dot.splitlines() if " -> " in line and "label=" in line]
+        labels = {line.split("label=")[1] for line in edges}
+        assert labels == {f'"{name}"];' for name in spec.operation_names()}
 
     def test_quoting_of_labels(self):
-        from repro.automata.dfa import DFA
+        from repro.automata.kernel import Alphabet, BitDFA
 
-        dfa = DFA(
-            states=frozenset({'say "hi"'}),
-            alphabet=frozenset({"a"}),
-            transitions={(('say "hi"'), "a"): 'say "hi"'},
-            initial_state='say "hi"',
-            accepting_states=frozenset(),
-        )
+        dfa = BitDFA(Alphabet(['say "hi"']), 1, [0], 0, 0)
         dot = dfa_dot(dfa)
         assert '\\"hi\\"' in dot
