@@ -52,7 +52,6 @@ from repro.engine.engine import (
     EngineAborted,
     EngineError,
     VerificationPlan,
-    cached_behavior_dfa,
     open_cache,
     verify_path,
 )
@@ -149,7 +148,6 @@ __all__ = [
     "run_shard",
     "shard_result_from_dict",
     "shard_result_to_dict",
-    "cached_behavior_dfa",
     "lock_for",
     "merge_states",
     "class_fingerprint",

@@ -922,30 +922,6 @@ def cache_counters(cache: InferenceCache | None) -> dict[str, int]:
     }
 
 
-def cached_behavior_dfa(
-    cache: InferenceCache,
-    parsed: ParsedClass,
-    classes_in_scope: Mapping[str, ParsedClass],
-):
-    """The behavior DFA stored with a cached verdict, if any.
-
-    Only composite classes that passed the structural gate carry one
-    (base-class checks never determinize).  Returns ``None`` on a cache
-    miss, when no DFA was recorded, or when the flat payload does not
-    decode; the DFA comes back as a
-    :class:`~repro.automata.kernel.BitDFA`.
-    """
-    from repro.engine.serialize import FlatFormatError, bitdfa_from_flat
-
-    payload = cache.get("class", class_key(parsed, classes_in_scope))
-    if payload is None or payload.get("dfa_flat") is None:
-        return None
-    try:
-        return bitdfa_from_flat(payload["dfa_flat"])
-    except FlatFormatError:
-        return None
-
-
 def verify_path(path: str | Path, **engine: Any) -> BatchResult:
     """Parse a file or project directory and run the batch engine;
     takes every :class:`BatchVerifier` keyword (``jobs``, ``cache``, ...)."""

@@ -20,6 +20,7 @@ method fingerprints, where only the IR term determines the answer.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Mapping
 
 from repro.frontend.model_ast import OperationDef, ParsedClass
@@ -28,6 +29,13 @@ from repro.lang.ast import Call, If, Loop, Program, Return, Seq, Skip
 #: Bump when the rendering (or anything the cached payloads depend on)
 #: changes shape; stale cache entries then miss instead of lying.
 FINGERPRINT_VERSION = 1
+
+#: Classes whose two digests stay memoized.  Both renderings read only
+#: fields of the frozen class, so equal classes share their digests; the
+#: parse memo hands back the same objects for every unchanged file, so
+#: an incremental re-run in the same process renders only what the edit
+#: changed.  Each entry keeps its class alive, hence the small bound.
+DIGEST_MEMO_SIZE = 256
 
 
 def _digest(text: str) -> str:
@@ -125,6 +133,7 @@ def spec_text(parsed: ParsedClass) -> str:
     return f"(spec {parsed.name} {operations})"
 
 
+@lru_cache(maxsize=DIGEST_MEMO_SIZE)
 def spec_fingerprint(parsed: ParsedClass) -> str:
     return _digest(f"v{FINGERPRINT_VERSION};{spec_text(parsed)}")
 
@@ -147,6 +156,7 @@ def class_text(parsed: ParsedClass) -> str:
     )
 
 
+@lru_cache(maxsize=DIGEST_MEMO_SIZE)
 def class_fingerprint(parsed: ParsedClass) -> str:
     """Digest of one class's full syntactic content, *dependencies
     excluded* — the "own syntax" half of :func:`class_key`.

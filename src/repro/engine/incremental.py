@@ -426,7 +426,7 @@ def verify_incremental(
     )
     save: SaveReport | None = None
     if write_state:
-        save = save_state(state_file, snapshot, tracer=tracer)
+        save = save_state(state_file, snapshot, loaded=previous, tracer=tracer)
 
     metrics = replace(
         batch.metrics,

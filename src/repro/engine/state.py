@@ -20,7 +20,8 @@ recomputation, never wrong output.
 **Crash-safe, multi-process writes** (docs/robustness.md).  The file is
 single-writer across processes: :func:`save_state` takes an advisory
 file lock (``state.json.lock``, :mod:`repro.engine.locking`), re-reads
-the file on disk, **merges** a concurrent writer's verdicts into the
+the file on disk (decoding it again only when its bytes differ from the
+ones this run loaded), **merges** a concurrent writer's verdicts into the
 fresh snapshot (a verified entry with identical digests is never
 clobbered by our "unverified"), bumps the envelope's ``generation``
 counter, and publishes with a fsynced atomic rename.  Every failure —
@@ -115,6 +116,10 @@ class ProjectState:
     #: stores the on-disk generation + 1, so concurrent writers are
     #: observable and "did someone write since I loaded?" is a compare.
     generation: int = 0
+    #: The file bytes :func:`load_state` decoded this state from; a save
+    #: whose re-read finds the same bytes merges against this state
+    #: instead of decoding the file again.
+    raw: bytes | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -178,16 +183,19 @@ def load_state(path: str | Path) -> tuple[ProjectState | None, str | None]:
     version mismatch, malformed structure — comes back as a reason
     string so callers can report *why* the run went cold.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         return None, "no state file (first run?)"
     except OSError as error:
         return None, f"unreadable state file: {error}"
+    return _decode_state(raw)
+
+
+def _decode_state(raw: bytes) -> tuple[ProjectState | None, str | None]:
     try:
-        envelope = json.loads(text)
-    except ValueError:
+        envelope = json.loads(raw.decode("utf-8"))
+    except ValueError:  # invalid UTF-8 included
         return None, "corrupt state file (invalid JSON)"
     if not isinstance(envelope, dict):
         return None, "corrupt state file (not an object)"
@@ -223,6 +231,7 @@ def load_state(path: str | Path) -> tuple[ProjectState | None, str | None]:
             classes=classes,
             source_name=source_name if isinstance(source_name, str) else "",
             generation=generation if isinstance(generation, int) else 0,
+            raw=raw,
         ),
         None,
     )
@@ -285,10 +294,23 @@ def merge_states(
     )
 
 
+def _on_disk(path: Path, loaded: ProjectState | None) -> ProjectState | None:
+    """The usable state the file holds now, if any: ``loaded`` itself
+    when the file's bytes are still the ones it was decoded from."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    if loaded is not None and raw == loaded.raw:
+        return loaded
+    return _decode_state(raw)[0]
+
+
 def save_state(
     path: str | Path,
     state: ProjectState,
     *,
+    loaded: ProjectState | None = None,
     lock_timeout: float = STATE_LOCK_TIMEOUT,
     tracer: Tracer | None = None,
 ) -> SaveReport:
@@ -297,11 +319,13 @@ def save_state(
     Under the ``<path>.lock`` advisory lock: re-read the file on disk,
     merge a concurrent writer's compatible verdicts into the snapshot
     (:func:`merge_states`), bump the generation counter, seal, and
-    publish with a fsynced atomic rename.  Every failure mode is
-    reported (and traced), never swallowed: a lock timeout skips the
-    save entirely (writing without the lock could drop a concurrent
-    writer's generation), a failed write leaves the previous state
-    intact.
+    publish compact JSON with a fsynced atomic rename.  The re-read
+    decodes the file only when its bytes differ from the ones ``loaded``
+    (the state this run planned against) was decoded from.  Every
+    failure mode is reported (and traced), never swallowed: a lock
+    timeout skips the save entirely (writing without the lock could drop
+    a concurrent writer's generation), a failed write leaves the
+    previous state intact.
     """
     path = Path(path)
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -323,7 +347,7 @@ def save_state(
             tracer.event(
                 "lock-wait", lock="state", seconds=round(lock.waited, 6)
             )
-        disk, _reason = load_state(path)
+        disk = _on_disk(path, loaded)
         merged_classes = 0
         generation = 1
         merged = state
@@ -341,7 +365,9 @@ def save_state(
             source_name=merged.source_name,
             generation=generation,
         )
-        text = json.dumps(store.seal(merged.to_dict()), indent=2, sort_keys=True)
+        text = json.dumps(
+            store.seal(merged.to_dict()), sort_keys=True, separators=(",", ":")
+        )
         try:
             store.atomic_write_text(path, text, fault_key="state", fsync=True)
         except OSError as error:

@@ -11,6 +11,7 @@ declarations from ``__init__``, and hand each operation body to
 from __future__ import annotations
 
 import ast
+import os
 from functools import lru_cache
 from pathlib import Path
 
@@ -277,6 +278,13 @@ def parse_module(
 
 
 def parse_file(path: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:
-    """Parse an annotated MicroPython file."""
-    path = Path(path)
-    return parse_module(path.read_text(encoding="utf-8"), source_name=str(path))
+    """Parse an annotated MicroPython file; bytes that are not UTF-8
+    raise :class:`FrontendError`, as a syntax error does."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+    except UnicodeDecodeError as error:
+        line = error.object.count(b"\n", 0, error.start) + 1
+        message = f"{error} ({os.path.basename(path)})"
+        raise FrontendError([SubsetViolation("syntax-error", message, line)]) from error
+    return parse_module(source, source_name=str(path))

@@ -10,6 +10,8 @@ the project (duplicate class names across files are reported).
 
 from __future__ import annotations
 
+import os
+from fnmatch import fnmatch
 from pathlib import Path
 
 from repro.frontend.model_ast import (
@@ -22,23 +24,29 @@ from repro.frontend.parse import parse_file
 
 
 def project_files(root: str | Path) -> list[Path]:
-    """The Python files of a project directory, deterministically ordered.
+    """The ``*.py`` files of a project directory, in path order (part by
+    part: ``a/b.py`` sorts before ``a.b/c.py``).
 
     Hidden directories and common non-source trees (``__pycache__``,
-    ``.git``, ``venv``-likes) are skipped.
+    ``.git``, ``venv``-likes) are pruned before the walk enters them,
+    and hidden files are skipped.  Only files are listed: a directory
+    named ``pkg.py`` is walked, not parsed.  Names match ``*.py`` with
+    the platform's case rule, as :meth:`Path.rglob` matches them.
     """
-    root = Path(root)
     skipped_directories = {"__pycache__", ".git", ".hg", "venv", ".venv", "node_modules"}
-    files = [
-        path
-        for path in sorted(root.rglob("*.py"))
-        if not any(
-            part.startswith(".") or part in skipped_directories
-            for part in path.relative_to(root).parts[:-1]
+    files = []
+    for directory, subdirectories, names in os.walk(root):
+        subdirectories[:] = [
+            name
+            for name in subdirectories
+            if not name.startswith(".") and name not in skipped_directories
+        ]
+        files.extend(
+            Path(directory, name)
+            for name in names
+            if fnmatch(name, "*.py") and not name.startswith(".")
         )
-        and not path.name.startswith(".")
-    ]
-    return files
+    return sorted(files)
 
 
 def parse_project(root: str | Path) -> tuple[ParsedModule, list[SubsetViolation]]:

@@ -7,9 +7,10 @@ from repro.engine import (
     BatchVerifier,
     EngineError,
     InferenceCache,
-    cached_behavior_dfa,
     verify_path,
 )
+from repro.engine.fingerprint import class_key
+from repro.engine.serialize import bitdfa_from_flat
 from repro.frontend.parse import parse_module
 from repro.workloads.hierarchy import (
     HierarchyShape,
@@ -138,11 +139,14 @@ class TestCacheIntegration:
         cache = InferenceCache(tmp_path)
         BatchVerifier(module, violations, cache=cache).run()
         classes = {parsed.name: parsed for parsed in module.classes}
-        composite = cached_behavior_dfa(cache, classes["Controller0"], classes)
-        assert composite is not None
+
+        def entry(name):
+            return cache.get("class", class_key(classes[name], classes))
+
+        composite = bitdfa_from_flat(entry("Controller0")["dfa_flat"])
         assert composite.accepts(())  # behavior always accepts the empty trace
         # Base-class checks never determinize, so no DFA is stored.
-        assert cached_behavior_dfa(cache, classes["Device0"], classes) is None
+        assert entry("Device0")["dfa_flat"] is None
 
     def test_corrupt_entry_heals_and_is_counted(self, tmp_path):
         module, violations = _parse(project_source(SHAPE, pairs=2))

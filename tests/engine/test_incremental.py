@@ -8,10 +8,11 @@ quarantine contract (re-check the victim, spare its dependents).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import faults, store
+from repro.engine import faults, incremental, state, store
 from repro.engine.engine import BatchVerifier, EngineError
 from repro.engine.incremental import (
     named_subsystems,
@@ -239,6 +240,12 @@ class TestStateFile:
         state, reason = load_state(path)
         assert state is None and "corrupt" in reason
 
+    def test_bytes_that_are_not_utf8_fall_back(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'{"classes": "\xff"}')
+        state, reason = load_state(path)
+        assert state is None and "corrupt" in reason
+
     def test_stale_state_version_falls_back(self, tmp_path):
         path = tmp_path / "state.json"
         save_state(path, ProjectState(classes={"Base": self.entry()}))
@@ -332,6 +339,72 @@ class TestQuarantine:
             faults.install(None)
         snapshot = snapshot_state(module, dict(batch.class_results))
         assert snapshot.classes["Base"].diagnostics is None
+
+
+class TestSaveReread:
+    """What a save keeps from the file it finds under the lock: a peer's
+    write is decoded and merged; the file this run loaded is not decoded
+    again, and merging against the loaded state writes the same bytes."""
+
+    SOURCES = {"Base": base_source("Base"), "Ctl": comp_source("Ctl", "Base")}
+
+    def quarantined_run(self, state_file):
+        faults.install(faults.parse_faults("worker:raise:Base:times=9"))
+        try:
+            return run_and_snapshot(self.SOURCES, state_file)
+        finally:
+            faults.install(faults.FaultPlan(()))
+
+    def test_peer_save_between_load_and_save_is_merged(
+        self, tmp_path, monkeypatch, no_ambient_faults
+    ):
+        state_file = tmp_path / "state.json"
+        self.quarantined_run(state_file)  # generation 1: Base unverified
+        peer = run_and_snapshot(self.SOURCES, tmp_path / "peer.json").state
+        real_save = incremental.save_state
+
+        def peer_saves_first(path, snapshot, **kwargs):
+            assert save_state(path, peer).generation == 2
+            return real_save(path, snapshot, **kwargs)
+
+        monkeypatch.setattr(incremental, "save_state", peer_saves_first)
+        outcome = self.quarantined_run(state_file)
+        assert outcome.batch.quarantined() == ("Base",)
+        assert outcome.save.merged_classes == 1
+        assert outcome.save.generation == 3
+        on_disk, _ = load_state(state_file)
+        assert on_disk.generation == 3
+        assert on_disk.classes["Base"] == peer.classes["Base"]
+        assert on_disk.classes["Base"].verified
+
+    def test_unchanged_file_is_not_decoded_again(self, tmp_path, monkeypatch):
+        path, twin = tmp_path / "state.json", tmp_path / "twin.json"
+        run_and_snapshot(self.SOURCES, path)  # generation 1: both verified
+        twin.write_bytes(path.read_bytes())
+        loaded, _ = load_state(path)
+        ours = ProjectState(
+            classes={
+                **loaded.classes,
+                "Base": replace(loaded.classes["Base"], diagnostics=None),
+            },
+            source_name=loaded.source_name,
+        )
+        decoded = []
+        real_decode = state._decode_state
+        monkeypatch.setattr(
+            state, "_decode_state", lambda raw: decoded.append(raw) or real_decode(raw)
+        )
+        skipped = save_state(path, ours, loaded=loaded)
+        assert decoded == []
+        reread = save_state(twin, ours)
+        assert len(decoded) == 1
+        assert (skipped.merged_classes, skipped.generation) == (1, 2)
+        assert (reread.merged_classes, reread.generation) == (1, 2)
+        assert path.read_bytes() == twin.read_bytes()
+
+        decoded.clear()
+        run_and_snapshot(self.SOURCES, path)  # the load decodes, the save not
+        assert len(decoded) == 1
 
 
 class TestVerifyIncremental:

@@ -15,6 +15,11 @@ sequences:
   line numbers — the realistic "edited one file" shape;
 * **edits** — body-only change, return-list (spec) change, class
   add/remove, rename, dependency rewire;
+* **on disk** — the same project written one file per class and read
+  back through ``parse_project`` (the walk, the parse memo and the
+  state file's re-read under the lock), with file-level edits too:
+  add, delete and rename a file, and move a class into another file,
+  which shifts the line numbers of the classes that follow it;
 * **prediction** — the dirty set is recomputed *independently* from the
   model diff (not from the planner's own fingerprints): added classes,
   classes whose rendered source changed, and classes naming a subsystem
@@ -24,8 +29,14 @@ sequences:
   ``corrupt`` actions; ``raise``/``kill`` would make cold and
   incremental runs consume a shared ``times=`` budget differently, so
   they are exercised by the supervisor suite instead).
+
+The nightly CI job re-runs this file with a larger budget; explicit
+``max_examples`` would override any profile, so budgets here are scaled
+by ``REPRO_FUZZ_MULTIPLIER`` (the nightly workflow sets it to 20).
 """
 
+import os
+import shutil
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,6 +50,13 @@ from repro.engine.engine import BatchVerifier
 from repro.engine.incremental import verify_incremental
 from repro.frontend.model_ast import ParsedModule
 from repro.frontend.parse import parse_module
+from repro.frontend.project import parse_project
+
+_MULTIPLIER = max(1, int(os.environ.get("REPRO_FUZZ_MULTIPLIER", "1")))
+
+
+def _examples(base: int) -> int:
+    return base * _MULTIPLIER
 
 # ----------------------------------------------------------------------
 # The project model and its renderer
@@ -229,11 +247,73 @@ def initial_project(draw):
 
 
 # ----------------------------------------------------------------------
+# On disk: files of classes, file-level edits
+# ----------------------------------------------------------------------
+
+FILE_EDIT_KINDS = ("class", "add-file", "delete-file", "rename-file", "move")
+FOLDERS = ("", "lib/", "lib/drivers/")
+
+
+def write_project(root, project, layout):
+    """Write ``layout`` (file → class names, in file order) under a
+    fresh ``root``; returns each class's first line within its file."""
+    shutil.rmtree(root, ignore_errors=True)
+    first_lines = {}
+    for file_name, names in layout.items():
+        texts = [render(name, project[name]) for name in names]
+        line = 0
+        for name, text in zip(names, texts):
+            first_lines[name] = line
+            line += text.count("\n")
+        path = root / file_name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(texts), encoding="utf-8")
+    return first_lines
+
+
+def apply_file_edit(draw, project, layout, fresh):
+    """Mutate ``project`` and ``layout`` in place with one drawn edit."""
+    kind = draw(st.sampled_from(FILE_EDIT_KINDS))
+    files = sorted(layout)
+
+    def new_file():
+        return f"{draw(st.sampled_from(FOLDERS))}m{next(fresh)}.py"
+
+    if kind == "class":
+        before = set(project)
+        apply_edit(draw, project, fresh)
+        new = sorted(set(project) - before)
+        for names in layout.values():
+            for index, name in enumerate(names):
+                if name not in project and new:  # a rename keeps its place
+                    names[index] = new.pop()
+            names[:] = [name for name in names if name in project]
+        for name in new:
+            layout[draw(st.sampled_from(files))].append(name)
+    elif kind == "add-file":
+        name = f"C{next(fresh)}"
+        project[name] = BaseModel(steps=draw(st.integers(2, 4)))
+        layout[new_file()] = [name]
+    elif kind == "delete-file":
+        victim = draw(st.sampled_from(files))
+        if any(layout[other] for other in files if other != victim):
+            for name in layout.pop(victim):
+                del project[name]
+    elif kind == "rename-file":
+        layout[new_file()] = layout.pop(draw(st.sampled_from(files)))
+    else:  # move a class to the end of a file, maybe its own
+        source = draw(st.sampled_from([f for f in files if layout[f]]))
+        name = draw(st.sampled_from(layout[source]))
+        layout[source].remove(name)
+        layout[draw(st.sampled_from(files))].append(name)
+
+
+# ----------------------------------------------------------------------
 # The differential property
 # ----------------------------------------------------------------------
 
 
-def run_differential(data, fault_spec=None):
+def run_differential(data, fault_spec=None, on_disk=False):
     # Installed per example (not via a function-scoped fixture, which
     # Hypothesis rejects): an empty plan shields the run from ambient
     # REPRO_FAULTS; the engine conftest clears the install afterwards.
@@ -242,14 +322,21 @@ def run_differential(data, fault_spec=None):
     else:
         faults.install(faults.FaultPlan(()))
     project = initial_project(data.draw)
+    layout = {f"{name.lower()}.py": [name] for name in sorted(project)}
     fresh = iter(range(10_000))
     with tempfile.TemporaryDirectory() as scratch:
         state_file = Path(scratch) / "state.json"
+        root = Path(scratch) / "project"
         cache = InferenceCache(Path(scratch) / "cache")
-        previous = {}
+        previous, previous_lines = {}, {}
         edits = data.draw(st.integers(1, 5))
         for _round in range(edits + 1):  # round 0 is the cold first run
-            module, violations = build_module(project)
+            if on_disk:
+                first_lines = write_project(root, project, layout)
+                module, violations = parse_project(root)
+            else:
+                first_lines = {}
+                module, violations = build_module(project)
             incremental = verify_incremental(
                 module,
                 list(violations),
@@ -261,7 +348,14 @@ def run_differential(data, fault_spec=None):
             assert (
                 incremental.batch.merged().format() == cold.merged().format()
             ), "incremental report diverged from the cold run"
-            predicted = predict_dirty(previous, project)
+            # A class that moved within its file, or to another line of
+            # another file, changed its line numbers: dirty, no cascade.
+            predicted = predict_dirty(previous, project) | {
+                name
+                for name in project
+                if name in previous
+                and first_lines.get(name) != previous_lines.get(name)
+            }
             assert set(incremental.plan.dirty) == predicted
             executed = {
                 timing.class_name
@@ -273,14 +367,23 @@ def run_differential(data, fault_spec=None):
                 project
             ) - len(predicted)
 
-            previous = dict(project)
-            apply_edit(data.draw, project, fresh)
+            previous, previous_lines = dict(project), first_lines
+            if on_disk:
+                apply_file_edit(data.draw, project, layout, fresh)
+            else:
+                apply_edit(data.draw, project, fresh)
 
 
 @given(st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=_examples(25), deadline=None)
 def test_incremental_equals_cold(data):
     run_differential(data)
+
+
+@given(st.data())
+@settings(max_examples=_examples(25), deadline=None)
+def test_incremental_equals_cold_on_disk(data):
+    run_differential(data, on_disk=True)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +395,6 @@ def test_incremental_equals_cold(data):
     ids=["delay", "corrupt"],
 )
 @given(st.data())
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=_examples(8), deadline=None)
 def test_incremental_equals_cold_under_faults(fault_spec, data):
     run_differential(data, fault_spec=fault_spec)

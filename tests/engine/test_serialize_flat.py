@@ -14,7 +14,7 @@ from repro.automata.kernel import bitset_equivalent, determinize_bitset
 from repro.core.behavior import behavior_nfa
 from repro.core.checker import check_source
 from repro.core.model_io import dump_dfa, load_dfa
-from repro.engine import BatchVerifier, InferenceCache, cached_behavior_dfa
+from repro.engine import BatchVerifier, InferenceCache
 from repro.engine.fingerprint import class_key
 from repro.engine.serialize import (
     FlatFormatError,
@@ -85,6 +85,14 @@ class TestFlatRoundTrip:
             bitdfa_from_flat(payload)
 
 
+def cached_dfa(cache, parsed, classes):
+    """The behavior DFA a class's cached verdict entry carries, if any."""
+    entry = cache.get("class", class_key(parsed, classes))
+    assert entry is not None, f"no cached verdict for {parsed.name}"
+    flat = entry["dfa_flat"]
+    return None if flat is None else bitdfa_from_flat(flat)
+
+
 class TestCachePayloads:
     SHAPE = HierarchyShape(base_operations=3, subsystems=2, seed=2)
     SOURCE = project_source(SHAPE, pairs=1)
@@ -98,10 +106,10 @@ class TestCachePayloads:
 
     def test_bitset_run_stores_flat_payloads(self, tmp_path):
         _, cache, classes = self._run(tmp_path)
-        composite = cached_behavior_dfa(cache, classes["Controller0"], classes)
+        composite = cached_dfa(cache, classes["Controller0"], classes)
         assert composite is not None
         assert composite.accepts(())
-        assert cached_behavior_dfa(cache, classes["Device0"], classes) is None
+        assert cached_dfa(cache, classes["Device0"], classes) is None
 
     def test_cache_entries_carry_only_the_flat_payload(self, tmp_path):
         _, cache, classes = self._run(tmp_path)
@@ -113,7 +121,7 @@ class TestCachePayloads:
 
     def test_kernels_cache_language_equal_dfas(self, tmp_path):
         _, cache, classes = self._run(tmp_path)
-        cached = cached_behavior_dfa(cache, classes["Controller0"], classes)
+        cached = cached_dfa(cache, classes["Controller0"], classes)
         fresh = determinize_bitset(behavior_nfa(classes["Controller0"]))
         assert cached == fresh
 

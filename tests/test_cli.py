@@ -52,6 +52,13 @@ class TestCheck:
         stderr = _usage_error(["check", "/nonexistent/file.py"], capsys)
         assert "no such file" in stderr
 
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.py"
+        path.write_bytes(b"# caf\xe9\n")
+        stderr = _usage_error(["check", str(path)], capsys)
+        assert stderr.startswith(f"error: cannot parse {path}: [syntax-error] ")
+        assert "(latin1.py) (line 1)" in stderr
+
 
 class TestBudgetTrip:
     """A command that builds a class's automaton outside the batch engine
