@@ -4,8 +4,7 @@ Every bitset automaton carries an :class:`Alphabet` mapping its event
 symbols to dense integer ids ``0..k-1``.  Construction *sorts* the
 symbol set first, so the id assignment is a pure function of the set —
 two alphabets built from the same symbols in any insertion order are
-identical, which is what makes flat-array payloads comparable across
-process workers (see the property tests in
+identical, in any process (see the property tests in
 ``tests/automata/test_alphabet.py``).
 
 Symbols interned *after* construction get the next free id in call
@@ -101,23 +100,3 @@ class Alphabet:
     def canonical(self) -> "Alphabet":
         """A fresh alphabet over the same symbols with canonical ids."""
         return Alphabet(self._symbols)
-
-    # ------------------------------------------------------------------
-    # Serialization (flat payloads shipped between process workers)
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> list[str]:
-        """The JSON-safe form: the symbol list in id order."""
-        return list(self._symbols)
-
-    @classmethod
-    def from_payload(cls, payload: Iterable[str]) -> "Alphabet":
-        """Rebuild from :meth:`to_payload`, preserving the exact ids."""
-        alphabet = cls.__new__(cls)
-        alphabet._symbols = [str(symbol) for symbol in payload]
-        alphabet._ids = {
-            symbol: index for index, symbol in enumerate(alphabet._symbols)
-        }
-        if len(alphabet._ids) != len(alphabet._symbols):
-            raise ValueError("alphabet payload contains duplicate symbols")
-        return alphabet

@@ -527,17 +527,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.cache_command == "verify":
         report = cache.verify(repair=args.repair)
-        corrupt = 0
+        corrupt = report["corrupt"]
         print(f"cache at {args.cache_dir}:")
-        for namespace, numbers in sorted(report.items()):
-            corrupt += numbers["corrupt"]
-            print(
-                f"  {namespace:<8} {numbers['scanned']:6d} scanned  "
-                f"{numbers['ok']:6d} ok  "
-                f"{numbers['version_skew']:4d} version-skew  "
-                f"{numbers['corrupt']:4d} corrupt  "
-                f"{numbers['repaired']:4d} repaired"
-            )
+        print(
+            f"  {'class':<8} {report['scanned']:6d} scanned  "
+            f"{report['ok']:6d} ok  "
+            f"{report['version_skew']:4d} version-skew  "
+            f"{corrupt:4d} corrupt  "
+            f"{report['repaired']:4d} repaired"
+        )
         if corrupt and not args.repair:
             print("re-run with --repair to delete the corrupt entries")
         return 1 if corrupt and not args.repair else 0
@@ -548,14 +546,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         return 0
     # stats
-    stats = cache.disk_stats()
-    stats["state"] = cache.state_stats()
+    stats = {"class": cache.disk_stats(), "state": cache.state_stats()}
     total_entries = sum(s["entries"] for s in stats.values())
     total_bytes = sum(s["bytes"] for s in stats.values())
     print(f"cache at {args.cache_dir}:")
-    for namespace, numbers in sorted(stats.items()):
+    for name, numbers in stats.items():
         print(
-            f"  {namespace:<8} {numbers['entries']:6d} entries  "
+            f"  {name:<8} {numbers['entries']:6d} entries  "
             f"{numbers['bytes']:10d} bytes"
         )
     print(f"  {'total':<8} {total_entries:6d} entries  {total_bytes:10d} bytes")
@@ -1083,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
-        "stats", help="per-namespace entry counts and sizes"
+        "stats", help="entry counts and sizes"
     )
     cache_clear = cache_sub.add_parser("clear", help="drop every cache entry")
     cache_verify = cache_sub.add_parser(

@@ -20,8 +20,12 @@ an envelope, so a corrupt remote byte stream can only ever become a
 detected corruption on the client (the seal check lives in the cache),
 never wrong output.
 
+Every entry is a class verdict, so a backend addresses it by its
+content key alone.
+
 **Error contract.**  ``get_text`` returns ``None`` for a plain miss and
-raises :class:`OSError` for an *unreadable* entry (the cache heals it);
+raises :class:`OSError` for an *unreadable* entry — including one whose
+bytes are not UTF-8 — and the cache heals it;
 an unreachable remote raises the :class:`RemoteUnavailable` subclass,
 which the cache treats as a plain miss — a down cache server is not a
 corrupt entry.  ``put_text`` raises :class:`OSError` on a failed
@@ -58,13 +62,9 @@ class CacheBackend:
     duck-typed to keep this package import-cycle-free.
     """
 
-    #: Does this backend have an enumerable local directory tree?  The
-    #: cache's scan operations (``entry_count``, ``verify``, ``clear``,
-    #: orphan GC) run over :attr:`local_root` when it is set.
-    supports_scan = False
-
-    #: The local directory the cache's scan/GC/state machinery operates
-    #: on, or ``None`` when there is no local tree (pure remote).
+    #: The local directory the cache's scan/GC/state machinery
+    #: (``disk_stats``, ``verify``, ``clear``, orphan GC) operates on, or
+    #: ``None`` when there is no local tree (pure remote).
     local_root: Path | None = None
 
     def __init__(self) -> None:
@@ -87,7 +87,7 @@ class CacheBackend:
 
     # -- the transport protocol ----------------------------------------
 
-    def get_text(self, namespace: str, key: str) -> str | None:
+    def get_text(self, key: str) -> str | None:
         """The stored envelope text, ``None`` on a plain miss.
 
         Raises :class:`OSError` for an unreadable entry (healed by the
@@ -95,11 +95,11 @@ class CacheBackend:
         """
         raise NotImplementedError
 
-    def put_text(self, namespace: str, key: str, text: str) -> None:
+    def put_text(self, key: str, text: str) -> None:
         """Persist envelope text; raises :class:`OSError` on failure."""
         raise NotImplementedError
 
-    def delete(self, namespace: str, key: str) -> bool:
+    def delete(self, key: str) -> bool:
         """Best-effort removal; ``True`` if an entry was deleted."""
         raise NotImplementedError
 

@@ -4,12 +4,14 @@ This is the sealed-store behavior that used to live inline in
 :class:`~repro.engine.cache.InferenceCache`, extracted so the same
 directory layout and fault sites sit behind the backend protocol:
 
-* entries at ``<root>/<namespace>/<key[:2]>/<key>.json``;
+* entries at ``<root>/class/<key[:2]>/<key>.json``;
 * a ``CACHEDIR.TAG`` marker written atomically (a torn tag can never be
   published half-written);
 * every entry write through :func:`repro.engine.store.atomic_write_text`
-  with fault key ``<namespace>/<key>`` and the ``cache-put`` fault site
-  fired after a successful persist.
+  with fault key ``class/<key>`` and the ``cache-put`` fault site fired
+  after a successful persist;
+* an entry whose bytes are not UTF-8 reads as unreadable (``OSError``),
+  so the cache heals it like any other corrupt entry.
 
 Writes take no lock: entries are content-addressed, so concurrent
 writers of one key write identical bytes, and the atomic rename
@@ -37,8 +39,6 @@ _CACHEDIR_TAG = (
 class LocalDirBackend(CacheBackend):
     """Sealed envelopes in a sharded local directory tree."""
 
-    supports_scan = True
-
     def __init__(self, root: Path | str) -> None:
         super().__init__()
         self.root = Path(root)
@@ -56,24 +56,26 @@ class LocalDirBackend(CacheBackend):
     def local_root(self) -> Path:
         return self.root
 
-    def entry_path(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}.json"
+    def entry_path(self, key: str) -> Path:
+        return self.root / "class" / key[:2] / f"{key}.json"
 
-    def get_text(self, namespace: str, key: str) -> str | None:
+    def get_text(self, key: str) -> str | None:
         try:
-            return self.entry_path(namespace, key).read_text(encoding="utf-8")
+            return self.entry_path(key).read_text(encoding="utf-8")
         except FileNotFoundError:
             return None
+        except UnicodeDecodeError as error:
+            raise OSError(f"cache entry {key} is not UTF-8: {error}") from error
 
-    def put_text(self, namespace: str, key: str, text: str) -> None:
-        path = self.entry_path(namespace, key)
-        fault_key = f"{namespace}/{key}"
+    def put_text(self, key: str, text: str) -> None:
+        path = self.entry_path(key)
+        fault_key = f"class/{key}"
         store.atomic_write_text(path, text, fault_key=fault_key)
         faults.fire("cache-put", fault_key, path)
 
-    def delete(self, namespace: str, key: str) -> bool:
+    def delete(self, key: str) -> bool:
         try:
-            self.entry_path(namespace, key).unlink()
+            self.entry_path(key).unlink()
             return True
         except FileNotFoundError:
             return False

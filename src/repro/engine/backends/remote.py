@@ -2,7 +2,7 @@
 
 Client side of the ``repro cache serve`` daemon
 (:mod:`repro.engine.backends.server`): sealed envelope text is GET/PUT
-against ``/v1/cache/<namespace>/<key>`` using nothing but
+against ``/v1/cache/class/<key>`` using nothing but
 :mod:`urllib.request`.  The content keys are SHA-256 digests of
 canonical renderings, so they are machine-independent — any class any
 worker anywhere has verified is a hit for every other worker sharing
@@ -18,7 +18,7 @@ seal is re-verified by the cache (and by the tiered promotion path)
 before any payload is used.
 
 Fault sites ``remote-get`` / ``remote-put`` fire before each request
-with key ``<namespace>/<key>``, so CI can rehearse flaky and dead
+with key ``class/<key>``, so CI can rehearse flaky and dead
 remotes deterministically (docs/robustness.md).
 """
 
@@ -49,41 +49,39 @@ class RemoteHTTPBackend(CacheBackend):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def _url(self, namespace: str, key: str) -> str:
-        return f"{self.base_url}/v1/cache/{namespace}/{key}"
+    def _url(self, key: str) -> str:
+        return f"{self.base_url}/v1/cache/class/{key}"
 
-    def get_text(self, namespace: str, key: str) -> str | None:
-        fault_key = f"{namespace}/{key}"
+    def get_text(self, key: str) -> str | None:
         try:
-            faults.fire("remote-get", fault_key)
-            request = urllib.request.Request(self._url(namespace, key), method="GET")
+            faults.fire("remote-get", f"class/{key}")
+            request = urllib.request.Request(self._url(key), method="GET")
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 text = response.read().decode("utf-8")
         except urllib.error.HTTPError as err:
             err.close()
             if err.code == 404:
                 self._count("remote_misses")
-                self._event("remote-miss", namespace=namespace)
+                self._event("remote-miss", key=key)
                 return None
             self._count("remote_errors")
             raise RemoteUnavailable(
-                f"remote cache GET {namespace}/{key} failed: HTTP {err.code}"
+                f"remote cache GET class/{key} failed: HTTP {err.code}"
             ) from err
         except (OSError, ValueError, faults.InjectedFault) as err:
             self._count("remote_errors")
             raise RemoteUnavailable(
-                f"remote cache GET {namespace}/{key} failed: {err}"
+                f"remote cache GET class/{key} failed: {err}"
             ) from err
         self._count("remote_hits")
-        self._event("remote-hit", namespace=namespace)
+        self._event("remote-hit", key=key)
         return text
 
-    def put_text(self, namespace: str, key: str, text: str) -> None:
-        fault_key = f"{namespace}/{key}"
+    def put_text(self, key: str, text: str) -> None:
         try:
-            faults.fire("remote-put", fault_key)
+            faults.fire("remote-put", f"class/{key}")
             request = urllib.request.Request(
-                self._url(namespace, key),
+                self._url(key),
                 data=text.encode("utf-8"),
                 method="PUT",
                 headers={"Content-Type": "application/json"},
@@ -93,16 +91,14 @@ class RemoteHTTPBackend(CacheBackend):
         except (OSError, ValueError, faults.InjectedFault) as err:
             self._count("remote_errors")
             raise RemoteUnavailable(
-                f"remote cache PUT {namespace}/{key} failed: {err}"
+                f"remote cache PUT class/{key} failed: {err}"
             ) from err
         self._count("remote_puts")
-        self._event("remote-put", namespace=namespace)
+        self._event("remote-put", key=key)
 
-    def delete(self, namespace: str, key: str) -> bool:
+    def delete(self, key: str) -> bool:
         try:
-            request = urllib.request.Request(
-                self._url(namespace, key), method="DELETE"
-            )
+            request = urllib.request.Request(self._url(key), method="DELETE")
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 response.read()
         except urllib.error.HTTPError as err:
@@ -110,11 +106,11 @@ class RemoteHTTPBackend(CacheBackend):
             if err.code == 404:
                 return False
             raise RemoteUnavailable(
-                f"remote cache DELETE {namespace}/{key} failed: HTTP {err.code}"
+                f"remote cache DELETE class/{key} failed: HTTP {err.code}"
             ) from err
         except (OSError, ValueError) as err:
             raise RemoteUnavailable(
-                f"remote cache DELETE {namespace}/{key} failed: {err}"
+                f"remote cache DELETE class/{key} failed: {err}"
             ) from err
         return True
 

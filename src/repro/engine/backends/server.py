@@ -10,15 +10,15 @@ Routes:
 
 * ``GET /healthz`` — liveness, ``{"ok": true}``;
 * ``GET /stats`` — request counters and entry layout info;
-* ``GET/PUT/DELETE /v1/cache/<namespace>/<key>`` — envelope transport.
+* ``GET/PUT/DELETE /v1/cache/class/<key>`` — envelope transport; any
+  other path is an unknown route (404).
 
 Admission rules keep the store trustworthy and the tree traversal-proof:
-namespaces and keys must match strict character classes (no dots, no
-slashes beyond the route's own), bodies are size-capped, and a PUT body
-must be a sealed envelope whose checksum verifies (``classify_entry``
-says ``ok``) — the daemon never persists junk, version-skewed, or
-tampered bytes, so every remote hit a client promotes is already
-well-formed.
+keys must be lowercase hex (no dots, no slashes beyond the route's
+own), bodies are size-capped, and a PUT body must be a sealed envelope
+whose checksum verifies (``classify_entry`` says ``ok``) — the daemon
+never persists junk, version-skewed, or tampered bytes, so every
+remote hit a client promotes is already well-formed.
 
 ``repro cache serve --port 0`` binds an ephemeral port and prints the
 resolved endpoint URL as its first stdout line (also written atomically
@@ -41,7 +41,7 @@ from repro.engine.backends.local import LocalDirBackend
 #: not a cache entry.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-_ENTRY_ROUTE = re.compile(r"^/v1/cache/([a-z][a-z0-9_-]{0,31})/([0-9a-f]{8,128})$")
+_ENTRY_ROUTE = re.compile(r"^/v1/cache/class/([0-9a-f]{8,128})$")
 
 
 class CacheServer(ThreadingHTTPServer):
@@ -89,12 +89,12 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if body:
             self.wfile.write(body)
 
-    def _entry(self) -> tuple[str, str] | None:
+    def _key(self) -> str | None:
         match = _ENTRY_ROUTE.match(self.path)
         if match is None:
             self._send_json(404, {"error": "unknown route"})
             return None
-        return match.group(1), match.group(2)
+        return match.group(1)
 
     def do_GET(self) -> None:  # noqa: N802
         if self.path == "/healthz":
@@ -103,12 +103,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if self.path == "/stats":
             self._send_json(200, self.server.stats_payload())
             return
-        entry = self._entry()
-        if entry is None:
+        key = self._key()
+        if key is None:
             return
-        namespace, key = entry
         try:
-            text = self.server.backend.get_text(namespace, key)
+            text = self.server.backend.get_text(key)
         except OSError:
             text = None
         if text is None:
@@ -119,10 +118,9 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._send_bytes(200, text.encode("utf-8"), "application/json")
 
     def do_PUT(self) -> None:  # noqa: N802
-        entry = self._entry()
-        if entry is None:
+        key = self._key()
+        if key is None:
             return
-        namespace, key = entry
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -148,7 +146,7 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"envelope rejected: {verdict}"})
             return
         try:
-            self.server.backend.put_text(namespace, key, text)
+            self.server.backend.put_text(key, text)
         except OSError as err:
             self._send_json(507, {"error": f"store failed: {err}"})
             return
@@ -156,11 +154,10 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"ok": True})
 
     def do_DELETE(self) -> None:  # noqa: N802
-        entry = self._entry()
-        if entry is None:
+        key = self._key()
+        if key is None:
             return
-        namespace, key = entry
-        if self.server.backend.delete(namespace, key):
+        if self.server.backend.delete(key):
             self.server.count("deletes")
             self._send_json(200, {"ok": True})
         else:

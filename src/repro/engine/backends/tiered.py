@@ -12,11 +12,11 @@ keeps its private ``.repro-cache/`` tree as tier one and shares a
   waits on the network) and are replicated to the remote by a
   write-behind thread; :meth:`flush` drains the replication queue, and
   a remote replication failure is counted, never raised.
-* **Degradation**: after :attr:`failure_threshold` *consecutive* remote
-  failures the tier stops talking to the remote for the rest of the
-  run — one ``remote-degraded`` event, ``stats.remote_degraded`` set,
-  and the run continues local-only at full fidelity.  A single success
-  before the threshold resets the streak.
+* **Degradation**: after :data:`FAILURE_THRESHOLD` *consecutive*
+  remote failures the tier stops talking to the remote for the rest of
+  the run — one ``remote-degraded`` event, ``stats.remote_degraded``
+  set, and the run continues local-only at full fidelity.  A single
+  success before the threshold resets the streak.
 
 Healing deletes (:meth:`delete`) touch only the local tier: if a local
 entry went corrupt, the remote's sealed copy is exactly what should be
@@ -33,7 +33,7 @@ from typing import Any
 from repro.engine.backends.base import CacheBackend, RemoteUnavailable
 
 #: Consecutive remote failures before the run degrades to local-only.
-DEFAULT_FAILURE_THRESHOLD = 3
+FAILURE_THRESHOLD = 3
 
 _STOP = object()
 
@@ -41,39 +41,24 @@ _STOP = object()
 class TieredBackend(CacheBackend):
     """Local tier in front of a remote tier; see the module docstring."""
 
-    def __init__(
-        self,
-        local: CacheBackend,
-        remote: CacheBackend,
-        *,
-        write_behind: bool = True,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-    ) -> None:
+    def __init__(self, local: CacheBackend, remote: CacheBackend) -> None:
         super().__init__()
         self.local = local
         self.remote = remote
-        self.failure_threshold = max(1, failure_threshold)
         self.degraded = False
         self._failures = 0
         self._degrade_guard = threading.Lock()
-        self._queue: queue.Queue[Any] | None = None
-        self._writer: threading.Thread | None = None
-        if write_behind:
-            self._queue = queue.Queue()
-            self._writer = threading.Thread(
-                target=self._replicate_forever,
-                name="repro-cache-write-behind",
-                daemon=True,
-            )
-            self._writer.start()
+        self._queue: queue.Queue[Any] = queue.Queue()
+        self._writer = threading.Thread(
+            target=self._replicate_forever,
+            name="repro-cache-write-behind",
+            daemon=True,
+        )
+        self._writer.start()
 
     @property
     def local_root(self) -> Path | None:
         return self.local.local_root
-
-    @property
-    def supports_scan(self) -> bool:  # type: ignore[override]
-        return self.local.supports_scan
 
     def bind(self, owner: Any) -> None:
         super().bind(owner)
@@ -82,17 +67,17 @@ class TieredBackend(CacheBackend):
 
     # -- reads ----------------------------------------------------------
 
-    def get_text(self, namespace: str, key: str) -> str | None:
+    def get_text(self, key: str) -> str | None:
         # An unreadable *local* entry propagates so the cache heals it;
         # the heal deletes the local copy only, and the remote's sealed
         # copy is re-promoted on the next read.
-        text = self.local.get_text(namespace, key)
+        text = self.local.get_text(key)
         if text is not None:
             return text
         if self.degraded:
             return None
         try:
-            text = self.remote.get_text(namespace, key)
+            text = self.remote.get_text(key)
         except RemoteUnavailable:
             self._remote_failed()
             return None
@@ -107,7 +92,7 @@ class TieredBackend(CacheBackend):
             # still reaches the cache as a miss, not as data.
             return None
         try:
-            self.local.put_text(namespace, key, text)
+            self.local.put_text(key, text)
         except OSError:
             # Promotion is an optimization; serving the remote copy is
             # correct either way.
@@ -116,51 +101,43 @@ class TieredBackend(CacheBackend):
 
     # -- writes ---------------------------------------------------------
 
-    def put_text(self, namespace: str, key: str, text: str) -> None:
-        self.local.put_text(namespace, key, text)
-        if self.degraded:
-            return
-        if self._queue is not None:
-            self._queue.put((namespace, key, text))
-        else:
-            self._replicate(namespace, key, text)
+    def put_text(self, key: str, text: str) -> None:
+        self.local.put_text(key, text)
+        if not self.degraded:
+            self._queue.put((key, text))
 
-    def delete(self, namespace: str, key: str) -> bool:
-        return self.local.delete(namespace, key)
+    def delete(self, key: str) -> bool:
+        return self.local.delete(key)
 
     # -- lifecycle ------------------------------------------------------
 
     def flush(self) -> None:
-        if self._queue is not None:
-            self._queue.join()
+        self._queue.join()
         self.local.flush()
 
     def close(self) -> None:
-        if self._queue is not None and self._writer is not None:
-            self._queue.join()
-            self._queue.put(_STOP)
-            self._writer.join(timeout=5.0)
+        self._queue.join()
+        self._queue.put(_STOP)
+        self._writer.join(timeout=5.0)
         self.local.close()
         self.remote.close()
 
     # -- replication machinery ------------------------------------------
 
     def _replicate_forever(self) -> None:
-        assert self._queue is not None
         while True:
             item = self._queue.get()
             try:
                 if item is _STOP:
                     return
-                namespace, key, text = item
                 if not self.degraded:
-                    self._replicate(namespace, key, text)
+                    self._replicate(*item)
             finally:
                 self._queue.task_done()
 
-    def _replicate(self, namespace: str, key: str, text: str) -> None:
+    def _replicate(self, key: str, text: str) -> None:
         try:
-            self.remote.put_text(namespace, key, text)
+            self.remote.put_text(key, text)
         except RemoteUnavailable:
             self._remote_failed()
         else:
@@ -175,10 +152,10 @@ class TieredBackend(CacheBackend):
             if self.degraded:
                 return
             self._failures += 1
-            if self._failures < self.failure_threshold:
+            if self._failures < FAILURE_THRESHOLD:
                 return
             self.degraded = True
         stats = self._stats()
         if stats is not None:
             stats.remote_degraded += 1
-        self._event("remote-degraded", failures=self.failure_threshold)
+        self._event("remote-degraded", failures=FAILURE_THRESHOLD)

@@ -1,14 +1,11 @@
 """Content-addressed verdict cache.
 
-One namespace, ``class``: a class's check verdict — the diagnostic
-list, plus the determinized behavior DFA when the check computed one
-(composites) — keyed by the SHA-256 fingerprint of
+One kind of entry: a class's check verdict — its name and diagnostic
+list — keyed by the SHA-256 fingerprint of
 :func:`repro.engine.fingerprint.class_key`.  Inference is
 compositional, so a class verdict depends only on the class's own
 syntax and the specs of its subsystems, and it is the unit worth
 persisting: re-inferring a method costs less than reading it back.
-Lookups against any other namespace raise ``ValueError`` — that is a
-caller bug, not a miss.
 
 **Storage backends** (docs/distributed.md).  Where envelope text
 physically lives is delegated to a
@@ -45,9 +42,10 @@ sweep (:meth:`InferenceCache.gc_tmp`); opening a cache does not walk
 the tree.
 
 The cache is additionally **self-healing**: a corrupt or truncated
-entry (unreadable file, invalid JSON, malformed envelope, checksum
-mismatch) is deleted on discovery and counted in ``stats.corrupt``
-(checksum mismatches also in ``stats.checksum``), so one bad sector or
+entry (unreadable or non-UTF-8 file, invalid JSON, malformed envelope,
+checksum mismatch) is deleted on discovery and counted in
+``stats.corrupt_entries`` (checksum mismatches also in
+``stats.checksum_failures``), so one bad sector or
 interrupted write costs exactly one recomputation instead of a
 re-parse-and-fail on every future run.  Version-mismatched entries are
 left in place — another build may still want them.  An *unreachable
@@ -56,10 +54,10 @@ miss and, in a tiered setup, degrades the run to local-only.
 
 **Counter contract** (docs/observability.md): one healed read counts
 exactly once as a miss in ``stats.misses`` *and* once in
-``stats.corrupt`` — never more, even when the delete fails (read-only
-directory, racing process) and later reads keep seeing the corrupt
-file.  A successful :meth:`put` under the same key re-arms counting, so
-a *new* corruption of the rewritten entry counts again.
+``stats.corrupt_entries`` — never more, even when the delete fails
+(read-only directory, racing process) and later reads keep seeing the
+corrupt file.  A successful :meth:`put` under the same key re-arms
+counting, so a *new* corruption of the rewritten entry counts again.
 
 The in-memory layer makes repeated lookups within one process free and
 is guarded by a lock, so a thread-pool engine can share one instance;
@@ -70,7 +68,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -86,33 +84,23 @@ CACHE_VERSION = 2
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: The cache's namespaces; any other is rejected with ``ValueError``.
-_NAMESPACES = ("class",)
-
-
-def _namespace_counters() -> dict[str, int]:
-    return {namespace: 0 for namespace in _NAMESPACES}
-
 
 @dataclass
 class CacheStats:
-    """Hit/miss/write/corruption counters, per namespace.
+    """Hit/miss/write/corruption counters, named like the
+    :class:`~repro.engine.metrics.EngineMetrics` fields they feed."""
 
-    The per-namespace dicts start with zeros for the cache's namespaces
-    and grow on demand: :meth:`bump` and :meth:`hit_rate` accept any
-    name without raising ``KeyError``.
-    """
-
-    hits: dict[str, int] = field(default_factory=_namespace_counters)
-    misses: dict[str, int] = field(default_factory=_namespace_counters)
-    writes: dict[str, int] = field(default_factory=_namespace_counters)
-    corrupt: dict[str, int] = field(default_factory=_namespace_counters)
-    #: Subset of ``corrupt``: entries whose JSON parsed but whose seal
-    #: did not match — the torn-but-valid payloads only checksums catch.
-    checksum: dict[str, int] = field(default_factory=_namespace_counters)
+    hits: int = 0
+    misses: int = 0
+    writes: int = 0
+    corrupt_entries: int = 0
+    #: Subset of ``corrupt_entries``: entries whose JSON parsed but whose
+    #: seal did not match — the torn-but-valid payloads only checksums
+    #: catch.
+    checksum_failures: int = 0
     #: Disk persists that failed (ENOSPC, rename failure, ...); the
     #: memory layer still holds the payload.
-    write_failures: dict[str, int] = field(default_factory=_namespace_counters)
+    write_failures: int = 0
     #: Orphaned ``.tmp-*`` files swept by :meth:`InferenceCache.gc_tmp`.
     orphans_removed: int = 0
     #: Remote-tier traffic (docs/distributed.md): requests answered /
@@ -123,29 +111,6 @@ class CacheStats:
     remote_puts: int = 0
     remote_errors: int = 0
     remote_degraded: int = 0
-
-    def bump(self, counter: str, namespace: str, value: int = 1) -> None:
-        """Increment a per-namespace counter, creating the slot."""
-        counts = getattr(self, counter)
-        counts[namespace] = counts.get(namespace, 0) + value
-
-    def hit_rate(self, namespace: str) -> float:
-        hits = self.hits.get(namespace, 0)
-        total = hits + self.misses.get(namespace, 0)
-        return hits / total if total else 0.0
-
-    @property
-    def corrupt_entries(self) -> int:
-        """Total corrupt entries found (and deleted) across namespaces."""
-        return sum(self.corrupt.values())
-
-    @property
-    def checksum_failures(self) -> int:
-        return sum(self.checksum.values())
-
-    @property
-    def write_failure_count(self) -> int:
-        return sum(self.write_failures.values())
 
 
 class InferenceCache:
@@ -173,51 +138,43 @@ class InferenceCache:
         #: Set by the engine when a run is traced; cache events then show
         #: up on the open span.  The no-op default costs nothing.
         self.tracer = NULL_TRACER
-        self._memory: dict[tuple[str, str], dict[str, Any]] = {}
+        self._memory: dict[str, dict[str, Any]] = {}
         #: Keys whose corruption was already counted (see the counter
         #: contract in the module docstring); ``put`` re-arms them.
-        self._healed: set[tuple[str, str]] = set()
+        self._healed: set[str] = set()
         self._lock = threading.Lock()
         if backend is not None:
             backend.bind(self)
 
     # ------------------------------------------------------------------
 
-    def _path(self, namespace: str, key: str) -> Path:
-        assert self.root is not None
-        return self.root / namespace / key[:2] / f"{key}.json"
-
-    def get(self, namespace: str, key: str) -> dict[str, Any] | None:
+    def get(self, key: str) -> dict[str, Any] | None:
         """The stored payload, or ``None`` on any kind of miss."""
-        if namespace not in _NAMESPACES:
-            raise ValueError(f"unknown cache namespace: {namespace!r}")
         with self._lock:
-            payload = self._memory.get((namespace, key))
+            payload = self._memory.get(key)
         if payload is None and self.backend is not None:
-            payload = self._read_entry(namespace, key)
+            payload = self._read_entry(key)
             if payload is not None:
                 with self._lock:
-                    self._memory[(namespace, key)] = payload
-        if payload is None:
-            with self._lock:
-                self.stats.bump("misses", namespace)
-            self.tracer.event("cache-miss", namespace=namespace, key=key)
-            return None
+                    self._memory[key] = payload
         with self._lock:
-            self.stats.bump("hits", namespace)
-        self.tracer.event("cache-hit", namespace=namespace, key=key)
+            if payload is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+        self.tracer.event("cache-miss" if payload is None else "cache-hit", key=key)
         return payload
 
-    def _read_entry(self, namespace: str, key: str) -> dict[str, Any] | None:
+    def _read_entry(self, key: str) -> dict[str, Any] | None:
         assert self.backend is not None
         try:
-            text = self.backend.get_text(namespace, key)
+            text = self.backend.get_text(key)
         except RemoteUnavailable:
             # A down endpoint is a miss, not a corrupt entry; the remote
             # backend already counted the transport failure.
             return None
         except OSError:
-            self._heal(namespace, key)
+            self._heal(key)
             return None
         if text is None:
             return None  # a plain miss, nothing to heal
@@ -227,61 +184,54 @@ class InferenceCache:
         if verdict == "version-skew":
             # Readable but written by another build; leave it alone.
             return None
-        self._heal(namespace, key, checksum=(verdict == "checksum"))
+        self._heal(key, checksum=(verdict == "checksum"))
         return None
 
-    def _heal(self, namespace: str, key: str, *, checksum: bool = False) -> None:
+    def _heal(self, key: str, *, checksum: bool = False) -> None:
         """Delete a corrupt entry so it costs one recomputation, once.
 
         One physical corruption counts once, no matter how many reads
         see it: when the delete below fails the entry survives, and the
         next ``get`` heals the *same* entry again — ``_healed`` keeps
-        those repeats out of ``stats.corrupt``.  A successful
+        those repeats out of ``stats.corrupt_entries``.  A successful
         :meth:`put` under the key re-arms counting.
         """
         with self._lock:
-            first = (namespace, key) not in self._healed
+            first = key not in self._healed
             if first:
-                self._healed.add((namespace, key))
-                self.stats.bump("corrupt", namespace)
+                self._healed.add(key)
+                self.stats.corrupt_entries += 1
                 if checksum:
-                    self.stats.bump("checksum", namespace)
+                    self.stats.checksum_failures += 1
         if first:
             if checksum:
-                self.tracer.event(
-                    "checksum-fail", namespace=namespace, key=key
-                )
-            self.tracer.event("cache-heal", namespace=namespace, key=key)
+                self.tracer.event("checksum-fail", key=key)
+            self.tracer.event("cache-heal", key=key)
         assert self.backend is not None
         try:
-            self.backend.delete(namespace, key)
+            self.backend.delete(key)
         except OSError:
             pass  # already gone, or unreachable tier: best effort
 
-    def put(self, namespace: str, key: str, payload: dict[str, Any]) -> None:
+    def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store ``payload``; persists when the cache has a backend."""
-        if namespace not in _NAMESPACES:
-            raise ValueError(f"unknown cache namespace: {namespace!r}")
         with self._lock:
-            self._memory[(namespace, key)] = payload
-            self._healed.discard((namespace, key))
-            self.stats.bump("writes", namespace)
-        self.tracer.event("cache-write", namespace=namespace, key=key)
+            self._memory[key] = payload
+            self._healed.discard(key)
+            self.stats.writes += 1
+        self.tracer.event("cache-write", key=key)
         if self.backend is None:
             return
         envelope = store.seal({"cache_version": CACHE_VERSION, "payload": payload})
         text = json.dumps(envelope, sort_keys=True)
         try:
-            self.backend.put_text(namespace, key, text)
+            self.backend.put_text(key, text)
         except OSError as error:
             # A failed persist must not kill the check; the memory layer
             # still serves this process, and the failure is counted.
             with self._lock:
-                self.stats.bump("write_failures", namespace)
-            self.tracer.event(
-                "cache-write-failed", namespace=namespace, key=key,
-                error=str(error),
-            )
+                self.stats.write_failures += 1
+            self.tracer.event("cache-write-failed", key=key, error=str(error))
 
     def flush(self) -> None:
         """Wait for deferred backend writes (tiered write-behind)."""
@@ -295,41 +245,29 @@ class InferenceCache:
 
     # ------------------------------------------------------------------
 
-    def entry_count(self) -> int:
-        """Number of entries on disk (0 for memory-only caches)."""
+    def _entries(self) -> list[Path]:
+        """Every entry file under ``<root>/class/``, sorted; none for a
+        memory-only cache."""
         if self.root is None:
-            return len(self._memory)
-        count = 0
-        for namespace in _NAMESPACES:
-            directory = self.root / namespace
-            if directory.is_dir():
-                count += sum(1 for _ in directory.rglob("*.json"))
-        return count
+            return []
+        return sorted((self.root / "class").rglob("*.json"))
 
-    def disk_stats(self) -> dict[str, dict[str, int]]:
-        """Per-namespace ``{"entries": n, "bytes": b}`` on disk.
+    def disk_stats(self) -> dict[str, int]:
+        """``{"entries": n, "bytes": b}`` on disk.
 
         Memory-only caches report their in-memory entries with zero
         bytes — there is nothing on disk to measure.
         """
-        stats: dict[str, dict[str, int]] = {}
-        for namespace in _NAMESPACES:
-            entries = size = 0
-            if self.root is None:
-                entries = sum(
-                    1 for (space, _key) in self._memory if space == namespace
-                )
-            else:
-                directory = self.root / namespace
-                if directory.is_dir():
-                    for entry in directory.rglob("*.json"):
-                        entries += 1
-                        try:
-                            size += entry.stat().st_size
-                        except OSError:
-                            pass
-            stats[namespace] = {"entries": entries, "bytes": size}
-        return stats
+        if self.root is None:
+            return {"entries": len(self._memory), "bytes": 0}
+        entries = size = 0
+        for entry in self._entries():
+            entries += 1
+            try:
+                size += entry.stat().st_size
+            except OSError:
+                pass
+        return {"entries": entries, "bytes": size}
 
     # -- audit, repair, and GC (docs/robustness.md) ---------------------
 
@@ -350,54 +288,43 @@ class InferenceCache:
             self.stats.orphans_removed += removed
         return removed
 
-    def verify(self, *, repair: bool = False) -> dict[str, dict[str, int]]:
+    def verify(self, *, repair: bool = False) -> dict[str, int]:
         """Full-scan audit of every entry's envelope and checksum.
 
-        Returns per-namespace counts ``{"scanned", "ok", "version_skew",
+        Returns the counts ``{"scanned", "ok", "version_skew",
         "corrupt", "repaired"}``.  With ``repair=True`` corrupt entries
         are deleted (exactly what the lazy self-healing read would do,
         but eagerly and store-wide); version-skewed entries are always
         left in place.  Memory-only caches report all zeros.
         """
-        report: dict[str, dict[str, int]] = {}
-        for namespace in _NAMESPACES:
-            counts = {
-                "scanned": 0, "ok": 0, "version_skew": 0,
-                "corrupt": 0, "repaired": 0,
-            }
-            report[namespace] = counts
-            if self.root is None:
-                continue
-            directory = self.root / namespace
-            if not directory.is_dir():
-                continue
-            for entry in sorted(directory.rglob("*.json")):
-                counts["scanned"] += 1
-                try:
-                    text = entry.read_text(encoding="utf-8")
-                except OSError:
-                    verdict = "corrupt"
-                else:
-                    verdict, _payload = classify_entry(text)
-                if verdict == "ok":
-                    counts["ok"] += 1
-                elif verdict == "version-skew":
-                    counts["version_skew"] += 1
-                else:
-                    counts["corrupt"] += 1
-                    self.tracer.event(
-                        "checksum-fail" if verdict == "checksum"
-                        else "cache-heal",
-                        namespace=namespace,
-                        key=entry.stem,
-                    )
-                    if repair:
-                        try:
-                            entry.unlink()
-                            counts["repaired"] += 1
-                        except OSError:
-                            pass
-        return report
+        counts = {
+            "scanned": 0, "ok": 0, "version_skew": 0, "corrupt": 0, "repaired": 0,
+        }
+        for entry in self._entries():
+            counts["scanned"] += 1
+            try:
+                text = entry.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError):
+                verdict = "corrupt"
+            else:
+                verdict, _payload = classify_entry(text)
+            if verdict == "ok":
+                counts["ok"] += 1
+            elif verdict == "version-skew":
+                counts["version_skew"] += 1
+            else:
+                counts["corrupt"] += 1
+                self.tracer.event(
+                    "checksum-fail" if verdict == "checksum" else "cache-heal",
+                    key=entry.stem,
+                )
+                if repair:
+                    try:
+                        entry.unlink()
+                        counts["repaired"] += 1
+                    except OSError:
+                        pass
+        return counts
 
     # -- incremental project state (docs/incremental.md) ----------------
 
@@ -444,19 +371,13 @@ class InferenceCache:
         stay, so a cleared cache is still a valid cache."""
         with self._lock:
             self._memory.clear()
-        if self.root is None:
-            return 0
         removed = 0
-        for namespace in _NAMESPACES:
-            directory = self.root / namespace
-            if not directory.is_dir():
-                continue
-            for entry in directory.rglob("*.json"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for entry in self._entries():
+            try:
+                entry.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
 

@@ -11,10 +11,9 @@ and the merged report is byte-identical to the serial
 
 With an :class:`~repro.engine.cache.InferenceCache` attached, a class
 whose verdict is cached (key: :func:`repro.engine.fingerprint.class_key`)
-comes back with its diagnostics, and its behavior DFA when one was
-computed, without re-running anything.  A warm re-run of an unchanged
-project therefore performs no inference, determinization or
-minimization at all — it parses, hashes and prints.
+comes back with its diagnostics without re-running anything.  A warm
+re-run of an unchanged project therefore performs no inference,
+determinization or minimization at all — it parses, hashes and prints.
 
 **Supervision** (docs/robustness.md).  Every class check runs under a
 supervisor: a per-class wall-clock ``timeout``, a ``max_states``
@@ -68,11 +67,7 @@ from repro.engine.fingerprint import class_key
 from repro.engine.fingerprint import method_key  # noqa: F401
 from repro.engine.metrics import ClassTiming, EngineMetrics
 from repro.engine.scheduler import prune_waves, schedule
-from repro.engine.serialize import (
-    bitdfa_to_flat,
-    diagnostics_from_list,
-    diagnostics_to_list,
-)
+from repro.engine.serialize import diagnostics_from_list, diagnostics_to_list
 from repro.frontend.model_ast import ParsedClass, ParsedModule, SubsetViolation
 from repro.frontend.project import parse_path
 from repro.obs.tracer import NULL_TRACER, PHASES, Tracer
@@ -132,7 +127,7 @@ def _check_class_task(
         specs: Mapping[str, ClassSpec] = {
             name: ClassSpec.of(cls) for name, cls in scope.items()
         }
-        result, dfa = check_parsed_class(
+        result, _dfa = check_parsed_class(
             parsed, specs, exit_regexes=exit_regexes, limits=limits,
             tracer=tracer,
         )
@@ -151,8 +146,6 @@ def _check_class_task(
     outcome = {
         "class": parsed.name,
         "diagnostics": diagnostics_to_list(result.diagnostics),
-        # Flat int arrays: no state-name graphs cross the pool.
-        "dfa_flat": None if dfa is None else bitdfa_to_flat(dfa),
         "seconds": time.perf_counter() - started,
     }
     if trace:
@@ -743,7 +736,7 @@ class BatchVerifier:
             if self.cache is not None:
                 lookup_started = time.perf_counter()
                 key = class_key(parsed, classes_by_name)
-                payload = self.cache.get("class", key)
+                payload = self.cache.get(key)
                 if payload is not None:
                     try:
                         diagnostics = diagnostics_from_list(
@@ -839,13 +832,7 @@ class BatchVerifier:
                     # one entry must produce identical bytes, so no
                     # timings go in.
                     self.cache.put(
-                        "class",
-                        key,
-                        {
-                            "class": name,
-                            "diagnostics": outcome["diagnostics"],
-                            "dfa_flat": outcome["dfa_flat"],
-                        },
+                        key, {"class": name, "diagnostics": outcome["diagnostics"]}
                     )
                     cache_writes += 1
 
@@ -912,7 +899,7 @@ def cache_counters(cache: InferenceCache | None) -> dict[str, int]:
     return {
         "corrupt_entries": stats.corrupt_entries,
         "checksum_failures": stats.checksum_failures,
-        "write_failures": stats.write_failure_count,
+        "write_failures": stats.write_failures,
         "orphans_removed": stats.orphans_removed,
         "remote_hits": stats.remote_hits,
         "remote_misses": stats.remote_misses,

@@ -20,7 +20,7 @@ Sites and the ``key`` they match ``pattern`` against (``fnmatch``):
 
 * ``worker`` — entry of the per-class check task; key = class name;
 * ``cache-put`` — after a cache entry is persisted;
-  key = ``namespace/content-key``;
+  key = ``class/<content-key>``;
 * ``store-write`` — inside :func:`repro.engine.store.atomic_write_text`
   after the payload landed in the temp file; key = the logical store
   name (``state``, ``class/<k>``); ``path`` = the temp
@@ -39,7 +39,7 @@ Sites and the ``key`` they match ``pattern`` against (``fnmatch``):
 * ``remote-get`` / ``remote-put`` — fired by
   :class:`repro.engine.backends.remote.RemoteHTTPBackend` immediately
   before the corresponding HTTP request; key =
-  ``namespace/content-key``.  Any raising action here surfaces as
+  ``class/<content-key>``.  Any raising action here surfaces as
   :class:`~repro.engine.backends.base.RemoteUnavailable`, which is how
   tests and CI rehearse flaky or dead remote caches (the tiered backend
   must degrade to local-only without changing a byte of any report).

@@ -289,6 +289,8 @@ def mine_path(
         source = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise MineError(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as error:
+        raise MineError(f"cannot read {path}: {error}")
     return mine_source(
         source,
         source_name=str(path),

@@ -1,19 +1,17 @@
 """Property tests for the kernel's symbol interner.
 
 The interner's one load-bearing promise: symbol ids are a pure function
-of the symbol *set* — insertion order, duplicates, process boundaries
-and serialization round trips must never change them, because flat DFA
-payloads (engine/serialize.py) encode transitions by id.
+of the symbol *set* — insertion order, duplicates and process boundaries
+must never change them, because kernel automata encode transitions by
+id.
 """
 
 import concurrent.futures
 import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.kernel import Alphabet
-from repro.engine.serialize import FlatFormatError
 
 # Same convention as test_kernel_differential.py: the nightly CI job
 # raises every example budget by setting REPRO_FUZZ_MULTIPLIER.
@@ -57,16 +55,6 @@ def test_ids_are_dense_and_sorted(symbols):
     )
 
 
-@given(symbols_strategy)
-@settings(max_examples=_examples(200), deadline=None)
-def test_payload_round_trip_preserves_exact_ids(symbols):
-    alphabet = Alphabet(symbols)
-    rebuilt = Alphabet.from_payload(alphabet.to_payload())
-    assert rebuilt == alphabet
-    for symbol in alphabet.symbols:
-        assert rebuilt.id_of(symbol) == alphabet.id_of(symbol)
-
-
 @given(symbols_strategy, symbols_strategy)
 @settings(max_examples=_examples(100), deadline=None)
 def test_intern_growth_keeps_existing_ids(symbols, extra):
@@ -76,21 +64,12 @@ def test_intern_growth_keeps_existing_ids(symbols, extra):
         alphabet.intern(symbol)
     for symbol, index in before.items():
         assert alphabet.id_of(symbol) == index
-    # Round trip still works after growth, even unsorted.
-    rebuilt = Alphabet.from_payload(alphabet.to_payload())
-    for symbol in alphabet.symbols:
-        assert rebuilt.id_of(symbol) == alphabet.id_of(symbol)
 
 
 def test_decode_maps_ids_back():
     alphabet = Alphabet(["open", "close", "test"])
     ids = [alphabet.id_of("test"), alphabet.id_of("open")]
     assert alphabet.decode(ids) == ("test", "open")
-
-
-def test_from_payload_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Alphabet.from_payload(["a", "a"])
 
 
 def _intern_in_subprocess(symbols):
@@ -103,24 +82,11 @@ def _intern_in_subprocess(symbols):
 def test_cross_process_consistency():
     """The same symbol set interns identically in a fresh interpreter.
 
-    This is what makes flat DFA payloads portable across process-pool
-    workers: ids depend only on sorted symbol order, never on per-process
-    hash randomization.
+    Ids depend only on sorted symbol order, never on per-process hash
+    randomization.
     """
     symbols = ["b.close", "a.open", "a.test", "b.open", "step", "a.close"]
     local = {s: Alphabet(symbols).id_of(s) for s in sorted(set(symbols))}
     with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
         remote = pool.submit(_intern_in_subprocess, symbols).result(timeout=60)
     assert local == remote
-
-
-def test_flat_payload_symbols_survive_json():
-    import json
-
-    alphabet = Alphabet(["x", "a", "m"])
-    payload = json.loads(json.dumps(alphabet.to_payload()))
-    assert Alphabet.from_payload(payload) == alphabet
-
-
-def test_flat_format_error_is_value_error():
-    assert issubclass(FlatFormatError, ValueError)

@@ -120,10 +120,8 @@ def test_epsilon_closure_chains():
 
 
 def test_round_trip_through_classic_dfa():
-    """Through the model interchange JSON and the cache's flat arrays:
-    the same automaton comes back."""
+    """Through the model interchange JSON: the same automaton comes back."""
     from repro.core.model_io import dump_dfa, load_dfa
-    from repro.engine.serialize import bitdfa_from_flat, bitdfa_to_flat
 
     nfa = make_nfa(
         [("s", "a", "t"), ("s", "a", "u"), ("t", "b", "u")],
@@ -132,7 +130,6 @@ def test_round_trip_through_classic_dfa():
     )
     bitdfa = determinize_bitset(nfa)
     assert load_dfa(dump_dfa(bitdfa)) == bitdfa
-    assert bitdfa_from_flat(bitdfa_to_flat(bitdfa)) == bitdfa
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,11 @@ kernel:
   qualifies).
 * **Regex-built automata** against the regex itself: Thompson
   allocates two states per node, accepts what :mod:`repro.regex`
-  matching accepts, and state elimination returns a regex that
-  :func:`repro.regex.equivalence.equivalent` calls equal.
+  matching accepts, state elimination returns a regex that
+  :func:`repro.regex.equivalence.equivalent` calls equal, and the
+  lesser of the two difference witnesses is the word that
+  :func:`repro.regex.equivalence.counterexample` finds with no length
+  bound.
 * **Spec automata** against the runtime monitor's
   :class:`~repro.core.spec.SpecTable` walk, up to a bounded length.
 * **Goldens** recorded while a classic reference library still existed
@@ -52,11 +55,10 @@ from repro.core.behavior import behavior_nfa
 from repro.core.checker import Checker, check_parsed_class, check_source
 from repro.core.limits import BudgetExceeded, Limits
 from repro.core.spec import ClassSpec
-from repro.engine.serialize import bitdfa_to_flat
 from repro.frontend.parse import parse_module
 from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
 from repro.regex.ast import EMPTY, EPSILON, Concat, Regex, Star, Union, symbol
-from repro.regex.equivalence import equivalent
+from repro.regex.equivalence import counterexample, equivalent
 from repro.regex.matching import matches
 from repro.workloads.hierarchy import (
     HierarchyShape,
@@ -334,6 +336,32 @@ def test_state_elimination_returns_an_equivalent_regex(regex):
     assert equivalent(bitdfa_to_regex(minimal), regex)
 
 
+@given(regexes(), regexes())
+# The two regexes first disagree on words of length 6, past BOUND.
+@example(
+    Concat(A, Concat(A, Concat(A, Concat(A, Concat(B, C))))),
+    Concat(A, Concat(A, Concat(A, Concat(A, Concat(B, B))))),
+)
+# Two shortest witnesses in one direction: the tie goes to "ab".
+@example(Concat(A, Union(C, B)), EMPTY)
+@settings(max_examples=_examples(100), deadline=None)
+def test_witnesses_match_the_unbounded_regex_search(left, right):
+    """Length-lex minimality with no length bound: the lesser of the two
+    difference witnesses is the first disagreement that the breadth-first
+    derivative search over the regex pair reaches."""
+    dfas = [determinize_bitset(thompson_bitnfa(r, ALPHABET)) for r in (left, right)]
+    witnesses = [
+        witness
+        for witness in (
+            bitset_difference_counterexample(dfas[0], dfas[1]),
+            bitset_difference_counterexample(dfas[1], dfas[0]),
+        )
+        if witness is not None
+    ]
+    least = min(witnesses, key=lambda word: (len(word), word), default=None)
+    assert least == counterexample(left, right)
+
+
 # ----------------------------------------------------------------------
 # Spec automata against the runtime monitor's spec table
 # ----------------------------------------------------------------------
@@ -413,7 +441,18 @@ def _digest(text: str) -> str:
 
 
 def _flat_digest(bitnfa) -> str:
-    return _digest(json.dumps(bitdfa_to_flat(determinize_bitset(bitnfa)), sort_keys=True))
+    """Digest of the determinized automaton as flat arrays: symbols in id
+    order, state count, row-major ``delta`` (-1 = no move), initial
+    state and accepting ids."""
+    dfa = determinize_bitset(bitnfa)
+    flat = {
+        "symbols": list(dfa.alphabet.symbols),
+        "n": dfa.n,
+        "delta": list(dfa.delta),
+        "initial": dfa.initial,
+        "accepting": list(dfa.accepting_states()),
+    }
+    return _digest(json.dumps(flat, sort_keys=True))
 
 
 def _golden_classes():

@@ -12,6 +12,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -52,13 +53,12 @@ def backend(request, tmp_path, cache_server):
         tiered = TieredBackend(
             LocalDirBackend(tmp_path / "local"),
             RemoteHTTPBackend(cache_server.endpoint),
-            write_behind=False,
         )
         yield tiered
         tiered.close()
 
 
-def corrupt_stored_entry(backend, cache_server, namespace, key):
+def corrupt_stored_entry(backend, cache_server, key):
     """Flip bytes of the stored entry, wherever this backend keeps it."""
     roots = []
     if backend.local_root is not None:
@@ -66,7 +66,7 @@ def corrupt_stored_entry(backend, cache_server, namespace, key):
     roots.append(cache_server.backend.local_root)
     found = False
     for root in roots:
-        path = root / namespace / key[:2] / f"{key}.json"
+        path = root / "class" / key[:2] / f"{key}.json"
         if path.exists():
             # Invalid JSON: unambiguously corrupt (an envelope with a
             # missing version field would read as version skew instead).
@@ -78,42 +78,42 @@ def corrupt_stored_entry(backend, cache_server, namespace, key):
 class TestConformance:
     def test_round_trip(self, backend):
         cache = InferenceCache(backend=backend)
-        assert cache.get("class", KEY) is None
-        cache.put("class", KEY, PAYLOAD)
+        assert cache.get(KEY) is None
+        cache.put(KEY, PAYLOAD)
         cache.flush()
         # A fresh cache over the same transport must see the entry
         # (no in-memory short-circuit).
         fresh = InferenceCache(backend=backend)
-        assert fresh.get("class", KEY) == PAYLOAD
-        assert fresh.stats.hits["class"] == 1
+        assert fresh.get(KEY) == PAYLOAD
+        assert fresh.stats.hits == 1
 
     def test_seal_mismatch_heals(self, backend, cache_server):
         cache = InferenceCache(backend=backend)
-        cache.put("class", KEY, PAYLOAD)
+        cache.put(KEY, PAYLOAD)
         cache.flush()
-        corrupt_stored_entry(backend, cache_server, "class", KEY)
+        corrupt_stored_entry(backend, cache_server, KEY)
         fresh = InferenceCache(backend=backend)
-        assert fresh.get("class", KEY) is None
-        assert fresh.stats.corrupt["class"] == 1
+        assert fresh.get(KEY) is None
+        assert fresh.stats.corrupt_entries == 1
         # The corrupt entry was deleted: the next fresh read is a plain
         # miss, not another heal.
         again = InferenceCache(backend=backend)
-        assert again.get("class", KEY) is None
-        assert again.stats.corrupt["class"] == 0
+        assert again.get(KEY) is None
+        assert again.stats.corrupt_entries == 0
 
     def test_delete_then_miss(self, backend):
         cache = InferenceCache(backend=backend)
-        cache.put("class", KEY, PAYLOAD)
+        cache.put(KEY, PAYLOAD)
         cache.flush()
-        assert backend.delete("class", KEY) is True
+        assert backend.delete(KEY) is True
         fresh = InferenceCache(backend=backend)
         if isinstance(backend, TieredBackend):
             # Tiered deletes drop the *local* copy only — by design, so
             # a healed entry re-promotes from the intact remote copy.
-            assert fresh.get("class", KEY) == PAYLOAD
+            assert fresh.get(KEY) == PAYLOAD
         else:
-            assert backend.delete("class", KEY) is False
-            assert fresh.get("class", KEY) is None
+            assert backend.delete(KEY) is False
+            assert fresh.get(KEY) is None
 
     def test_concurrent_writers_converge(self, backend):
         cache = InferenceCache(backend=backend)
@@ -122,7 +122,7 @@ class TestConformance:
         def writer(index):
             try:
                 for step in range(5):
-                    cache.put("class", f"{KEY}{index:02d}{step:02d}", PAYLOAD)
+                    cache.put(f"{KEY}{index:02d}{step:02d}", PAYLOAD)
             except Exception as err:  # pragma: no cover - failure path
                 errors.append(err)
 
@@ -138,7 +138,7 @@ class TestConformance:
         fresh = InferenceCache(backend=backend)
         for index in range(4):
             for step in range(5):
-                assert fresh.get("class", f"{KEY}{index:02d}{step:02d}") == PAYLOAD
+                assert fresh.get(f"{KEY}{index:02d}{step:02d}") == PAYLOAD
 
 
 class TestTiered:
@@ -148,30 +148,29 @@ class TestTiered:
             RemoteHTTPBackend(cache_server.endpoint),
         )
         cache = InferenceCache(backend=tiered)
-        cache.put("class", KEY, PAYLOAD)
+        cache.put(KEY, PAYLOAD)
         cache.flush()
         remote_only = InferenceCache(
             backend=RemoteHTTPBackend(cache_server.endpoint)
         )
-        assert remote_only.get("class", KEY) == PAYLOAD
+        assert remote_only.get(KEY) == PAYLOAD
         cache.close()
 
     def test_remote_hit_promotes_to_local(self, tmp_path, cache_server):
         seeder = InferenceCache(
             backend=RemoteHTTPBackend(cache_server.endpoint)
         )
-        seeder.put("class", KEY, PAYLOAD)
+        seeder.put(KEY, PAYLOAD)
         tiered = TieredBackend(
             LocalDirBackend(tmp_path / "local"),
             RemoteHTTPBackend(cache_server.endpoint),
-            write_behind=False,
         )
         cache = InferenceCache(backend=tiered)
-        assert cache.get("class", KEY) == PAYLOAD
+        assert cache.get(KEY) == PAYLOAD
         assert cache.stats.remote_hits == 1
         # Promotion happened: the local tree alone now serves the key.
         local_only = InferenceCache(backend=LocalDirBackend(tmp_path / "local"))
-        assert local_only.get("class", KEY) == PAYLOAD
+        assert local_only.get(KEY) == PAYLOAD
         cache.close()
 
     def test_remote_down_degrades_to_local_only(self, tmp_path):
@@ -179,19 +178,17 @@ class TestTiered:
             LocalDirBackend(tmp_path / "local"),
             # Nothing listens here: every request is connection-refused.
             RemoteHTTPBackend("http://127.0.0.1:9", timeout=0.2),
-            write_behind=False,
-            failure_threshold=2,
         )
         cache = InferenceCache(backend=tiered)
         for index in range(4):
-            assert cache.get("class", f"{KEY}{index:02d}") is None
+            assert cache.get(f"{KEY}{index:02d}") is None
         assert tiered.degraded
         assert cache.stats.remote_errors >= 2
         assert cache.stats.remote_degraded == 1
         # Local service continues unharmed.
-        cache.put("class", KEY, PAYLOAD)
+        cache.put(KEY, PAYLOAD)
         fresh = InferenceCache(backend=LocalDirBackend(tmp_path / "local"))
-        assert fresh.get("class", KEY) == PAYLOAD
+        assert fresh.get(KEY) == PAYLOAD
         cache.close()
 
     def test_injected_remote_faults_degrade(self, tmp_path, cache_server):
@@ -201,14 +198,12 @@ class TestTiered:
             tiered = TieredBackend(
                 LocalDirBackend(tmp_path / "local"),
                 RemoteHTTPBackend(cache_server.endpoint),
-                write_behind=False,
-                failure_threshold=3,
             )
             cache = InferenceCache(backend=tiered)
-            cache.put("class", KEY, PAYLOAD)
-            assert cache.get("class", KEY) == PAYLOAD  # local tier serves
+            cache.put(KEY, PAYLOAD)
+            assert cache.get(KEY) == PAYLOAD  # local tier serves
             for index in range(4):
-                cache.get("class", f"{KEY}{index:02d}")
+                cache.get(f"{KEY}{index:02d}")
             assert tiered.degraded
             assert cache.stats.remote_errors >= 3
             cache.close()
@@ -222,17 +217,17 @@ class TestRemoteBackendErrors:
     def test_connection_refused_is_remote_unavailable(self):
         backend = RemoteHTTPBackend("http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(RemoteUnavailable):
-            backend.get_text("class", KEY)
+            backend.get_text(KEY)
         with pytest.raises(RemoteUnavailable):
-            backend.put_text("class", KEY, sealed_text())
+            backend.put_text(KEY, sealed_text())
 
     def test_remote_unavailable_is_plain_miss_for_cache(self):
         cache = InferenceCache(
             backend=RemoteHTTPBackend("http://127.0.0.1:9", timeout=0.2)
         )
-        assert cache.get("class", KEY) is None
-        assert cache.stats.misses["class"] == 1
-        assert cache.stats.corrupt["class"] == 0
+        assert cache.get(KEY) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt_entries == 0
         assert cache.stats.remote_errors == 1
 
 
@@ -288,3 +283,35 @@ class TestCacheServer:
             stats = json.loads(response.read())
         assert stats["counters"]["puts"] == 1
         assert stats["counters"]["hits"] == 1
+
+    def test_only_the_class_route_stores_entries(self, cache_server):
+        text = sealed_text()
+        with self.put(cache_server, f"/v1/cache/class/{KEY}", text):
+            pass
+        with urllib.request.urlopen(
+            f"{cache_server.endpoint}/v1/cache/class/{KEY}", timeout=5.0
+        ) as response:
+            assert response.read().decode("utf-8") == text
+        # Every entry is a class verdict: any other name in the route is
+        # an unknown route, and nothing is written for it.
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.put(cache_server, f"/v1/cache/method/{KEY}", text)
+        assert excinfo.value.code == 404
+        excinfo.value.close()
+        root = cache_server.backend.local_root
+        assert [path.relative_to(root) for path in root.rglob("*.json")] == [
+            Path("class", KEY[:2], f"{KEY}.json")
+        ]
+        assert cache_server.counters["puts"] == 1
+
+    def test_non_utf8_entry_is_a_miss(self, cache_server):
+        path = cache_server.backend.local_root / "class" / KEY[:2] / f"{KEY}.json"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(
+                f"{cache_server.endpoint}/v1/cache/class/{KEY}", timeout=5.0
+            )
+        assert excinfo.value.code == 404
+        excinfo.value.close()
+        assert cache_server.counters["misses"] == 1

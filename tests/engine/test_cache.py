@@ -2,136 +2,120 @@
 
 import json
 
-import pytest
-
-from repro.engine.cache import CACHE_VERSION, CacheStats, InferenceCache
+from repro.engine.cache import CACHE_VERSION, InferenceCache
 
 
 class TestMemoryCache:
     def test_roundtrip(self):
         cache = InferenceCache(None)
-        assert cache.get("class", "k1") is None
-        cache.put("class", "k1", {"diagnostics": []})
-        assert cache.get("class", "k1") == {"diagnostics": []}
-
-    def test_unknown_namespace_rejected(self):
-        cache = InferenceCache(None)
-        with pytest.raises(ValueError):
-            cache.get("regex", "k")
-        with pytest.raises(ValueError):
-            cache.put("regex", "k", {})
-        # Method behaviors are re-inferred, never cached.
-        with pytest.raises(ValueError):
-            cache.get("method", "k")
+        assert cache.get("k1") is None
+        cache.put("k1", {"diagnostics": []})
+        assert cache.get("k1") == {"diagnostics": []}
 
     def test_stats_count_hits_misses_writes(self):
         cache = InferenceCache(None)
-        cache.get("class", "absent")
-        cache.put("class", "present", {"x": 1})
-        cache.get("class", "present")
-        cache.get("class", "present")
-        assert cache.stats.misses["class"] == 1
-        assert cache.stats.hits["class"] == 2
-        assert cache.stats.writes["class"] == 1
-        assert cache.stats.hit_rate("class") == pytest.approx(2 / 3)
-        assert cache.stats.hit_rate("regex") == 0.0
+        cache.get("absent")
+        cache.put("present", {"x": 1})
+        cache.get("present")
+        cache.get("present")
+        assert cache.stats.misses == 1
+        assert cache.stats.hits == 2
+        assert cache.stats.writes == 1
 
 
 class TestDiskCache:
     def test_persists_across_instances(self, tmp_path):
-        InferenceCache(tmp_path).put("class", "deadbeef", {"verdict": "ok"})
+        InferenceCache(tmp_path).put("deadbeef", {"verdict": "ok"})
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "deadbeef") == {"verdict": "ok"}
-        assert fresh.stats.hits["class"] == 1
+        assert fresh.get("deadbeef") == {"verdict": "ok"}
+        assert fresh.stats.hits == 1
 
     def test_layout_is_sharded_with_cachedir_tag(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         assert (tmp_path / "CACHEDIR.TAG").read_text().startswith("Signature:")
         assert (tmp_path / "class" / "ab" / "abcdef.json").is_file()
-        assert cache.entry_count() == 1
+        assert cache.disk_stats()["entries"] == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         (tmp_path / "class" / "ab" / "abcdef.json").write_text("{ truncated")
-        assert InferenceCache(tmp_path).get("class", "abcdef") is None
+        assert InferenceCache(tmp_path).get("abcdef") is None
 
     def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         path = tmp_path / "class" / "ab" / "abcdef.json"
         path.write_text("{ truncated")
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "abcdef") is None
+        assert fresh.get("abcdef") is None
         assert not path.exists()  # self-healed: the bad file is gone
-        assert fresh.stats.corrupt["class"] == 1
         assert fresh.stats.corrupt_entries == 1
         # The next write/read cycle works again.
-        fresh.put("class", "abcdef", {"v": 2})
-        assert InferenceCache(tmp_path).get("class", "abcdef") == {"v": 2}
+        fresh.put("abcdef", {"v": 2})
+        assert InferenceCache(tmp_path).get("abcdef") == {"v": 2}
 
     def test_version_mismatch_is_not_treated_as_corruption(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         path = tmp_path / "class" / "ab" / "abcdef.json"
         envelope = json.loads(path.read_text())
         envelope["cache_version"] = CACHE_VERSION + 1
         path.write_text(json.dumps(envelope))
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "abcdef") is None
+        assert fresh.get("abcdef") is None
         assert path.exists()  # a future version's entry is left alone
         assert fresh.stats.corrupt_entries == 0
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         path = tmp_path / "class" / "ab" / "abcdef.json"
         envelope = json.loads(path.read_text())
         envelope["cache_version"] = CACHE_VERSION + 1
         path.write_text(json.dumps(envelope))
-        assert InferenceCache(tmp_path).get("class", "abcdef") is None
+        assert InferenceCache(tmp_path).get("abcdef") is None
 
     def test_non_dict_payload_is_a_miss(self, tmp_path):
         cache = InferenceCache(tmp_path)
         path = tmp_path / "class" / "ab" / "abcdef.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"cache_version": CACHE_VERSION, "payload": [1]}))
-        assert cache.get("class", "abcdef") is None
+        assert cache.get("abcdef") is None
 
     def test_memory_layer_serves_repeat_lookups(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         # Delete the file; the same instance still answers from memory.
         (tmp_path / "class" / "ab" / "abcdef.json").unlink()
-        assert cache.get("class", "abcdef") == {"v": 1}
+        assert cache.get("abcdef") == {"v": 1}
 
 
 class TestMaintenance:
     def test_disk_stats_report_entries_and_bytes(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
-        cache.put("class", "bb22", {"v": 2})
-        cache.put("class", "cc33", {"v": 3})
+        cache.put("aa11", {"v": 1})
+        cache.put("bb22", {"v": 2})
+        cache.put("cc33", {"v": 3})
         stats = cache.disk_stats()
-        assert stats == {"class": {"entries": 3, "bytes": stats["class"]["bytes"]}}
-        assert stats["class"]["bytes"] > 0
+        assert stats == {"entries": 3, "bytes": stats["bytes"]}
+        assert stats["bytes"] > 0
 
     def test_disk_stats_for_memory_only_cache(self):
-        stats = InferenceCache(None).disk_stats()
-        assert all(ns["entries"] == 0 for ns in stats.values())
+        assert InferenceCache(None).disk_stats() == {"entries": 0, "bytes": 0}
 
     def test_clear_empties_disk_and_memory(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
-        cache.put("class", "cc33", {"v": 3})
+        cache.put("aa11", {"v": 1})
+        cache.put("cc33", {"v": 3})
         assert cache.clear() == 2
-        assert cache.entry_count() == 0
-        assert cache.get("class", "aa11") is None
+        assert cache.disk_stats()["entries"] == 0
+        assert cache.get("aa11") is None
         assert (tmp_path / "CACHEDIR.TAG").exists()  # the tag survives
         # The cleared cache is still usable.
-        cache.put("class", "aa11", {"v": 1})
-        assert InferenceCache(tmp_path).get("class", "aa11") == {"v": 1}
+        cache.put("aa11", {"v": 1})
+        assert InferenceCache(tmp_path).get("aa11") == {"v": 1}
 
 
 class TestCachedirTag:
@@ -150,35 +134,12 @@ class TestCachedirTag:
             faults.install(None)
         assert not (tmp_path / "CACHEDIR.TAG").exists()
         assert cache.orphan_count() == 0
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         # A later construction (disk recovered) writes the tag whole.
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "abcdef") == {"v": 1}
+        assert fresh.get("abcdef") == {"v": 1}
         tag = tmp_path / "CACHEDIR.TAG"
         assert tag.read_text(encoding="utf-8").startswith("Signature:")
-
-
-class TestCacheStats:
-    def test_dynamic_namespaces_never_keyerror(self):
-        # Regression: the per-namespace dicts were pre-seeded with the
-        # fixed built-in set, so any later namespace raised KeyError in
-        # hit_rate()/counter updates.
-        stats = CacheStats()
-        assert stats.hit_rate("regex") == 0.0
-        stats.bump("hits", "regex")
-        stats.bump("misses", "regex")
-        stats.bump("writes", "regex", 2)
-        assert stats.hit_rate("regex") == pytest.approx(0.5)
-        assert stats.writes["regex"] == 2
-        # The built-in namespaces are still pre-seeded as zeros.
-        assert stats.hits["class"] == 0
-
-
-class TestDynamicNamespaces:
-    def test_unregistered_namespace_still_rejected(self, tmp_path):
-        cache = InferenceCache(tmp_path)
-        with pytest.raises(ValueError):
-            cache.get("regex", "k")
 
 
 class TestCounterContract:
@@ -186,18 +147,26 @@ class TestCounterContract:
     corrupt — never more, even across retries that keep re-reading a
     corrupt file the heal could not delete (docs/observability.md)."""
 
-    def _plant_garbage(self, tmp_path, namespace="class", key="cafebabe"):
+    def _plant_garbage(self, tmp_path, key="cafebabe"):
         cache = InferenceCache(tmp_path)
-        path = cache._path(namespace, key)
+        path = cache.backend.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{ truncated", encoding="utf-8")
         return cache, path
 
     def test_healed_read_is_one_miss_and_one_corrupt(self, tmp_path):
         cache, path = self._plant_garbage(tmp_path)
-        assert cache.get("class", "cafebabe") is None
-        assert cache.stats.misses["class"] == 1
-        assert cache.stats.corrupt["class"] == 1
+        assert cache.get("cafebabe") is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt_entries == 1
+        assert not path.exists()
+
+    def test_non_utf8_entry_heals_as_one_miss_and_one_corrupt(self, tmp_path):
+        cache, path = self._plant_garbage(tmp_path)
+        path.write_bytes(b"\xff\xfe{")
+        assert cache.get("cafebabe") is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt_entries == 1
         assert not path.exists()
 
     def test_failed_unlink_never_double_counts(self, tmp_path, monkeypatch):
@@ -209,11 +178,11 @@ class TestCounterContract:
         monkeypatch.setattr(type(path), "unlink", deny_unlink)
         # The corrupt file survives every heal attempt; each read is a
         # genuine miss, but the single corruption counts once.
-        assert cache.get("class", "cafebabe") is None
-        assert cache.get("class", "cafebabe") is None
+        assert cache.get("cafebabe") is None
+        assert cache.get("cafebabe") is None
         assert path.exists()
-        assert cache.stats.misses["class"] == 2
-        assert cache.stats.corrupt["class"] == 1
+        assert cache.stats.misses == 2
+        assert cache.stats.corrupt_entries == 1
 
     def test_put_rearms_counting_for_a_new_corruption(self, tmp_path, monkeypatch):
         cache, path = self._plant_garbage(tmp_path)
@@ -222,16 +191,16 @@ class TestCounterContract:
             raise OSError("read-only directory")
 
         monkeypatch.setattr(type(path), "unlink", deny_unlink)
-        assert cache.get("class", "cafebabe") is None
-        assert cache.stats.corrupt["class"] == 1
+        assert cache.get("cafebabe") is None
+        assert cache.stats.corrupt_entries == 1
         monkeypatch.undo()
 
-        cache.put("class", "cafebabe", {"verdict": "ok"})
+        cache.put("cafebabe", {"verdict": "ok"})
         # A *new* corruption of the rewritten entry counts again.
         path.write_text("garbage", encoding="utf-8")
         cache._memory.clear()  # force the next read back to disk
-        assert cache.get("class", "cafebabe") is None
-        assert cache.stats.corrupt["class"] == 2
+        assert cache.get("cafebabe") is None
+        assert cache.stats.corrupt_entries == 2
 
     def test_corrupt_fault_profile_heals_exactly_once(self, tmp_path):
         from repro.engine import faults
@@ -239,14 +208,14 @@ class TestCounterContract:
 
         faults.install(parse_faults("cache-put:corrupt:class/*"))
         writer = InferenceCache(tmp_path)
-        writer.put("class", "deadbeef", {"verdict": "ok"})
+        writer.put("deadbeef", {"verdict": "ok"})
         faults.install(None)
 
         reader = InferenceCache(tmp_path)
-        assert reader.get("class", "deadbeef") is None
-        assert reader.get("class", "deadbeef") is None  # healed: plain miss
-        assert reader.stats.misses["class"] == 2
-        assert reader.stats.corrupt["class"] == 1
+        assert reader.get("deadbeef") is None
+        assert reader.get("deadbeef") is None  # healed: plain miss
+        assert reader.stats.misses == 2
+        assert reader.stats.corrupt_entries == 1
 
     def test_cache_events_reach_the_tracer(self, tmp_path):
         from repro.obs import Tracer
@@ -255,9 +224,9 @@ class TestCounterContract:
         tracer = Tracer()
         cache.tracer = tracer
         with tracer.span("wave", "wave-0"):
-            cache.get("class", "absent")
-            cache.put("class", "absent", {"verdict": "ok"})
-            cache.get("class", "absent")
+            cache.get("absent")
+            cache.put("absent", {"verdict": "ok"})
+            cache.get("absent")
         assert tracer.counters == {
             "event.cache-miss": 1,
             "event.cache-write": 1,
@@ -278,7 +247,7 @@ class TestUnlockedWriters:
         keys_per_thread = 12
 
         def payload(key):
-            return {"class": key, "diagnostics": [key * 40] * 20, "dfa_flat": None}
+            return {"class": key, "diagnostics": [key * 40] * 20}
 
         shared = "5a" * 32
         cache = InferenceCache(tmp_path)
@@ -289,9 +258,9 @@ class TestUnlockedWriters:
             try:
                 barrier.wait(timeout=30)
                 for step in range(keys_per_thread):
-                    cache.put("class", shared, payload(shared))
+                    cache.put(shared, payload(shared))
                     key = f"{index:02x}{step:02x}" + "c" * 60
-                    cache.put("class", key, payload(key))
+                    cache.put(key, payload(key))
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -310,7 +279,7 @@ class TestUnlockedWriters:
             sys.setswitchinterval(switch)
         assert not any(worker.is_alive() for worker in workers)
         assert errors == []
-        assert cache.stats.write_failures == {"class": 0}
+        assert cache.stats.write_failures == 0
 
         fresh = InferenceCache(tmp_path)  # reads from disk, not memory
         keys = [shared] + [
@@ -319,8 +288,8 @@ class TestUnlockedWriters:
             for step in range(keys_per_thread)
         ]
         for key in keys:
-            assert fresh.get("class", key) == payload(key)
+            assert fresh.get(key) == payload(key)
         audit = fresh.verify()
-        assert audit["class"]["corrupt"] == 0
-        assert audit["class"]["ok"] == len(keys)
+        assert audit["corrupt"] == 0
+        assert audit["ok"] == len(keys)
         assert fresh.orphan_count() == 0

@@ -1,16 +1,21 @@
 """The batch engine: parity with the serial checker, caching, pooling."""
 
+import json
+
 import pytest
 
+from repro.automata.kernel import determinize_bitset
+from repro.core.behavior import behavior_nfa
 from repro.core.checker import Checker
 from repro.engine import (
     BatchVerifier,
     EngineError,
     InferenceCache,
+    store,
     verify_path,
 )
+from repro.engine.cache import CACHE_VERSION
 from repro.engine.fingerprint import class_key
-from repro.engine.serialize import bitdfa_from_flat
 from repro.frontend.parse import parse_module
 from repro.workloads.hierarchy import (
     HierarchyShape,
@@ -134,19 +139,48 @@ class TestCacheIntegration:
         second = BatchVerifier(module, violations, cache=cache).run()
         assert second.metrics.fully_cached
 
-    def test_cached_behavior_dfa_for_composites(self, tmp_path):
+    def test_cache_entries_hold_only_the_verdict(self, tmp_path):
         module, violations = _parse(project_source(SHAPE, pairs=1))
-        cache = InferenceCache(tmp_path)
-        BatchVerifier(module, violations, cache=cache).run()
+        BatchVerifier(module, violations, cache=InferenceCache(tmp_path)).run()
         classes = {parsed.name: parsed for parsed in module.classes}
+        on_disk = InferenceCache(tmp_path)
+        for name, parsed in classes.items():
+            entry = on_disk.get(class_key(parsed, classes))
+            assert sorted(entry) == ["class", "diagnostics"]
+            assert entry["class"] == name
 
-        def entry(name):
-            return cache.get("class", class_key(classes[name], classes))
-
-        composite = bitdfa_from_flat(entry("Controller0")["dfa_flat"])
-        assert composite.accepts(())  # behavior always accepts the empty trace
-        # Base-class checks never determinize, so no DFA is stored.
-        assert entry("Device0")["dfa_flat"] is None
+    def test_entry_that_also_carries_a_dfa_is_a_hit(self, tmp_path):
+        """Entries of the older shape also held the behavior DFA as flat
+        arrays under ``dfa_flat``, in the same cache version: they are
+        hits, never heals, and give the cold report."""
+        module, violations = _parse(project_source(SHAPE, pairs=1))
+        cold = BatchVerifier(
+            module, violations, cache=InferenceCache(tmp_path)
+        ).run()
+        classes = {parsed.name: parsed for parsed in module.classes}
+        for parsed in module.classes:
+            flat = None
+            if parsed.is_composite:
+                dfa = determinize_bitset(behavior_nfa(parsed))
+                flat = {
+                    "symbols": list(dfa.alphabet.symbols),
+                    "n": dfa.n,
+                    "delta": list(dfa.delta),
+                    "initial": dfa.initial,
+                    "accepting": list(dfa.accepting_states()),
+                }
+            key = class_key(parsed, classes)
+            path = tmp_path / "class" / key[:2] / f"{key}.json"
+            payload = json.loads(path.read_text(encoding="utf-8"))["payload"]
+            payload["dfa_flat"] = flat
+            envelope = store.seal({"cache_version": CACHE_VERSION, "payload": payload})
+            path.write_text(json.dumps(envelope, sort_keys=True), encoding="utf-8")
+        warm = BatchVerifier(
+            module, violations, cache=InferenceCache(tmp_path)
+        ).run()
+        assert warm.metrics.class_hits == len(classes)
+        assert warm.metrics.corrupt_entries == 0
+        assert warm.merged().format() == cold.merged().format()
 
     def test_corrupt_entry_heals_and_is_counted(self, tmp_path):
         module, violations = _parse(project_source(SHAPE, pairs=2))

@@ -191,13 +191,13 @@ class TestCorruptCacheEntry:
     def test_corrupt_at_put_truncates_the_file(self, tmp_path):
         faults.install(parse_faults("cache-put:corrupt:class/*"))
         cache = InferenceCache(tmp_path)
-        cache.put("class", "abcdef", {"v": 1})
+        cache.put("abcdef", {"v": 1})
         path = tmp_path / "class" / "ab" / "abcdef.json"
         with pytest.raises(ValueError):
             json.loads(path.read_text())
         # A fresh cache self-heals: miss, file deleted, stat counted.
         faults.install(None)
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "abcdef") is None
-        assert fresh.stats.corrupt["class"] == 1
+        assert fresh.get("abcdef") is None
+        assert fresh.stats.corrupt_entries == 1
         assert not path.exists()

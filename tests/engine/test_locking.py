@@ -199,8 +199,8 @@ cache = InferenceCache(root)
 for round_ in range(20):
     for k in range(8):
         key = f"{'deadbeef'}{k:02d}"
-        cache.put("class", key, {"key": key, "round_invariant": k})
-        got = cache.get("class", key)
+        cache.put(key, {"key": key, "round_invariant": k})
+        got = cache.get(key)
         assert got is not None and got["round_invariant"] == k, got
 print("done", cache.stats.write_failures)
 """
@@ -222,11 +222,11 @@ print("done", cache.stats.write_failures)
 
         survivor = InferenceCache(root)
         audit = survivor.verify()
-        assert audit["class"]["corrupt"] == 0
-        assert audit["class"]["ok"] == 8
+        assert audit["corrupt"] == 0
+        assert audit["ok"] == 8
         for k in range(8):
             key = f"deadbeef{k:02d}"
-            assert survivor.get("class", key) == {
+            assert survivor.get(key) == {
                 "key": key,
                 "round_invariant": k,
             }

@@ -118,7 +118,7 @@ class TestOrphanGC:
 
     def test_opening_a_cache_leaves_old_orphans_to_gc(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
+        cache.put("aa11", {"v": 1})
         self._plant_orphan(tmp_path / "class", age_seconds=7200)
         reopened = InferenceCache(tmp_path)
         assert reopened.stats.orphans_removed == 0
@@ -141,11 +141,11 @@ class TestSealedCacheEntries:
     checksum-specific healing counters."""
 
     def _entry_path(self, tmp_path, cache, key="cafebabe"):
-        return cache._path("class", key)
+        return cache.backend.entry_path(key)
 
     def test_entries_on_disk_are_sealed(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
+        cache.put("cafebabe", {"v": 1})
         envelope = json.loads(
             self._entry_path(tmp_path, cache).read_text(encoding="utf-8")
         )
@@ -173,50 +173,50 @@ class TestSealedCacheEntries:
     ):
         """The signature failure mode: valid JSON, wrong content."""
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
+        cache.put("cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["payload"] = {"v": 2}  # tampered, still valid JSON
         path.write_text(json.dumps(envelope), encoding="utf-8")
 
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "cafebabe") is None
-        assert fresh.stats.misses["class"] == 1
-        assert fresh.stats.corrupt["class"] == 1
-        assert fresh.stats.checksum["class"] == 1
+        assert fresh.get("cafebabe") is None
+        assert fresh.stats.misses == 1
+        assert fresh.stats.corrupt_entries == 1
+        assert fresh.stats.checksum_failures == 1
         assert not path.exists()  # healed
 
     def test_structural_corruption_is_not_a_checksum_failure(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
+        cache.put("cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         path.write_text("garbage", encoding="utf-8")
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "cafebabe") is None
-        assert fresh.stats.corrupt["class"] == 1
-        assert fresh.stats.checksum["class"] == 0
+        assert fresh.get("cafebabe") is None
+        assert fresh.stats.corrupt_entries == 1
+        assert fresh.stats.checksum_failures == 0
 
     def test_version_skew_left_in_place(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
+        cache.put("cafebabe", {"v": 1})
         path = self._entry_path(tmp_path, cache)
         path.write_text(
             json.dumps(store.seal({"cache_version": 99, "payload": {"v": 1}})),
             encoding="utf-8",
         )
         fresh = InferenceCache(tmp_path)
-        assert fresh.get("class", "cafebabe") is None
-        assert fresh.stats.corrupt["class"] == 0
+        assert fresh.get("cafebabe") is None
+        assert fresh.stats.corrupt_entries == 0
         assert path.exists()  # another build may still want it
 
     def test_write_failure_is_counted_and_memory_still_serves(self, tmp_path):
         faults.install(faults.parse_faults("store-write:enospc:class/*"))
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
-        assert cache.stats.write_failures["class"] == 1
-        assert cache.get("class", "cafebabe") == {"v": 1}  # memory layer
+        cache.put("cafebabe", {"v": 1})
+        assert cache.stats.write_failures == 1
+        assert cache.get("cafebabe") == {"v": 1}  # memory layer
         faults.install(None)
-        assert InferenceCache(tmp_path).get("class", "cafebabe") is None
+        assert InferenceCache(tmp_path).get("cafebabe") is None
 
 
 class TestStoreObsEvents:
@@ -235,15 +235,15 @@ class TestStoreObsEvents:
         from repro.obs import Tracer
 
         cache = InferenceCache(tmp_path)
-        cache.put("class", "cafebabe", {"v": 1})
-        path = cache._path("class", "cafebabe")
+        cache.put("cafebabe", {"v": 1})
+        path = cache.backend.entry_path("cafebabe")
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["payload"] = {"v": 2}
         path.write_text(json.dumps(envelope), encoding="utf-8")
 
         fresh = InferenceCache(tmp_path)
         fresh.tracer = tracer = Tracer()
-        assert fresh.get("class", "cafebabe") is None
+        assert fresh.get("cafebabe") is None
         assert len(self._events(tracer, "checksum-fail")) == 1
         assert len(self._events(tracer, "cache-heal")) == 1
 
@@ -265,51 +265,46 @@ class TestStoreObsEvents:
 class TestVerifyAudit:
     def test_clean_store_verifies_clean(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
-        cache.put("class", "bb22", {"v": 2})
+        cache.put("aa11", {"v": 1})
+        cache.put("bb22", {"v": 2})
         report = cache.verify()
         assert report == {
-            "class": {
-                "scanned": 2, "ok": 2, "version_skew": 0,
-                "corrupt": 0, "repaired": 0,
-            }
+            "scanned": 2, "ok": 2, "version_skew": 0, "corrupt": 0, "repaired": 0,
         }
 
     def test_corrupt_entry_found_and_repaired(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
-        path = cache._path("class", "aa11")
+        cache.put("aa11", {"v": 1})
+        path = cache.backend.entry_path("aa11")
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) // 2], encoding="utf-8")
 
         audit = cache.verify()
-        assert audit["class"]["corrupt"] == 1
-        assert audit["class"]["repaired"] == 0
+        assert audit["corrupt"] == 1
+        assert audit["repaired"] == 0
         assert path.exists()  # audit without repair never deletes
 
         repaired = cache.verify(repair=True)
-        assert repaired["class"]["repaired"] == 1
+        assert repaired["repaired"] == 1
         assert not path.exists()
-        assert cache.verify()["class"] == {
+        assert cache.verify() == {
             "scanned": 0, "ok": 0, "version_skew": 0,
             "corrupt": 0, "repaired": 0,
         }
 
     def test_version_skew_never_repaired(self, tmp_path):
         cache = InferenceCache(tmp_path)
-        cache.put("class", "aa11", {"v": 1})
-        path = cache._path("class", "aa11")
+        cache.put("aa11", {"v": 1})
+        path = cache.backend.entry_path("aa11")
         path.write_text(
             json.dumps(store.seal({"cache_version": 99, "payload": {}})),
             encoding="utf-8",
         )
         audit = cache.verify(repair=True)
-        assert audit["class"]["version_skew"] == 1
-        assert audit["class"]["repaired"] == 0
+        assert audit["version_skew"] == 1
+        assert audit["repaired"] == 0
         assert path.exists()
 
     def test_memory_only_cache_reports_zeros(self):
         report = InferenceCache(None).verify(repair=True)
-        assert all(
-            value == 0 for counts in report.values() for value in counts.values()
-        )
+        assert all(value == 0 for value in report.values())

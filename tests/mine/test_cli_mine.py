@@ -42,6 +42,16 @@ class TestMineCommand:
         with pytest.raises(SystemExit):
             main(["mine", "/nonexistent/file.py"])
 
+    def test_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "garbled.py"
+        path.write_bytes(b"\xff\xfe" + module_source(SHAPE).encode("utf-8"))
+        with pytest.raises(SystemExit) as raised:
+            main(["mine", str(path)])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
     def test_output_is_byte_deterministic(self, workload, capsys):
         assert main(["mine", workload, "--diff", "--seed", "4"]) == 0
         first = capsys.readouterr().out

@@ -121,6 +121,22 @@ class TestCheckBatch:
         assert "[cache]" in warm
         assert "[checked]" not in warm
 
+    def test_non_utf8_cache_entry_heals_on_the_warm_run(self, good, tmp_path, capsys):
+        """An entry whose bytes are not UTF-8 is a corrupt entry: the warm
+        run recomputes that class, prints the cold report and reports
+        one healed entry."""
+        cache_dir = tmp_path / "cache"
+        args = ["check", good, "--cache", "--cache-dir", str(cache_dir)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        victim = next((cache_dir / "class").rglob("*.json"))
+        victim.write_bytes(b"\xff\xfe{")
+        assert main(args + ["--stats"]) == 0
+        report, metrics = capsys.readouterr().out.split("\nengine metrics:\n")
+        assert report == cold
+        assert "cache healed          1 corrupt entry deleted" in metrics
+        assert victim.read_bytes().startswith(b"{")  # rewritten whole
+
     def test_directory_project(self, tmp_path, capsys):
         from repro.workloads.hierarchy import HierarchyShape, project_files
 
@@ -321,6 +337,21 @@ class TestCacheCommand:
         assert "1 corrupt" in out and "--repair" in out
         assert victim.exists()  # audit alone never deletes
 
+        assert main(
+            ["cache", "verify", "--repair", "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert "1 repaired" in capsys.readouterr().out
+        assert not victim.exists()
+
+    def test_verify_counts_a_non_utf8_entry_as_corrupt(self, good, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        assert main(["check", good, "--cache", "--cache-dir", str(cache_dir)]) == 0
+        victim = next((cache_dir / "class").rglob("*.json"))
+        victim.write_bytes(b"\xff\xfe{")
+        capsys.readouterr()
+
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
+        assert "1 corrupt" in capsys.readouterr().out
         assert main(
             ["cache", "verify", "--repair", "--cache-dir", str(cache_dir)]
         ) == 0
