@@ -2,21 +2,25 @@
 
 A class check asks about the same automata many times — the vacuity
 screen re-asks about the projection that the claim check already
-built, every strengthening mutant re-translates over the same observed
+built, every strengthening mutant is decided over the same observed
 alphabet, and each subsystem field needs its spec's DFA.  A
 ``KernelCheck`` owns the class's :class:`~repro.automata.kernel.bitset.BitNFA`
 and memoizes every derived DFA for the lifetime of one
-``check_parsed_class`` call.  Every machine is built straight into
-bitsets — spec automata by ``ClassSpec.bitnfa``, negated claims by
-LTLf progression.  Memoization is a pure cache — every entry is a deterministic function
-of the behavior NFA and the key — so verdicts are unchanged; only the
-wall clock moves.
+``check_parsed_class`` call: each subsystem spec is determinized once
+and renamed per field, and each claim is decided once (``decisions``).
+Negated claims are shared wider, by every class check of the process
+(:func:`repro.ltlf.translate.shared_negation_dfa`).  Every machine is
+built straight into bitsets — spec automata by ``ClassSpec.bitnfa``,
+negated claims by LTLf progression.  Memoization is a pure cache —
+every entry is a deterministic function of the behavior NFA and the
+key — so verdicts are unchanged; only the wall clock moves.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.automata.kernel.alphabet import Alphabet
 from repro.automata.kernel.bitset import BitDFA, BitNFA, project_bitnfa
 from repro.automata.kernel.determinize import determinize_bitset
 from repro.automata.kernel.inclusion import (
@@ -54,7 +58,9 @@ class KernelCheck:
         self._behavior_dfa: BitDFA | None = None
         self._spec_dfas: dict[tuple[str, str], BitDFA] = {}
         self._projections: dict[frozenset[str], BitDFA] = {}
-        self._negations: dict[tuple["Formula", frozenset[str]], BitDFA] = {}
+        #: Each claim of the class, by its text, as decided by
+        #: :mod:`repro.core.claims`; the vacuity screen reads it.
+        self.decisions: dict[str, object] = {}
 
     # ------------------------------------------------------------------
 
@@ -70,11 +76,29 @@ class KernelCheck:
         return self._behavior_dfa
 
     def spec_dfa(self, spec: "ClassSpec", prefix: str = "") -> BitDFA:
-        """Determinized spec automaton for ``spec`` scoped by ``prefix``."""
+        """Determinized spec automaton for ``spec`` scoped by ``prefix``.
+
+        ``spec.bitnfa()`` is determinized once per check; each field's
+        copy renames its symbols.  A prefix common to every symbol keeps
+        their sorted order, so the symbol ids, states, ``delta`` and
+        ``accepting`` are exactly those of determinizing
+        ``spec.bitnfa(prefix)`` (the copy shares ``delta``, which no
+        caller mutates).
+        """
         key = (spec.name, prefix)
         found = self._spec_dfas.get(key)
         if found is None:
-            found = determinize_bitset(spec.bitnfa(prefix))
+            if prefix:
+                base = self.spec_dfa(spec)
+                found = BitDFA(
+                    Alphabet(prefix + symbol for symbol in base.alphabet),
+                    base.n,
+                    base.delta,
+                    base.initial,
+                    base.accepting,
+                )
+            else:
+                found = determinize_bitset(spec.bitnfa())
             self._spec_dfas[key] = found
         return found
 
@@ -83,8 +107,8 @@ class KernelCheck:
 
         This is the machine both the claim check and the vacuity screen
         need per formula — memoizing it is the single biggest saving of
-        a check (unmemoized, a holding claim would rebuild it three
-        times: claims, the vacuity hold-check, and the mutants).
+        a check (unmemoized, a holding claim would rebuild it for the
+        claim and again for every strengthening mutant).
         """
         found = self._projections.get(observed)
         if found is None:
@@ -95,22 +119,13 @@ class KernelCheck:
         return found
 
     def negation_dfa(self, formula: "Formula", observed: frozenset[str]) -> BitDFA:
-        """The DFA of ``¬formula`` over ``observed``, by progression
-        (:func:`repro.ltlf.translate.negation_to_bitdfa`) under the
-        check's deadline.  Memoized because the vacuity hold-check
-        re-asks about the very formula the claim check just translated.
-        """
-        key = (formula, observed)
-        found = self._negations.get(key)
-        if found is None:
-            # Lazy: repro.ltlf sits above the automata layer.
-            from repro.ltlf.translate import negation_to_bitdfa
+        """The DFA of ``¬formula`` over ``observed``, from the process's
+        shared memo (:func:`repro.ltlf.translate.shared_negation_dfa`);
+        a miss runs the progression under the check's deadline."""
+        # Lazy: repro.ltlf sits above the automata layer.
+        from repro.ltlf.translate import shared_negation_dfa
 
-            found = negation_to_bitdfa(
-                formula, alphabet=observed, deadline=self.deadline
-            )
-            self._negations[key] = found
-        return found
+        return shared_negation_dfa(formula, observed, deadline=self.deadline)
 
     # ------------------------------------------------------------------
 

@@ -69,8 +69,9 @@ def check_parsed_class(
     ``tracer`` (default: the no-op :data:`repro.obs.NULL_TRACER`) opens
     one phase span per pipeline step — ``parse`` (the structural lints),
     ``dependency`` (invocation/exhaustiveness analyses), ``infer``
-    (behavior construction), ``determinize``, ``usage`` and ``claims``
-    — at exactly the sites where the ``limits`` budget already flows.
+    (behavior construction), ``determinize``, ``usage``, ``claims`` and
+    ``vacuity`` — at exactly the sites where the ``limits`` budget
+    already flows.
     Tracing never changes the verdict; with the null tracer the function
     is byte-for-byte the old pipeline.
 
@@ -119,6 +120,7 @@ def check_parsed_class(
             result.extend(check_subsystem_usage(parsed, specs, kernel))
     with tracer.span("phase", "claims"):
         result.extend(check_claims(parsed, specs, kernel))
+    with tracer.span("phase", "vacuity"):
         result.extend(check_claim_vacuity(parsed, specs, kernel))
     return result, dfa
 

@@ -10,9 +10,15 @@ events the formula can observe — subsystem-call events for composite
 classes (``a.test, a.open, ...``), plus any own-operation names the
 formula mentions (which is also how claims on *base* classes work, e.g.
 ``@claim("G (open -> F close)")`` on ``Valve``).
+
+Each claim is parsed, scoped and decided once per class check
+(:func:`decide_claims`); the vacuity screen (:mod:`repro.core.vacuity`)
+reads those decisions.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.automata.kernel import BitNFA, KernelCheck
 from repro.core.behavior import behavior_nfa
@@ -24,7 +30,7 @@ from repro.core.diagnostics import (
     Severity,
 )
 from repro.frontend.model_ast import ParsedClass
-from repro.ltlf.ast import atoms as formula_atoms
+from repro.ltlf.ast import Formula, atoms as formula_atoms
 from repro.ltlf.parser import ClaimSyntaxError, parse_claim
 
 
@@ -69,6 +75,103 @@ def claim_alphabet(
     return frozenset(dotted) | (formula_atom_names & own)
 
 
+@dataclass(frozen=True)
+class ClaimDecision:
+    """One ``@claim`` of a class, parsed, scoped and decided.
+
+    ``formula`` is ``None`` when the text does not parse; ``observed`` is
+    the claim's alphabet (:func:`claim_alphabet`).  ``error`` is the
+    claim's ``bad-claim`` or ``unmet-requirement`` diagnostic, ``None``
+    when the claim holds.
+    """
+
+    formula: Formula | None
+    observed: frozenset[str]
+    error: Diagnostic | None
+
+
+def _decide(
+    parsed: ParsedClass,
+    specs: dict[str, "ClassSpec"] | None,
+    kernel: KernelCheck,
+    formula_text: str,
+) -> ClaimDecision:
+    try:
+        formula = parse_claim(formula_text)
+    except ClaimSyntaxError as error:
+        return ClaimDecision(
+            None,
+            frozenset(),
+            Diagnostic(
+                severity=Severity.ERROR,
+                code="bad-claim",
+                message=f"cannot parse claim {formula_text!r}: {error}",
+                class_name=parsed.name,
+                lineno=parsed.lineno,
+            ),
+        )
+    behavior = kernel.behavior
+    atom_names = formula_atoms(formula)
+    observed = claim_alphabet(parsed, behavior, atom_names, specs)
+    unknown_atoms = atom_names - observed - set(behavior.alphabet)
+    if unknown_atoms:
+        return ClaimDecision(
+            formula,
+            observed,
+            Diagnostic(
+                severity=Severity.ERROR,
+                code="bad-claim",
+                message=(
+                    f"claim {formula_text!r} mentions events that the "
+                    f"class never produces: {sorted(unknown_atoms)}"
+                ),
+                class_name=parsed.name,
+                lineno=parsed.lineno,
+            ),
+        )
+    counterexample = kernel.claim_counterexample(formula, observed)
+    if counterexample is None:
+        return ClaimDecision(formula, observed, None)
+    return ClaimDecision(
+        formula,
+        observed,
+        Diagnostic(
+            severity=Severity.ERROR,
+            code="unmet-requirement",
+            title=FAIL_TO_MEET_REQUIREMENT,
+            message=(
+                f"class {parsed.name} violates the temporal claim "
+                f"{formula_text!r}"
+            ),
+            class_name=parsed.name,
+            formula=formula_text,
+            counterexample=counterexample,
+            lineno=parsed.lineno,
+        ),
+    )
+
+
+def decide_claims(
+    parsed: ParsedClass,
+    specs: dict[str, "ClassSpec"] | None,
+    kernel: KernelCheck,
+) -> list[ClaimDecision]:
+    """The decision of every ``@claim`` of ``parsed``, in claim order.
+
+    Each claim text is decided once per class check: the decisions are
+    kept in ``kernel.decisions``, so the vacuity screen reads what the
+    claim check computed.
+    """
+    decisions = []
+    for formula_text in parsed.claims:
+        found = kernel.decisions.get(formula_text)
+        if found is None:
+            found = _decide(parsed, specs, kernel, formula_text)
+            kernel.decisions[formula_text] = found
+        decisions.append(found)
+    return decisions
+
+
 def check_claims(
     parsed: ParsedClass,
     specs: dict[str, "ClassSpec"] | None = None,
@@ -78,60 +181,14 @@ def check_claims(
 
     ``kernel`` is the class check's automata facade (built from
     :func:`~repro.core.behavior.behavior_nfa` when omitted); its
-    projections are shared with the vacuity screen.
+    projections and claim decisions are shared with the vacuity screen.
     """
     result = CheckResult()
     if not parsed.claims:
         return result
     if kernel is None:
         kernel = KernelCheck(behavior_nfa(parsed))
-    behavior = kernel.behavior
-    for formula_text in parsed.claims:
-        try:
-            formula = parse_claim(formula_text)
-        except ClaimSyntaxError as error:
-            result.diagnostics.append(
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    code="bad-claim",
-                    message=f"cannot parse claim {formula_text!r}: {error}",
-                    class_name=parsed.name,
-                    lineno=parsed.lineno,
-                )
-            )
-            continue
-        atom_names = formula_atoms(formula)
-        observed = claim_alphabet(parsed, behavior, atom_names, specs)
-        unknown_atoms = atom_names - observed - set(behavior.alphabet)
-        if unknown_atoms:
-            result.diagnostics.append(
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    code="bad-claim",
-                    message=(
-                        f"claim {formula_text!r} mentions events that the "
-                        f"class never produces: {sorted(unknown_atoms)}"
-                    ),
-                    class_name=parsed.name,
-                    lineno=parsed.lineno,
-                )
-            )
-            continue
-        counterexample = kernel.claim_counterexample(formula, observed)
-        if counterexample is not None:
-            result.diagnostics.append(
-                Diagnostic(
-                    severity=Severity.ERROR,
-                    code="unmet-requirement",
-                    title=FAIL_TO_MEET_REQUIREMENT,
-                    message=(
-                        f"class {parsed.name} violates the temporal claim "
-                        f"{formula_text!r}"
-                    ),
-                    class_name=parsed.name,
-                    formula=formula_text,
-                    counterexample=counterexample,
-                    lineno=parsed.lineno,
-                )
-            )
+    for decision in decide_claims(parsed, specs, kernel):
+        if decision.error is not None:
+            result.diagnostics.append(decision.error)
     return result

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.automata.kernel import KernelCheck, determinize_bitset
+from repro.automata.kernel import BitDFA, KernelCheck, determinize_bitset
 from repro.core.behavior import behavior_nfa
 from repro.core.diagnostics import (
     INVALID_SUBSYSTEM_USAGE,
@@ -44,18 +44,23 @@ class UsageViolation:
 
 
 def replay_against_spec(
-    spec: ClassSpec, trace: tuple[str, ...], prefix: str
+    spec: ClassSpec,
+    trace: tuple[str, ...],
+    prefix: str,
+    dfa: BitDFA | None = None,
 ) -> str | None:
     """Replay the ``prefix``-projected ``trace`` through ``spec``.
 
     Returns the paper-style rendering of the failure (``test, >open<
     (not final)`` / ``test, >clean<, ... (not allowed)``), or ``None``
-    when the projected trace is a valid complete lifecycle.
+    when the projected trace is a valid complete lifecycle.  ``dfa`` is
+    the determinized (unprefixed) spec when the caller already has it.
     """
     projected = [
         label[len(prefix):] for label in trace if label.startswith(prefix)
     ]
-    dfa = determinize_bitset(spec.bitnfa())
+    if dfa is None:
+        dfa = determinize_bitset(spec.bitnfa())
     state = dfa.initial
     consumed: list[str] = []
     for method in projected:
@@ -120,6 +125,8 @@ def check_subsystem_usage(
     paper's report shape.
     """
     result = CheckResult()
+    if kernel is None:
+        kernel = KernelCheck(behavior_nfa(parsed))
     violations = find_usage_violations(parsed, specs, kernel)
     if not violations:
         return result
@@ -132,7 +139,9 @@ def check_subsystem_usage(
         subsystem_errors: list[SubsystemError] = []
         for violation in grouped:
             spec = specs[violation.class_name]
-            rendered = replay_against_spec(spec, trace, violation.field_name + ".")
+            rendered = replay_against_spec(
+                spec, trace, violation.field_name + ".", kernel.spec_dfa(spec)
+            )
             if rendered is None:
                 # The shortest counterexample of this field's inclusion
                 # check always fails its own replay; defensive fallback.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.automata.kernel import KernelCheck
 from repro.core.behavior import behavior_nfa
-from repro.core.claims import claim_alphabet
+from repro.core.claims import claim_alphabet, decide_claims
 from repro.core.diagnostics import CheckResult, Diagnostic, Severity
 from repro.frontend.model_ast import ParsedClass
 from repro.ltlf.ast import (
@@ -48,7 +48,6 @@ from repro.ltlf.ast import (
     disj,
     neg,
 )
-from repro.ltlf.parser import ClaimSyntaxError, parse_claim
 
 
 @dataclass(frozen=True)
@@ -178,6 +177,13 @@ def find_vacuous_atoms(
     observed = claim_alphabet(
         parsed, kernel.behavior, formula_atoms(formula), specs
     )
+    return _vacuity_witnesses(kernel, formula, observed)
+
+
+def _vacuity_witnesses(
+    kernel: KernelCheck, formula: Formula, observed: frozenset[str]
+) -> list[VacuityWitness]:
+    """The strengthening mutants of ``formula`` that hold over ``observed``."""
     witnesses: list[VacuityWitness] = []
     for name, occurrence, label, mutant in strengthening_mutants(formula):
         if mutant == formula:
@@ -196,26 +202,23 @@ def check_claim_vacuity(
 ) -> CheckResult:
     """Warn about claims of ``parsed`` that hold vacuously.
 
-    Claims that fail are skipped here — the claim checker already
-    reports those as errors.
+    Reads the claim check's decisions (:func:`~repro.core.claims.decide_claims`,
+    deciding them here when the claim check has not run on ``kernel``)
+    and tries the mutants of the claims that hold.  Claims that fail or
+    do not parse are skipped here — the claim checker already reports
+    those as errors.
     """
     result = CheckResult()
     if not parsed.claims:
         return result
     if kernel is None:
         kernel = KernelCheck(behavior_nfa(parsed))
-    behavior = kernel.behavior
-    for formula_text in parsed.claims:
-        try:
-            formula = parse_claim(formula_text)
-        except ClaimSyntaxError:
+    decisions = decide_claims(parsed, specs, kernel)
+    for formula_text, decision in zip(parsed.claims, decisions):
+        if decision.error is not None:
             continue  # reported by check_claims
-        observed = claim_alphabet(parsed, behavior, formula_atoms(formula), specs)
-        if formula_atoms(formula) - observed - set(behavior.alphabet):
-            continue  # unknown atoms: reported by check_claims
-        if not kernel.holds_on(formula, observed):
-            continue  # failing claims are not vacuous, they are wrong
-        for witness in find_vacuous_atoms(parsed, formula, specs, kernel):
+        witnesses = _vacuity_witnesses(kernel, decision.formula, decision.observed)
+        for witness in witnesses:
             result.diagnostics.append(
                 Diagnostic(
                     severity=Severity.WARNING,

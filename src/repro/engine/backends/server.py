@@ -9,7 +9,8 @@ it.
 Routes:
 
 * ``GET /healthz`` — liveness, ``{"ok": true}``;
-* ``GET /stats`` — request counters and entry layout info;
+* ``GET /stats`` — request counters (``corrupt`` counts unreadable
+  entries deleted on read) and entry layout info;
 * ``GET/PUT/DELETE /v1/cache/class/<key>`` — envelope transport; any
   other path is an unknown route (404).
 
@@ -52,7 +53,14 @@ class CacheServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], root: Path | str) -> None:
         super().__init__(address, _CacheRequestHandler)
         self.backend = LocalDirBackend(Path(root))
-        self.counters = {"hits": 0, "misses": 0, "puts": 0, "deletes": 0, "rejected": 0}
+        self.counters = {
+            "hits": 0,
+            "misses": 0,
+            "corrupt": 0,
+            "puts": 0,
+            "deletes": 0,
+            "rejected": 0,
+        }
         self.counter_guard = threading.Lock()
 
     @property
@@ -109,6 +117,11 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         try:
             text = self.server.backend.get_text(key)
         except OSError:
+            # An entry the store cannot read (bytes that are not UTF-8)
+            # is healed as a client heals it: deleted, and counted as
+            # one miss and one corrupt entry.
+            self.server.backend.delete(key)
+            self.server.count("corrupt")
             text = None
         if text is None:
             self.server.count("misses")

@@ -26,7 +26,6 @@ from repro.frontend.model_ast import (
     SubsystemDecl,
 )
 from repro.frontend.translate import translate_body
-from repro.lang.ast import calls as program_calls
 
 
 def _decorator_name(node: ast.expr) -> str | None:
@@ -192,7 +191,7 @@ class _ClassParser:
                     returns=tuple(result.return_points),
                     body=result.program,
                     match_uses=tuple(result.match_uses),
-                    calls=program_calls(result.program),
+                    calls=frozenset(result.calls),
                     lineno=statement.lineno,
                 )
             )

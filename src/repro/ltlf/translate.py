@@ -16,6 +16,8 @@ module *is* that approach (substitution recorded in DESIGN.md).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Iterable
 
 from repro.automata.kernel.alphabet import Alphabet
@@ -29,6 +31,16 @@ MAX_PROGRESSION_STATES = 50_000
 
 #: Deadline-check stride (progression steps between clock reads).
 _DEADLINE_STRIDE = 256
+
+#: How many negated-claim DFAs one process keeps (see
+#: :func:`shared_negation_dfa`).  The classes of a project share claim
+#: templates and subsystem vocabularies, so a few hundred entries cover
+#: them; the bound keeps a long-lived daemon from growing with every new
+#: vocabulary.
+NEGATION_MEMO_SIZE = 256
+
+_negations: OrderedDict[tuple, BitDFA] = OrderedDict()
+_negations_lock = threading.Lock()
 
 
 class TranslationOverflowError(BudgetExceeded):
@@ -101,3 +113,30 @@ def negation_to_bitdfa(
     """DFA of ``!formula`` — the violation language used by claim checking."""
     return formula_to_bitdfa(neg(formula), alphabet, max_states, deadline)
 
+
+def shared_negation_dfa(
+    formula: Formula, observed: frozenset[str], deadline: float | None = None
+) -> BitDFA:
+    """:func:`negation_to_bitdfa` over ``observed``, shared by every
+    class check of the process.
+
+    The memo is keyed by the formula, the alphabet and the progression
+    cap in force (:data:`MAX_PROGRESSION_STATES`, read at call time), so
+    a lowered cap never reads a DFA built under a higher one.  It holds
+    the :data:`NEGATION_MEMO_SIZE` most recently used entries.  A miss
+    runs the progression under ``deadline``, outside the lock; a
+    :class:`~repro.core.limits.BudgetExceeded` propagates and is never
+    stored.  Callers only read the DFAs, so threads may share them.
+    """
+    key = (formula, observed, MAX_PROGRESSION_STATES)
+    with _negations_lock:
+        found = _negations.get(key)
+        if found is not None:
+            _negations.move_to_end(key)
+            return found
+    found = negation_to_bitdfa(formula, alphabet=observed, deadline=deadline)
+    with _negations_lock:
+        _negations[key] = found
+        if len(_negations) > NEGATION_MEMO_SIZE:
+            _negations.popitem(last=False)
+    return found

@@ -5,7 +5,7 @@ The span tree mirrors the paper's pipeline structure::
     run
       wave 0
         class Device0
-          parse | dependency | infer | determinize | minimize | usage | claims
+          parse | dependency | infer | determinize | minimize | usage | claims | vacuity
         class ...
       wave 1
         ...
@@ -50,6 +50,7 @@ PHASES = (
     "minimize",
     "usage",
     "claims",
+    "vacuity",
 )
 
 #: Span statuses: ``ok`` ran, ``cached`` was served from the verdict

@@ -42,6 +42,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.automata.kernel import (
     Alphabet,
     BitNFABuilder,
+    KernelCheck,
     bitdfa_to_regex,
     bitset_difference_counterexample,
     bitset_equivalent,
@@ -444,7 +445,10 @@ def _flat_digest(bitnfa) -> str:
     """Digest of the determinized automaton as flat arrays: symbols in id
     order, state count, row-major ``delta`` (-1 = no move), initial
     state and accepting ids."""
-    dfa = determinize_bitset(bitnfa)
+    return _dfa_digest(determinize_bitset(bitnfa))
+
+
+def _dfa_digest(dfa) -> str:
     flat = {
         "symbols": list(dfa.alphabet.symbols),
         "n": dfa.n,
@@ -487,6 +491,23 @@ def test_spec_automata_match_classic_construction():
                 parsed.name,
                 prefix,
             )
+
+
+def test_kernel_spec_dfas_are_renamed_copies():
+    """A class check determinizes each spec once and renames its symbols
+    per field; every copy is the DFA of the prefixed spec, golden digest
+    included."""
+    for golden, parsed in _golden_classes():
+        spec = ClassSpec.of(parsed)
+        kernel = KernelCheck(behavior_nfa(parsed))
+        for prefix in ("", "field.", "other."):
+            dfa = kernel.spec_dfa(spec, prefix)
+            assert dfa == determinize_bitset(spec.bitnfa(prefix)), (parsed.name, prefix)
+            if prefix != "other.":
+                assert _dfa_digest(dfa) == golden[f"spec_dfa[{prefix}]"], (
+                    parsed.name,
+                    prefix,
+                )
 
 
 def test_budget_trips_match_the_oracle():

@@ -126,6 +126,62 @@ class TestPipelineBehavior:
         assert usage[0].counterexample == ("water", "s.irrigate", "s.irrigate")
 
 
+def _sector(body: str) -> str:
+    """The paper's Valve plus a one-operation composite over field ``a``."""
+    return VALVE + (
+        "\n\n@sys(['a'])\n"
+        "class Sector:\n"
+        "    def __init__(self):\n"
+        "        self.a = Valve()\n"
+        "        self.buf = {}\n"
+        "    @op_initial_final\n"
+        "    def run(self):\n" + body + "        return []\n"
+    )
+
+
+class TestCallPositions:
+    """Misuse hidden in an assignment target, a case guard or a match
+    that may match no case is reported like any other."""
+
+    def test_call_in_assignment_target(self):
+        result = check_source(_sector("        self.buf[self.a.open()] = 1\n"))
+        usage = result.by_code("invalid-subsystem-usage")
+        assert [d.counterexample for d in usage] == [("run", "a.open")]
+
+    def test_call_in_case_guard(self):
+        result = check_source(
+            _sector(
+                "        match x:\n"
+                "            case 1 if self.a.open():\n"
+                "                pass\n"
+                "            case _:\n"
+                "                pass\n"
+            )
+        )
+        usage = result.by_code("invalid-subsystem-usage")
+        assert [d.counterexample for d in usage] == [("run", "a.open")]
+
+    def test_match_that_may_match_no_case(self):
+        as_match = check_source(
+            _sector(
+                "        self.a.test()\n"
+                "        match x:\n"
+                "            case 1:\n"
+                "                self.a.clean()\n"
+            )
+        )
+        as_if = check_source(
+            _sector(
+                "        self.a.test()\n"
+                "        if x == 1:\n"
+                "            self.a.clean()\n"
+            )
+        )
+        usage = as_match.by_code("invalid-subsystem-usage")
+        assert [d.counterexample for d in usage] == [("run", "a.test")]
+        assert as_match.format() == as_if.format()
+
+
 class TestCheckPath:
     def test_reads_file(self, tmp_path):
         from repro.core.checker import check_path

@@ -305,6 +305,8 @@ class TestCacheServer:
         assert cache_server.counters["puts"] == 1
 
     def test_non_utf8_entry_is_a_miss(self, cache_server):
+        # Healed as a client heals a read: one miss, one corrupt entry,
+        # and the unreadable file is gone from the shared tier.
         path = cache_server.backend.local_root / "class" / KEY[:2] / f"{KEY}.json"
         path.parent.mkdir(parents=True)
         path.write_bytes(b"\xff\xfe{")
@@ -314,4 +316,9 @@ class TestCacheServer:
             )
         assert excinfo.value.code == 404
         excinfo.value.close()
-        assert cache_server.counters["misses"] == 1
+        with urllib.request.urlopen(
+            f"{cache_server.endpoint}/stats", timeout=5.0
+        ) as response:
+            counters = json.loads(response.read())["counters"]
+        assert (counters["misses"], counters["corrupt"]) == (1, 1)
+        assert not path.exists()

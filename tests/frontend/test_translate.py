@@ -235,3 +235,152 @@ class TestSubsetHandling:
             "    return []\n"
         )
         assert not result.violations
+
+
+class TestCallPositions:
+    """Calls in assignment targets, ``for`` targets and case guards run
+    in Python's evaluation order."""
+
+    def test_assignment_target_after_the_value(self):
+        result = translate(
+            "def f(self):\n"
+            "    self.buf[self.a.open()] = self.b.read()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == "b.read(); a.open(); return []"
+
+    def test_annotated_assignment_target_after_the_value(self):
+        result = translate(
+            "def f(self):\n"
+            "    self.buf[self.a.open()]: int = self.b.read()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == "b.read(); a.open(); return []"
+
+    def test_augmented_assignment_target_before_the_value(self):
+        result = translate(
+            "def f(self):\n"
+            "    self.buf[self.a.open()] += self.b.read()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == "a.open(); b.read(); return []"
+
+    def test_for_target_at_the_start_of_each_iteration(self):
+        result = translate(
+            "def f(self):\n"
+            "    for self.buf[self.a.open()] in self.b.items():\n"
+            "        self.b.use()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "b.items(); loop(*) {a.open(); b.use()}; skip; return []"
+        )
+
+    def test_guard_may_run_and_fail(self):
+        result = translate(
+            "def f(self):\n"
+            "    match x:\n"
+            "        case 1 if self.a.open():\n"
+            "            self.b.use()\n"
+            "        case _:\n"
+            "            pass\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "if(*) {a.open(); b.use()} else {if(*) {a.open()} else {skip}; skip}; "
+            "return []"
+        )
+
+    def test_case_without_guard_events_keeps_its_term(self):
+        result = translate(
+            "def f(self):\n"
+            "    match x:\n"
+            "        case 1 if y:\n"
+            "            self.a.open()\n"
+            "        case _:\n"
+            "            self.a.clean()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "if(*) {a.open()} else {a.clean()}; return []"
+        )
+
+
+class TestMatchFallThrough:
+    """A match that may match no case gains a ``skip`` branch."""
+
+    def test_match_without_catch_all_may_run_no_case(self):
+        result = translate(
+            "def f(self):\n"
+            "    self.a.test()\n"
+            "    match x:\n"
+            "        case 1:\n"
+            "            self.a.open()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "a.test(); if(*) {a.open()} else {skip}; return []"
+        )
+
+    def test_guarded_catch_all_may_fail(self):
+        result = translate(
+            "def f(self):\n"
+            "    match x:\n"
+            "        case 1:\n"
+            "            self.a.open()\n"
+            "        case _ if y:\n"
+            "            self.a.clean()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "if(*) {a.open()} else {if(*) {a.clean()} else {skip}}; return []"
+        )
+
+    def test_capture_pattern_catches_all(self):
+        result = translate(
+            "def f(self):\n"
+            "    match x:\n"
+            "        case 1:\n"
+            "            self.a.open()\n"
+            "        case other:\n"
+            "            self.a.clean()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == (
+            "if(*) {a.open()} else {a.clean()}; return []"
+        )
+
+    def test_match_on_constrained_call_keeps_its_term(self):
+        # The exhaustiveness analysis covers it (MatchUse).
+        result = translate(
+            "def f(self):\n"
+            "    match self.a.test():\n"
+            "        case ['open']:\n"
+            "            self.a.open()\n"
+            "    return []\n"
+        )
+        assert format_program(result.program) == "a.test(); a.open(); return []"
+
+    def test_guarded_wildcard_is_not_a_wildcard(self):
+        result = translate(
+            "def f(self):\n"
+            "    match self.a.test():\n"
+            "        case ['open']:\n"
+            "            pass\n"
+            "        case _ if ready:\n"
+            "            pass\n"
+            "    return []\n"
+        )
+        assert not result.match_uses[0].has_wildcard
+
+    def test_guarded_case_handles_no_exit(self):
+        result = translate(
+            "def f(self):\n"
+            "    match self.a.test():\n"
+            "        case ['open'] if ready:\n"
+            "            pass\n"
+            "        case ['clean']:\n"
+            "            pass\n"
+            "    return []\n"
+        )
+        assert result.match_uses[0].handled == (("clean",),)

@@ -121,3 +121,91 @@ class TestNegationToDfa:
         violations = negation_to_bitdfa(parse_claim("(!a.open) W b.open"), ["a.open", "b.open"])
         nothing = BitDFA(violations.alphabet, 1, [0, 0], 0, 0)
         assert bitset_difference_counterexample(violations, nothing) == ("a.open",)
+
+
+class TestSharedNegationMemo:
+    """``shared_negation_dfa``: one negated-claim DFA per (formula,
+    alphabet, progression cap) for the whole process, bounded."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        from repro.ltlf import translate
+
+        monkeypatch.setattr(translate, "_negations", type(translate._negations)())
+
+    def test_a_hit_is_the_translated_dfa(self):
+        from repro.ltlf.translate import shared_negation_dfa
+
+        formula = parse_claim("(!a) W b")
+        observed = frozenset(ALPHABET)
+        first = shared_negation_dfa(formula, observed)
+        assert first == negation_to_bitdfa(formula, observed)
+        assert shared_negation_dfa(formula, observed) is first
+
+    def test_the_cap_in_force_is_part_of_the_key(self, monkeypatch):
+        from repro.ltlf import translate
+
+        formula = conj([Eventually(atom(name)) for name in ("a", "b", "c")])
+        observed = frozenset(ALPHABET)
+        translate.shared_negation_dfa(formula, observed)
+        monkeypatch.setattr(translate, "MAX_PROGRESSION_STATES", 2)
+        with pytest.raises(TranslationOverflowError):
+            translate.shared_negation_dfa(formula, observed)
+
+    def test_a_budget_trip_is_never_stored(self, monkeypatch):
+        import time
+
+        from repro.core.limits import BudgetExceeded
+        from repro.ltlf import translate
+
+        formula = parse_claim("G (a -> X b)")
+        observed = frozenset(ALPHABET)
+        with pytest.raises(BudgetExceeded):
+            translate.shared_negation_dfa(formula, observed, time.monotonic() - 1)
+        assert not translate._negations
+        assert translate.shared_negation_dfa(formula, observed) == negation_to_bitdfa(
+            formula, observed
+        )
+
+    def test_bounded_least_recently_used(self, monkeypatch):
+        from repro.ltlf import translate
+
+        monkeypatch.setattr(translate, "NEGATION_MEMO_SIZE", 2)
+        observed = frozenset(ALPHABET)
+        first, second, third = (atom(name) for name in ALPHABET)
+        kept = translate.shared_negation_dfa(first, observed)
+        translate.shared_negation_dfa(second, observed)
+        translate.shared_negation_dfa(first, observed)  # now the most recent
+        translate.shared_negation_dfa(third, observed)  # evicts ``second``
+        assert [key[0] for key in translate._negations] == [first, third]
+        assert translate.shared_negation_dfa(first, observed) is kept
+
+    def test_threads_share_it(self, monkeypatch):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.ltlf import translate
+
+        # More threads than cores, switching often, over a memo smaller
+        # than the working set: every lookup races an eviction.
+        monkeypatch.setattr(translate, "NEGATION_MEMO_SIZE", 2)
+        observed = frozenset(ALPHABET)
+        formulas = [parse_claim(text) for text in ("(!a) W b", "G (a -> X b)", "F c")]
+        expected = [negation_to_bitdfa(formula, observed) for formula in formulas]
+
+        def run(offset):
+            return [
+                translate.shared_negation_dfa(formulas[(offset + i) % 3], observed)
+                == expected[(offset + i) % 3]
+                for i in range(60)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(outcomes) for outcomes in results)
+        assert len(translate._negations) <= 2

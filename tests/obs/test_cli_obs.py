@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.paper import GOOD_MODULE
 from repro.workloads.hierarchy import HierarchyShape, layered_project_source
 
 
@@ -94,6 +95,38 @@ class TestCheckFlags:
         text = incremental.read_text(encoding="utf-8")
         assert 'repro_incremental_classes_total{kind="reused"} 0' in text
         assert "repro_incremental_reuse_ratio 0.0" in text
+
+    def test_trace_shows_claims_and_vacuity_phases(
+        self, tmp_path, capsys, no_ambient_faults
+    ):
+        target = tmp_path / "good.py"
+        target.write_text(GOOD_MODULE, encoding="utf-8")
+        trace = tmp_path / "t.jsonl"
+        assert main(["check", str(target), "--trace", "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        tree = out[out.index("trace:"):].splitlines()
+        claimed = next(i for i, line in enumerate(tree) if "class GoodSector" in line)
+        depth = len(tree[claimed]) - len(tree[claimed].lstrip())
+        phases = []
+        for line in tree[claimed + 1:]:
+            if len(line) - len(line.lstrip()) <= depth:
+                break
+            phases.append(line.split()[0])
+        assert phases[-2:] == ["claims", "vacuity"]
+        spans = [
+            json.loads(line)
+            for line in trace.read_text(encoding="utf-8").splitlines()
+        ]
+        (sector,) = [
+            span for span in spans
+            if span["type"] == "span" and span["name"] == "GoodSector"
+        ]
+        statuses = {
+            span["name"]: span["status"]
+            for span in spans
+            if span["type"] == "span" and span["parent"] == sector["id"]
+        }
+        assert statuses["claims"] == statuses["vacuity"] == "ok"
 
     def test_trace_prints_the_tree_after_the_report(
         self, project, capsys, no_ambient_faults

@@ -116,4 +116,13 @@ class TestNullFastPath:
 
     def test_statuses_are_the_documented_vocabulary(self):
         assert STATUSES == ("ok", "cached", "skipped", "quarantined")
-        assert len(PHASES) == 7
+        assert PHASES == (
+            "parse",
+            "dependency",
+            "infer",
+            "determinize",
+            "minimize",
+            "usage",
+            "claims",
+            "vacuity",
+        )
