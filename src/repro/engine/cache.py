@@ -59,15 +59,22 @@ exactly once as a miss in ``stats.misses`` *and* once in
 corrupt file.  A successful :meth:`put` under the same key re-arms
 counting, so a *new* corruption of the rewritten entry counts again.
 
-The in-memory layer makes repeated lookups within one process free and
-is guarded by a lock, so a thread-pool engine can share one instance;
-the counters share that lock.
+The in-memory tier makes repeated lookups within one process free.  It
+holds the :data:`MEMORY_TIER_SIZE` most recently used payloads: ``get``
+refreshes an entry, ``put`` and a read from the backend insert one, and
+the least recently used entry leaves first.  With a backend an evicted
+key is read back from it; a memory-only cache (``root=None``) has no
+other copy, so there an evicted key is a miss and its class is checked
+again.  The tier is guarded by a lock, so a thread-pool engine (or the
+daemon's worker threads) can share one instance; the counters share
+that lock.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -83,6 +90,11 @@ CACHE_VERSION = 2
 
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: How many payloads the in-memory tier holds (least recently used
+#: first out).  A daemon opens one cache for its whole life; the bound
+#: keeps it from holding every verdict it ever read or wrote.
+MEMORY_TIER_SIZE = 1024
 
 
 @dataclass
@@ -138,7 +150,7 @@ class InferenceCache:
         #: Set by the engine when a run is traced; cache events then show
         #: up on the open span.  The no-op default costs nothing.
         self.tracer = NULL_TRACER
-        self._memory: dict[str, dict[str, Any]] = {}
+        self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
         #: Keys whose corruption was already counted (see the counter
         #: contract in the module docstring); ``put`` re-arms them.
         self._healed: set[str] = set()
@@ -152,11 +164,13 @@ class InferenceCache:
         """The stored payload, or ``None`` on any kind of miss."""
         with self._lock:
             payload = self._memory.get(key)
+            if payload is not None:
+                self._memory.move_to_end(key)
         if payload is None and self.backend is not None:
             payload = self._read_entry(key)
             if payload is not None:
                 with self._lock:
-                    self._memory[key] = payload
+                    self._remember(key, payload)
         with self._lock:
             if payload is None:
                 self.stats.misses += 1
@@ -164,6 +178,14 @@ class InferenceCache:
                 self.stats.hits += 1
         self.tracer.event("cache-miss" if payload is None else "cache-hit", key=key)
         return payload
+
+    def _remember(self, key: str, payload: dict[str, Any]) -> None:
+        """Insert into the memory tier, evicting past the bound; the
+        caller holds the lock."""
+        self._memory[key] = payload
+        self._memory.move_to_end(key)
+        if len(self._memory) > MEMORY_TIER_SIZE:
+            self._memory.popitem(last=False)
 
     def _read_entry(self, key: str) -> dict[str, Any] | None:
         assert self.backend is not None
@@ -216,7 +238,7 @@ class InferenceCache:
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store ``payload``; persists when the cache has a backend."""
         with self._lock:
-            self._memory[key] = payload
+            self._remember(key, payload)
             self._healed.discard(key)
             self.stats.writes += 1
         self.tracer.event("cache-write", key=key)

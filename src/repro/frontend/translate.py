@@ -210,6 +210,8 @@ class BodyTranslator:
             for index, generator in enumerate(node.generators):
                 if index > 0:
                     self._visit(generator.iter, body_events)
+                # Each item is bound to the target before the guards run.
+                self._visit(generator.target, body_events)
                 for condition in generator.ifs:
                     self._visit(condition, body_events)
             if kind is ast.DictComp:

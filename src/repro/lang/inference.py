@@ -13,12 +13,20 @@
 ``infer(p)`` merges everything into a single regex — the subject of
 Theorems 1 (soundness) and 2 (completeness), which
 :mod:`repro.lang.metatheory` checks on bounded program spaces.
+
+``behavior`` is plain structural recursion: every node is visited once
+and nothing is kept after the call.  The one memo is at the method level,
+:func:`exit_behaviors`, bounded by :data:`EXIT_BEHAVIOR_MEMO_SIZE`, so a
+long-lived process (``repro serve``) stays the same size however many
+new method bodies it sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.lang.ast import Call, If, Loop, Program, Return, Seq, Skip
 from repro.regex.ast import (
@@ -54,7 +62,14 @@ class Behavior:
         return union_all([self.ongoing, *(regex for _exit, regex in self.returned)])
 
 
-@lru_cache(maxsize=None)
+#: How many method bodies :func:`exit_behaviors` remembers per process
+#: (least recently used first out).  Bodies recur across the classes of
+#: a project, across projects that share code and in every resubmission,
+#: so a thousand cover a working set; the bound keeps a daemon from
+#: growing with every new vocabulary.
+EXIT_BEHAVIOR_MEMO_SIZE = 1024
+
+
 def behavior(program: Program) -> Behavior:
     """Compute ``⟦program⟧`` by structural recursion (Figure 4 verbatim)."""
     if isinstance(program, Call):
@@ -98,16 +113,20 @@ def infer(program: Program) -> Regex:
     return behavior(program).merged()
 
 
-def exit_behaviors(program: Program) -> dict[int, Regex]:
+@lru_cache(maxsize=EXIT_BEHAVIOR_MEMO_SIZE)
+def exit_behaviors(program: Program) -> Mapping[int, Regex]:
     """Per-exit behaviors keyed by ``Return.exit_id``.
 
-    Behaviors of several ``Return`` nodes sharing an ``exit_id`` (or the
-    anonymous ``None``) are unioned.  This is what the usage checker
-    consumes: the language of call traces that lead to each source-level
-    exit point of a method.
+    Behaviors of several ``Return`` nodes sharing an ``exit_id`` (the
+    anonymous ``None`` becomes ``-1``) are unioned.  This is what the
+    usage checker consumes: the language of call traces that lead to
+    each source-level exit point of a method.
+
+    The result is memoized (:data:`EXIT_BEHAVIOR_MEMO_SIZE` bodies) and
+    shared by every caller and thread, so it is a read-only mapping.
     """
     merged: dict[int, Regex] = {}
     for exit_node, regex in behavior(program).returned:
         key = exit_node.exit_id if exit_node.exit_id is not None else -1
         merged[key] = union(merged.get(key, EMPTY), regex)
-    return merged
+    return MappingProxyType(merged)

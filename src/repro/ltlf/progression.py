@@ -9,11 +9,14 @@ of (simplified) formulas reachable by progression into a DFA — the
 construction in :mod:`repro.ltlf.translate`.  Progression is standard
 (Bacchus–Kabanza), adapted to event traces where exactly one atom is
 true per position.
+
+Nothing here outlives a call: a process-wide memo would grow with every
+new claim vocabulary for the life of a daemon.  The translation visits
+each (state, event) pair once and hands :func:`progress_memoized` a
+memo of its own, which it drops when the DFA is built.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from repro.ltlf.ast import (
     FALSE,
@@ -38,52 +41,67 @@ from repro.ltlf.ast import (
 )
 
 
-@lru_cache(maxsize=None)
 def progress(formula: Formula, event: str) -> Formula:
     """The residual obligation after observing ``event``."""
+    return progress_memoized(formula, event, {})
+
+
+def progress_memoized(
+    formula: Formula, event: str, memo: dict[Formula, Formula]
+) -> Formula:
+    """:func:`progress` through a caller-owned memo of ``event``'s
+    residuals.
+
+    The states of one translation share subformulas (every residual of
+    ``G φ`` still holds ``G φ``), so
+    :func:`~repro.ltlf.translate.formula_to_bitdfa` keeps one memo per
+    symbol for the length of the call and drops it after.
+    """
+    found = memo.get(formula)
+    if found is None:
+        found = memo[formula] = _progress_step(formula, event, memo)
+    return found
+
+
+def _progress_step(
+    formula: Formula, event: str, memo: dict[Formula, Formula]
+) -> Formula:
+    """One progression rule; subformulas progress through ``memo``."""
     if isinstance(formula, (Top, Bottom)):
         return formula
     if isinstance(formula, Atom):
         return TRUE if formula.name == event else FALSE
     if isinstance(formula, Not):
-        return neg(progress(formula.operand, event))
+        return neg(progress_memoized(formula.operand, event, memo))
     if isinstance(formula, And):
-        return conj(progress(op, event) for op in formula.operands)
+        return conj(progress_memoized(op, event, memo) for op in formula.operands)
     if isinstance(formula, Or):
-        return disj(progress(op, event) for op in formula.operands)
+        return disj(progress_memoized(op, event, memo) for op in formula.operands)
     if isinstance(formula, (Next, WeakNext)):
         # Both nexts progress to their operand: once an event has been
         # consumed a next position certainly existed.
         return formula.operand
     if isinstance(formula, Eventually):
-        return disj([progress(formula.operand, event), formula])
+        return disj([progress_memoized(formula.operand, event, memo), formula])
     if isinstance(formula, Globally):
-        return conj([progress(formula.operand, event), formula])
-    if isinstance(formula, Until):
+        return conj([progress_memoized(formula.operand, event, memo), formula])
+    if isinstance(formula, (Until, WeakUntil)):
         return disj(
             [
-                progress(formula.right, event),
-                conj([progress(formula.left, event), formula]),
-            ]
-        )
-    if isinstance(formula, WeakUntil):
-        return disj(
-            [
-                progress(formula.right, event),
-                conj([progress(formula.left, event), formula]),
+                progress_memoized(formula.right, event, memo),
+                conj([progress_memoized(formula.left, event, memo), formula]),
             ]
         )
     if isinstance(formula, Release):
         return conj(
             [
-                progress(formula.right, event),
-                disj([progress(formula.left, event), formula]),
+                progress_memoized(formula.right, event, memo),
+                disj([progress_memoized(formula.left, event, memo), formula]),
             ]
         )
     raise TypeError(f"not a Formula: {formula!r}")
 
 
-@lru_cache(maxsize=None)
 def accepts_empty(formula: Formula) -> bool:
     """Does the empty trace satisfy ``formula``?
 

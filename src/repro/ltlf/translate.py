@@ -24,7 +24,7 @@ from repro.automata.kernel.alphabet import Alphabet
 from repro.automata.kernel.bitset import BitDFA
 from repro.core.limits import BudgetExceeded, check_deadline
 from repro.ltlf.ast import Formula, atoms as formula_atoms, neg
-from repro.ltlf.progression import accepts_empty, progress
+from repro.ltlf.progression import accepts_empty, progress_memoized
 
 #: Default cap on the states one progression explores.
 MAX_PROGRESSION_STATES = 50_000
@@ -84,13 +84,15 @@ def formula_to_bitdfa(
     order: list[Formula] = [formula]
     delta: list[int] = []
     accepting = 0
+    # Residuals per symbol, shared by the states of this call only.
+    memos: list[dict[Formula, Formula]] = [{} for _symbol in symbols]
     for index, state in enumerate(order):  # ``order`` grows: a BFS queue
         if index % _DEADLINE_STRIDE == 0:
             check_deadline(deadline, "LTLf progression")
         if accepts_empty(state):
             accepting |= 1 << index
-        for symbol in symbols:
-            successor = progress(state, symbol)
+        for symbol, memo in zip(symbols, memos):
+            successor = progress_memoized(state, symbol, memo)
             target = ids.get(successor)
             if target is None:
                 target = ids[successor] = len(order)

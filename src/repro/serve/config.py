@@ -84,8 +84,8 @@ class ServeConfig:
     #: Largest accepted request body.
     max_body_bytes: int = 5 * 1024 * 1024
 
-    #: Collect per-request/per-job obs spans (bounded memory cost grows
-    #: with served requests; meant for smoke runs and debugging).
+    #: Collect one obs span per finished job (dropped when the job
+    #: retires; meant for smoke runs and debugging).
     trace: bool = False
 
     def __post_init__(self) -> None:

@@ -14,6 +14,8 @@ no TLS, loopback by default.  Routes::
     GET  /v1/jobs/<id>        one job (the report rides along when done)
     GET  /v1/jobs/<id>/events NDJSON stream of state transitions until
                               the job is terminal
+                              (both: 410 + reason for a retired job,
+                              404 for an id never issued)
     POST /v1/drain            begin graceful drain (202; idempotent)
 
 The ``serve-respond`` fault site fires just before each response is
@@ -43,6 +45,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    410: "Gone",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -117,6 +120,20 @@ def _json_response(
 ) -> bytes:
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return _response_bytes(status, body, "application/json", extra_headers)
+
+
+def _unknown_job(service: VerificationService, job_id: str) -> bytes:
+    """410 for a job the daemon retired, 404 for any other unknown id."""
+    if service.retired(job_id):
+        return _json_response(
+            410,
+            {
+                "error": f"job {job_id!r} was retired: the daemon keeps "
+                "only its newest finished jobs",
+                "reason": "retired",
+            },
+        )
+    return _json_response(404, {"error": f"no job {job_id!r}"})
 
 
 class ServeApp:
@@ -215,7 +232,7 @@ class ServeApp:
                 return None
             job = service.jobs.get(rest)
             if job is None:
-                return _json_response(404, {"error": f"no job {rest!r}"})
+                return _unknown_job(service, rest)
             return _json_response(200, job.summary())
         if path == "/v1/drain" and method == "POST":
             # Kick the drain off without holding this request open.
@@ -235,7 +252,7 @@ class ServeApp:
         service = self.service
         job = service.jobs.get(job_id)
         if job is None:
-            writer.write(_json_response(404, {"error": f"no job {job_id!r}"}))
+            writer.write(_unknown_job(service, job_id))
             await writer.drain()
             return
         faults.fire("serve-respond", f"/v1/jobs/{job_id}/events")

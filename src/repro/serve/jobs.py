@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -42,6 +44,10 @@ KIND_CRASH = "crash"
 KIND_DEADLINE = "deadline"
 KIND_INVALID = "invalid-input"
 KIND_LOST_SPOOL = "lost-spool"
+
+
+#: A job id as :func:`make_job` issues it: ``j<seq>-<10 hex digits>``.
+_JOB_ID = re.compile(r"j(\d{6,})-[0-9a-f]{10}")
 
 
 class JobError(ValueError):
@@ -184,6 +190,12 @@ def make_job(
     return job, validated
 
 
+def job_seq(job_id: str) -> int | None:
+    """The sequence number of a well-formed job id, else ``None``."""
+    match = _JOB_ID.fullmatch(job_id)
+    return None if match is None else int(match.group(1))
+
+
 # ----------------------------------------------------------------------
 # Persistence: spool + journal
 # ----------------------------------------------------------------------
@@ -196,7 +208,6 @@ class JournalStats:
     corrupt_entries: int = 0
     recovered_jobs: int = 0
     loaded_jobs: int = 0
-    events: list[dict[str, Any]] = field(default_factory=list)
 
 
 class JobJournal:
@@ -252,11 +263,8 @@ class JobJournal:
             store.atomic_write_text(
                 self.path(job.id), text, fault_key=f"serve-job/{job.id}"
             )
-        except OSError as error:
+        except OSError:
             self.stats.write_failures += 1
-            self.stats.events.append(
-                {"event": "journal-write-failed", "job": job.id, "error": str(error)}
-            )
             return False
         return True
 
@@ -293,12 +301,17 @@ class JobJournal:
         self.stats.loaded_jobs = len(jobs)
         return jobs
 
-    def remove(self, job_id: str) -> bool:
+    def remove(self, job_id: str) -> None:
+        """Forget a finished job on disk: its spool, then its journal
+        record.  A crash in between leaves a record without a spool,
+        which a finished job does not need; a restart loads it and
+        retires it again.  Best effort: what cannot be deleted stays.
+        """
+        shutil.rmtree(self.spool_path(job_id), ignore_errors=True)
         try:
             self.path(job_id).unlink()
-            return True
         except OSError:
-            return False
+            pass
 
     def next_seq(self, jobs: list[Job]) -> int:
         return max((job.seq for job in jobs), default=0) + 1

@@ -17,6 +17,8 @@ The lifecycle of a submission::
                        wall-clock deadline; crashes retry up to
                        job_retries then fail the job and feed the
                        breaker; every transition is journaled
+    _keep_finished()   hold the finished job; past RETAINED_JOBS retire
+                       the oldest finished one (memory, journal, spool)
 
 Execution happens in :func:`execute_job`, a module-level pure-ish
 function running the existing :class:`~repro.engine.engine.BatchVerifier`
@@ -31,6 +33,7 @@ exactly what the recovery chaos test needs.
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 import asyncio
@@ -56,6 +59,7 @@ from repro.serve.jobs import (
     RUNNING,
     Job,
     JobJournal,
+    job_seq,
     make_job,
     requeued,
 )
@@ -69,6 +73,14 @@ from repro.serve.queue import (
 
 #: Dispatcher poll interval when idle (a notify wakes it immediately).
 _TICK = 0.05
+
+#: How many finished (done or failed) jobs the daemon holds — in
+#: memory, in the journal and in the spool.  Past it the finished job
+#: with the lowest sequence number is retired; queued and running jobs
+#: never are, nor is the job that just finished.  A retired id answers
+#: 410 (:meth:`VerificationService.retired`).  A thousand finished jobs
+#: with reports of up to a kilobyte take about 1 MB.
+RETAINED_JOBS = 1000
 
 
 def execute_job(
@@ -131,10 +143,14 @@ class VerificationService:
         self.metrics = ServeMetrics()
         self.tracer: Any = Tracer() if config.trace else NULL_TRACER
         self.cache = open_cache(config.cache_dir, config.remote_cache)
-        #: Every job this process knows, id → latest state (terminal
-        #: jobs loaded from the journal included, so a restarted daemon
-        #: keeps serving finished verdicts).
+        #: Every job this process holds, id → latest state: the queued
+        #: and running ones, and the newest RETAINED_JOBS finished ones
+        #: (loaded from the journal too, so a restarted daemon keeps
+        #: serving finished verdicts).
         self.jobs: dict[str, Job] = {}
+        #: (seq, id) of the finished jobs held, a min-heap: the next to
+        #: retire is on top.
+        self._finished: list[tuple[int, str]] = []
         self.draining = False
         self._seq = 1
         self._started_wall = time.time()
@@ -161,7 +177,9 @@ class VerificationService:
 
         Returns the number of jobs re-enqueued.  A job whose spool
         vanished (cache cleared between runs) fails with a
-        ``lost-spool`` verdict instead of blocking recovery.
+        ``lost-spool`` verdict instead of blocking recovery.  Finished
+        jobs past :data:`RETAINED_JOBS` retire as they load, oldest
+        first.
         """
         loaded = self.journal.load_all()
         recovered = 0
@@ -172,6 +190,7 @@ class VerificationService:
                 continue
             if job.terminal:
                 self.jobs[job.id] = job
+                self._keep_finished(job)
                 continue
             if self.journal.check_target(job) is None:
                 self._finish_failed(
@@ -412,6 +431,7 @@ class VerificationService:
         )
         self.journal.record(done)
         self.jobs[job.id] = done
+        self._keep_finished(done)
         self.metrics.jobs_done_total += 1
         self.metrics.classes_checked_total += done.classes
         self.metrics.job_seconds_total += done.seconds
@@ -468,11 +488,37 @@ class VerificationService:
         )
         self.journal.record(failed)
         self.jobs[job.id] = failed
+        self._keep_finished(failed)
         self.metrics.jobs_failed_total += 1
         self.metrics.job_seconds_total += seconds
         self.metrics.tenant_done(job.tenant)
         self.tracer.counter("serve.jobs.failed")
         self._notify()
+
+    def _keep_finished(self, job: Job) -> None:
+        """Hold a job that just became terminal, first retiring the
+        oldest finished jobs (by sequence number) that would leave more
+        than :data:`RETAINED_JOBS` held.
+
+        Retiring drops the job from :attr:`jobs`, deletes its spool and
+        its journal record, and drops its ``job:<id>`` trace span.
+        """
+        while len(self._finished) >= RETAINED_JOBS:
+            _seq, job_id = heapq.heappop(self._finished)
+            self.jobs.pop(job_id, None)
+            self.journal.remove(job_id)
+            if self.tracer.enabled:
+                name = f"job:{job_id}"
+                spans = self.tracer.root.children
+                spans[:] = [span for span in spans if span.name != name]
+        heapq.heappush(self._finished, (job.seq, job.id))
+
+    def retired(self, job_id: str) -> bool:
+        """Was ``job_id`` issued and since retired?  True for a
+        well-formed id below the next sequence number that is not held:
+        the daemon holds every job it issued until the job retires."""
+        seq = job_seq(job_id)
+        return seq is not None and seq < self._seq and job_id not in self.jobs
 
     def _release_slot(self, tenant: str) -> None:
         self._busy = max(0, self._busy - 1)

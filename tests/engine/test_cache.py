@@ -1,7 +1,10 @@
 """The content-addressed cache: persistence, tolerance, stats."""
 
 import json
+import sys
+import threading
 
+from repro.engine import cache as cache_module
 from repro.engine.cache import CACHE_VERSION, InferenceCache
 
 
@@ -21,6 +24,64 @@ class TestMemoryCache:
         assert cache.stats.misses == 1
         assert cache.stats.hits == 2
         assert cache.stats.writes == 1
+
+
+class TestMemoryTierBound:
+    def test_least_recently_used_leaves_first(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_SIZE", 2)
+        cache = InferenceCache(None)
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        assert cache.get("a") == {"v": 1}  # refreshes "a"; "b" is now oldest
+        cache.put("c", {"v": 3})
+        assert cache.disk_stats()["entries"] == 2
+        # Memory-only, the tier is the whole store: an evicted key misses.
+        assert cache.get("b") is None
+        assert cache.get("a") == {"v": 1}
+        assert cache.get("c") == {"v": 3}
+
+    def test_threads_share_the_tier_without_losing_updates(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_SIZE", 16)
+        cache = InferenceCache(None)
+        rounds, workers = 2000, 8
+        errors = []
+
+        def hammer(worker):
+            try:
+                for index in range(rounds):
+                    key = f"k{(worker * 7 + index) % 40}"
+                    if cache.get(key) is None:
+                        cache.put(key, {"v": index})
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(worker,))
+                for worker in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats.hits + cache.stats.misses == rounds * workers
+        assert cache.stats.writes == cache.stats.misses
+        assert len(cache._memory) <= 16
+
+    def test_an_evicted_key_is_read_back_from_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_SIZE", 1)
+        cache = InferenceCache(tmp_path)
+        cache.put("aa11", {"v": 1})
+        cache.put("bb22", {"v": 2})
+        assert cache.get("aa11") == {"v": 1}  # from disk, back into memory
+        assert cache.stats.hits == 1
+        assert list(cache._memory) == ["aa11"]
 
 
 class TestDiskCache:

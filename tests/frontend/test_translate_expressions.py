@@ -151,6 +151,19 @@ class TestComprehensions:
         )
         assert "loop(*) {a.sub()}" in format_program(result.program)
 
+    def test_target_calls_loop_between_iter_and_guard(self):
+        result = translate(
+            "def f(self):\n"
+            "    xs = [0 for i in items\n"
+            "          for self.buf[self.a.open()] in self.a.sub()\n"
+            "          if self.b.check()]\n"
+            "    return []\n"
+        )
+        assert "loop(*) {a.sub(); a.open(); b.check()}" in format_program(
+            result.program
+        )
+        assert result.calls == {"a.sub", "a.open", "b.check"}
+
 
 class TestLambdas:
     def test_lambda_with_constrained_call_rejected(self):

@@ -116,10 +116,13 @@ class TestJournal:
         job, files = make_job(1, "t", FILES, deadline=10.0, now=0.0)
         faults.install(faults.parse_faults("store-write:enospc:serve-job/*"))
         try:
-            assert journal.record(job) is False
+            for _attempt in range(3):
+                assert journal.record(job) is False
         finally:
             faults.install(None)
-        assert journal.stats.write_failures == 1
+        assert journal.stats.write_failures == 3
+        # Counts only: a daemon on a full disk must not grow per failure.
+        assert all(isinstance(value, int) for value in vars(journal.stats).values())
         assert journal.load_all() == []
 
     def test_next_seq_continues_after_the_max(self, tmp_path):

@@ -132,11 +132,15 @@ class TestMachineDefaults:
 
 
 class TestBehaviorHelpers:
-    def test_behavior_is_cached(self, bad_sector):
-        from repro.lang.inference import behavior
+    def test_exit_behaviors_is_shared_and_read_only(self, bad_sector):
+        from repro.lang.inference import behavior, exit_behaviors
 
         body = bad_sector.operation("open_a").body
-        assert behavior(body) is behavior(body)
+        assert behavior(body) == behavior(body)
+        shared = exit_behaviors(body)
+        assert shared is exit_behaviors(body)
+        with pytest.raises(TypeError):
+            shared[0] = shared[0]
 
     def test_format_regex_cached_and_stable(self):
         from repro.regex.ast import format_regex
