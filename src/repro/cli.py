@@ -66,7 +66,8 @@ import contextlib
 import json
 import os
 import sys as _sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from repro.core.behavior import behavior_nfa, operation_exit_regexes
@@ -93,8 +94,10 @@ from repro.engine.engine import EXECUTORS, cache_counters
 from repro.frontend.model_ast import FrontendError, ParsedModule
 from repro.frontend.project import parse_path
 from repro.lang.inference import behavior as infer_behavior
+from repro.mine.config import CollectConfig
 from repro.obs.tracer import NULL_TRACER
 from repro.regex.ast import format_regex
+from repro.serve.config import ServeConfig, ServeConfigError
 
 
 class UsageError(SystemExit):
@@ -152,48 +155,88 @@ def _install_interrupt_handler() -> None:
 # The engine launch path: check, coordinate, profile and serve
 # ----------------------------------------------------------------------
 
-def _add_engine_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """Declare the named engine flags on ``parser``, in a fixed order.
+#: Each engine flag, declared here and nowhere else, so the commands that
+#: share one cannot drift apart on its default, choices or help.
+_ENGINE_FLAGS = {
+    "--jobs": dict(type=int, default=1, help="engine worker count (default: 1, serial)"),
+    "--executor": dict(
+        choices=EXECUTORS, default="thread", help="engine worker pool backend (default: thread)"
+    ),
+    "--cache": dict(
+        action="store_true", help="reuse and persist the content-addressed inference cache"
+    ),
+    "--cache-dir": dict(
+        default=DEFAULT_CACHE_DIR, help=f"cache location (default: {DEFAULT_CACHE_DIR})"
+    ),
+    "--remote-cache": dict(
+        default=None,
+        metavar="URL",
+        help="layer a shared remote cache tier (`repro cache serve`) over the local one; "
+        "implies --cache, degrades to local-only if the remote misbehaves "
+        "(docs/distributed.md)",
+    ),
+    "--faults": dict(
+        default=None,
+        metavar="SPEC",
+        help="fault-injection spec (testing; same grammar as the REPRO_FAULTS "
+        "environment variable)",
+    ),
+}
 
-    Each engine flag is declared here and nowhere else, so the commands
-    that share one cannot drift apart on its default or choices.
+
+def _add_engine_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the named engine flags on ``parser``, in the order given."""
+    for flag in flags:
+        names = (flag, "-j") if flag == "--jobs" else (flag,)
+        parser.add_argument(*names, **_ENGINE_FLAGS[flag])
+
+
+def _add_config_flags(
+    parser: argparse.ArgumentParser, config_type: type, before: dict[str, str] | None = None
+) -> None:
+    """Declare a flag for each field of ``config_type``, in field order.
+
+    Each field names its flag, metavar and help (:func:`repro.options.option`);
+    the flag's type and default are the field's, and its help ends with
+    the default.  A field without help is set by an engine flag, which
+    :func:`_add_engine_flags` declares.  ``before`` maps a field name to
+    one more engine flag to declare just ahead of that field's.
     """
-    if "--jobs" in flags:
+    hints = typing.get_type_hints(config_type)
+    for field in fields(config_type):
+        meta = field.metadata
+        if before and field.name in before:
+            _add_engine_flags(parser, before[field.name])
+        if meta["help"] is None:
+            _add_engine_flags(parser, meta["flag"])
+            continue
+        hint = hints[field.name]
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        if kind is bool:
+            parser.add_argument(meta["flag"], action="store_true", help=meta["help"])
+            continue
+        if field.default is None:
+            shown = meta["unset"]
+        else:
+            shown = f"{field.default:g}" if kind is float else field.default
         parser.add_argument(
-            "--jobs",
-            "-j",
-            type=int,
-            default=1,
-            help="engine worker count (default: 1, serial)",
+            meta["flag"],
+            type=None if kind is str else kind,
+            default=field.default,
+            metavar=meta["metavar"],
+            help=f"{meta['help']} (default: {shown})",
         )
-    if "--executor" in flags:
-        parser.add_argument(
-            "--executor",
-            choices=EXECUTORS,
-            default="thread",
-            help="engine worker pool backend (default: thread)",
-        )
-    if "--cache" in flags:
-        parser.add_argument(
-            "--cache",
-            action="store_true",
-            help="reuse and persist the content-addressed inference cache",
-        )
-    if "--cache-dir" in flags:
-        parser.add_argument(
-            "--cache-dir",
-            default=DEFAULT_CACHE_DIR,
-            help=f"cache location (default: {DEFAULT_CACHE_DIR})",
-        )
-    if "--remote-cache" in flags:
-        parser.add_argument(
-            "--remote-cache",
-            default=None,
-            metavar="URL",
-            help="layer a shared remote cache tier (`repro cache serve`) "
-            "over the local one; implies --cache, degrades to local-only "
-            "if the remote misbehaves (docs/distributed.md)",
-        )
+
+
+def _config_from_args(config_type: type, args: argparse.Namespace):
+    """A ``config_type`` built from the flags :func:`_add_config_flags`
+    declared; each flag's dest is its name, as argparse derives it."""
+    return config_type(
+        **{
+            field.name: getattr(args, field.metadata["flag"].lstrip("-").replace("-", "_"))
+            for field in fields(config_type)
+        }
+    )
 
 
 @contextlib.contextmanager
@@ -448,35 +491,13 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import ServeConfig, ServeConfigError
     from repro.serve.http import serve_forever
 
     with _engine_launch(args):
         try:
-            config = ServeConfig(
-                host=args.host,
-                port=args.port,
-                cache_dir=args.cache_dir,
-                remote_cache=args.remote_cache,
-                queue_depth=args.queue_depth,
-                tenant_queue_cap=args.tenant_queue_cap,
-                tenant_concurrency=args.tenant_concurrency,
-                workers=args.workers,
-                engine_jobs=args.engine_jobs,
-                engine_executor=args.executor,
-                job_deadline=args.deadline,
-                class_timeout=args.class_timeout,
-                job_retries=args.job_retries,
-                breaker_threshold=args.breaker_threshold,
-                breaker_backoff=args.breaker_backoff,
-                breaker_max_backoff=args.breaker_max_backoff,
-                drain_grace=args.drain_grace,
-                trace=args.trace,
-            )
+            return asyncio.run(serve_forever(_config_from_args(ServeConfig, args)))
         except ServeConfigError as error:
             raise UsageError(f"error: {error}")
-        try:
-            return asyncio.run(serve_forever(config))
         except KeyboardInterrupt:  # non-POSIX fallback: treat as drain
             return 130
 
@@ -512,10 +533,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return serve_cache(
                 args.cache_dir, host=args.host, port=args.port
             )
-        except OSError as error:
+        except (OSError, OverflowError) as error:  # overflow: a port past 65535
             raise UsageError(f"error: cannot serve cache: {error}")
 
-    cache = open_cache(args.cache_dir)
+    try:
+        cache = open_cache(args.cache_dir)
+    except EngineError as error:
+        raise UsageError(f"error: {error}")
     if args.cache_command == "clear":
         removed = cache.clear()
         state_removed = cache.clear_state()
@@ -662,16 +686,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _cmd_mine(args: argparse.Namespace) -> int:
     _install_interrupt_handler()
 
-    from repro.mine import CollectConfig, MineError, mine_path
+    from repro.mine import MineError, mine_path
 
     tracer = _obs_tracer(args)
     try:
-        config = CollectConfig(
-            seed=args.seed,
-            random_runs=args.random_runs,
-            max_random_len=args.max_random_len,
-            max_sequences=args.max_sequences,
-        )
+        config = _config_from_args(CollectConfig, args)
     except ValueError as error:
         raise UsageError(f"error: {error}")
     try:
@@ -863,13 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="report quarantined classes and keep checking (default)",
     )
-    check.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection spec (testing; same grammar as the "
-        "REPRO_FAULTS environment variable)",
-    )
+    _add_engine_flags(check, "--faults")
     _add_obs_flags(check)
     check.add_argument(
         "--shards",
@@ -938,120 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the fault-tolerant verification daemon (docs/serve.md)",
     )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="listen address (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="listen port; 0 picks a free one and records it in "
-        "<cache-dir>/serve/endpoint.json (default: 8765)",
-    )
-    _add_engine_flags(serve, "--cache-dir", "--remote-cache")
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=16,
-        metavar="K",
-        help="bounded queue depth; submissions past it are shed with "
-        "429 + Retry-After (default: 16)",
-    )
-    serve.add_argument(
-        "--tenant-queue-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max queued jobs per tenant (default: the queue depth)",
-    )
-    serve.add_argument(
-        "--tenant-concurrency",
-        type=int,
-        default=2,
-        metavar="N",
-        help="max executing jobs per tenant (default: 2)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="concurrent job slots (default: 2)",
-    )
-    serve.add_argument(
-        "--engine-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="engine worker count within one job (default: 1)",
-    )
-    _add_engine_flags(serve, "--executor")
-    serve.add_argument(
-        "--deadline",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline (default: 120)",
-    )
-    serve.add_argument(
-        "--class-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-class supervisor deadline (default: the job deadline)",
-    )
-    serve.add_argument(
-        "--job-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="re-runs of a job after a worker crash (default: 1)",
-    )
-    serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive crashes that trip the circuit breaker "
-        "(default: 3)",
-    )
-    serve.add_argument(
-        "--breaker-backoff",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="first breaker-open interval; doubles per consecutive "
-        "trip (default: 1)",
-    )
-    serve.add_argument(
-        "--breaker-max-backoff",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="cap on the breaker-open interval (default: 30)",
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="how long a SIGTERM drain waits for in-flight jobs "
-        "(default: 30)",
-    )
-    serve.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection spec (testing; REPRO_FAULTS grammar, "
-        "including the serve-accept/serve-dispatch/serve-respond sites)",
-    )
-    serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="collect per-job obs spans (for smoke runs and debugging)",
-    )
+    _add_config_flags(serve, ServeConfig, before={"trace": "--faults"})
     serve.set_defaults(func=_cmd_serve)
 
     profile = subparsers.add_parser(
@@ -1182,35 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
         "unsound divergence (mined accepts a spec-rejected lifecycle) "
         "fails the run",
     )
-    mine.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the random-lifecycle driver (default: 0); the "
-        "whole run is deterministic per seed",
-    )
-    mine.add_argument(
-        "--random-runs",
-        type=int,
-        default=32,
-        metavar="N",
-        help="random monitored lifecycles per class beyond the "
-        "transition-covering suite (default: 32)",
-    )
-    mine.add_argument(
-        "--max-random-len",
-        type=int,
-        default=12,
-        metavar="N",
-        help="cap on each random lifecycle's length (default: 12)",
-    )
-    mine.add_argument(
-        "--max-sequences",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap the transition-covering suite (default: unlimited)",
-    )
+    _add_config_flags(mine, CollectConfig)
     mine.add_argument(
         "--corpus-out",
         default=None,

@@ -923,16 +923,17 @@ def open_cache(cache_dir: str | Path, remote: str | None = None) -> InferenceCac
     shared HTTP tier is layered over the local directory (read-through,
     write-behind, degrading to local-only when the remote misbehaves;
     docs/distributed.md).  A ``remote`` that is not an http:// or
-    https:// URL raises :class:`EngineError`.
+    https:// URL, or a ``cache_dir`` that cannot be created (a file is
+    in the way), raises :class:`EngineError`.
     """
-    if remote is None:
-        return InferenceCache(cache_dir)
-    if not remote.startswith(("http://", "https://")):
+    if remote is not None and not remote.startswith(("http://", "https://")):
         raise EngineError(
             f"remote cache must be an http:// or https:// URL, got {remote!r}"
         )
-    return InferenceCache(
-        backend=TieredBackend(
-            LocalDirBackend(Path(cache_dir)), RemoteHTTPBackend(remote)
-        )
-    )
+    try:
+        backend = LocalDirBackend(Path(cache_dir))
+    except OSError as error:
+        raise EngineError(f"cannot use cache directory {cache_dir}: {error}") from None
+    if remote is not None:
+        backend = TieredBackend(backend, RemoteHTTPBackend(remote))
+    return InferenceCache(backend=backend)

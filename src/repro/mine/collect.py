@@ -22,10 +22,10 @@ learner's merge gates consume.  Collection is a pure function of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.spec import ClassSpec
+from repro.mine.config import CollectConfig
 from repro.mine.corpus import (
     KIND_COVER,
     KIND_RANDOM,
@@ -50,24 +50,6 @@ from repro.testing.conformance import generate_suite
 
 class CollectError(Exception):
     """The implementation cannot be driven by the collector."""
-
-
-@dataclass(frozen=True)
-class CollectConfig:
-    """Deterministic knobs of one collection run."""
-
-    seed: int = 0
-    random_runs: int = 32
-    max_random_len: int = 12
-    max_sequences: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.random_runs < 0:
-            raise ValueError("random_runs must be >= 0")
-        if self.max_random_len < 1:
-            raise ValueError("max_random_len must be >= 1")
-        if self.max_sequences is not None and self.max_sequences < 0:
-            raise ValueError(f"max_sequences must be >= 0, got {self.max_sequences}")
 
 
 def _probe(instance) -> StepEvidence:

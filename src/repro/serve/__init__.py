@@ -8,44 +8,28 @@ daemon mid-job; the restart re-runs the queue and serves byte-identical
 verdicts), and graceful SIGTERM drain.  See docs/serve.md.
 """
 
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serve.config import ServeConfig, ServeConfigError
-from repro.serve.jobs import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    Job,
-    JobError,
-    JobJournal,
-    make_job,
-)
-from repro.serve.metrics import ServeMetrics, serve_prometheus_text
-from repro.serve.queue import AdmissionError, AdmissionQueue
-from repro.serve.service import VerificationService, execute_job
-from repro.serve.http import ServeApp, serve_forever
+import importlib
 
-__all__ = [
-    "AdmissionError",
-    "AdmissionQueue",
-    "CircuitBreaker",
-    "CLOSED",
-    "DONE",
-    "FAILED",
-    "HALF_OPEN",
-    "Job",
-    "JobError",
-    "JobJournal",
-    "OPEN",
-    "QUEUED",
-    "RUNNING",
-    "ServeApp",
-    "ServeConfig",
-    "ServeConfigError",
-    "ServeMetrics",
-    "VerificationService",
-    "execute_job",
-    "make_job",
-    "serve_forever",
-    "serve_prometheus_text",
-]
+#: Each public name by the module that defines it.  A name is imported on
+#: first use, so the CLI reads :mod:`repro.serve.config` (``repro
+#: serve``'s flags) without loading the daemon into every command.
+_EXPORTS = {
+    "repro.serve.breaker": ("CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"),
+    "repro.serve.config": ("ServeConfig", "ServeConfigError"),
+    "repro.serve.jobs": (
+        "DONE", "FAILED", "QUEUED", "RUNNING", "Job", "JobError", "JobJournal", "make_job",
+    ),
+    "repro.serve.metrics": ("ServeMetrics", "serve_prometheus_text"),
+    "repro.serve.queue": ("AdmissionError", "AdmissionQueue"),
+    "repro.serve.service": ("VerificationService", "execute_job"),
+    "repro.serve.http": ("ServeApp", "serve_forever"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

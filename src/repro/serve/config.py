@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.engine.cache import DEFAULT_CACHE_DIR
+from repro.options import option
+
 
 class ServeConfigError(ValueError):
     """Raised on an invalid daemon configuration."""
@@ -19,76 +22,122 @@ class ServeConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Every knob of the verification daemon."""
+    """Every knob of the verification daemon, each with its ``repro
+    serve`` flag (``repro serve --help`` lists them)."""
 
-    #: Listen address; port 0 asks the OS for a free port (the chosen
-    #: one is printed, and recorded in ``<serve-root>/endpoint.json``).
-    host: str = "127.0.0.1"
-    port: int = 8765
+    host: str = option("127.0.0.1", "--host", "listen address")
+    port: int = option(
+        8765,
+        "--port",
+        "listen port; 0 picks a free one and records it in "
+        "<cache-dir>/serve/endpoint.json",
+    )
 
     #: Cache directory shared with the batch CLI: the content-addressed
     #: inference cache, the incremental state, and the daemon's own
     #: ``serve/`` spool all live here.
-    cache_dir: str = ".repro-cache"
+    cache_dir: str = option(DEFAULT_CACHE_DIR, "--cache-dir")
 
     #: Endpoint of a shared ``repro cache serve`` daemon; when set, the
     #: inference cache layers a remote tier over the local directory
     #: (read-through, write-behind; docs/distributed.md).  ``None``
     #: keeps the daemon local-only; a URL that is not http(s) is refused
     #: when the daemon opens its cache (:func:`repro.engine.open_cache`).
-    remote_cache: str | None = None
+    remote_cache: str | None = option(None, "--remote-cache")
 
     # -- admission control ---------------------------------------------
-    #: Bounded queue depth K: submissions past it are shed with an
-    #: explicit 429 + Retry-After, never silently dropped.
-    queue_depth: int = 16
-    #: Max *queued* jobs per tenant (defaults to ``queue_depth``): one
-    #: chatty tenant cannot fill the whole queue.
-    tenant_queue_cap: int | None = None
-    #: Max *executing* jobs per tenant: one slow tenant cannot occupy
-    #: every worker slot.
-    tenant_concurrency: int = 2
+    queue_depth: int = option(
+        16,
+        "--queue-depth",
+        "bounded queue depth; submissions past it are shed with "
+        "429 + Retry-After",
+        metavar="K",
+    )
+    #: One chatty tenant cannot fill the whole queue.
+    tenant_queue_cap: int | None = option(
+        None,
+        "--tenant-queue-cap",
+        "max queued jobs per tenant",
+        metavar="N",
+        unset="the queue depth",
+    )
+    #: One slow tenant cannot occupy every worker slot.
+    tenant_concurrency: int = option(
+        2, "--tenant-concurrency", "max executing jobs per tenant", metavar="N"
+    )
 
     # -- execution ------------------------------------------------------
-    #: Concurrent job slots (each job runs on one executor thread).
-    workers: int = 2
+    #: Each job runs on one executor thread.
+    workers: int = option(2, "--workers", "concurrent job slots", metavar="N")
     #: ``BatchVerifier(jobs=...)`` within one job.
-    engine_jobs: int = 1
+    engine_jobs: int = option(
+        1, "--engine-jobs", "engine worker count within one job", metavar="N"
+    )
     #: Worker pool backend inside a job ("thread" or "process").
-    engine_executor: str = "thread"
-    #: Per-job wall-clock deadline in seconds, measured from the start
-    #: of execution.  Enforced twice over: the per-class supervisor
-    #: deadline quarantines slow classes (``ENGINE TIMEOUT``), and a
-    #: job-level backstop fails the job outright.
-    job_deadline: float = 120.0
-    #: Per-class supervisor deadline; ``None`` means "the job deadline"
-    #: (a single class can never eat more than the whole budget).
-    class_timeout: float | None = None
-    #: Re-executions of a job after a worker crash before it fails.
-    job_retries: int = 1
+    engine_executor: str = option("thread", "--executor")
+    #: Measured in seconds from the start of execution, and enforced
+    #: twice over: the per-class supervisor deadline quarantines slow
+    #: classes (``ENGINE TIMEOUT``), and a job-level backstop fails the
+    #: job outright.
+    job_deadline: float = option(
+        120.0, "--deadline", "per-job wall-clock deadline", metavar="SECONDS"
+    )
+    #: ``None`` means "the job deadline": a single class can never eat
+    #: more than the whole budget.
+    class_timeout: float | None = option(
+        None,
+        "--class-timeout",
+        "per-class supervisor deadline",
+        metavar="SECONDS",
+        unset="the job deadline",
+    )
+    job_retries: int = option(
+        1, "--job-retries", "re-runs of a job after a worker crash", metavar="N"
+    )
 
     # -- circuit breaker ------------------------------------------------
-    #: Consecutive worker-pool crashes that trip the breaker open.
-    breaker_threshold: int = 3
-    #: First open interval in seconds; doubles per consecutive trip
-    #: (deterministic exponential backoff), capped below.
-    breaker_backoff: float = 1.0
-    breaker_max_backoff: float = 30.0
+    breaker_threshold: int = option(
+        3,
+        "--breaker-threshold",
+        "consecutive crashes that trip the circuit breaker",
+        metavar="N",
+    )
+    #: The backoff is deterministic: it doubles per consecutive trip, up
+    #: to the cap.
+    breaker_backoff: float = option(
+        1.0,
+        "--breaker-backoff",
+        "first breaker-open interval; doubles per consecutive trip",
+        metavar="SECONDS",
+    )
+    breaker_max_backoff: float = option(
+        30.0,
+        "--breaker-max-backoff",
+        "cap on the breaker-open interval",
+        metavar="SECONDS",
+    )
 
     # -- lifecycle ------------------------------------------------------
-    #: Grace period for SIGTERM drain: in-flight jobs get this long to
-    #: finish before the daemon exits anyway (queued jobs are already
-    #: checkpointed in the journal either way).
-    drain_grace: float = 30.0
+    #: In-flight jobs get this long to finish before the daemon exits
+    #: anyway (queued jobs are already checkpointed in the journal
+    #: either way).
+    drain_grace: float = option(
+        30.0,
+        "--drain-grace",
+        "how long a SIGTERM drain waits for in-flight jobs",
+        metavar="SECONDS",
+    )
 
-    #: Largest accepted request body.
-    max_body_bytes: int = 5 * 1024 * 1024
-
-    #: Collect one obs span per finished job (dropped when the job
-    #: retires; meant for smoke runs and debugging).
-    trace: bool = False
+    #: The spans are dropped when their jobs retire.
+    trace: bool = option(
+        False,
+        "--trace",
+        "collect per-job obs spans (for smoke runs and debugging)",
+    )
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ServeConfigError(f"port must be in [0, 65535], got {self.port}")
         if self.queue_depth < 1:
             raise ServeConfigError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"

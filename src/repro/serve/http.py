@@ -33,7 +33,7 @@ import sys
 from typing import Any
 
 from repro.engine import faults, store
-from repro.serve.config import ServeConfig
+from repro.serve.config import ServeConfig, ServeConfigError
 from repro.serve.jobs import JobError
 from repro.serve.queue import REASON_DRAINING, AdmissionError
 from repro.serve.service import VerificationService
@@ -58,6 +58,9 @@ _UNAVAILABLE_REASONS = frozenset({REASON_DRAINING, "breaker-open"})
 
 _EVENT_POLL = 0.25
 
+#: Largest accepted request body; a request that declares more gets 413.
+MAX_BODY_BYTES = 5 * 1024 * 1024
+
 
 class _BadRequest(Exception):
     def __init__(self, status: int, message: str):
@@ -65,9 +68,7 @@ class _BadRequest(Exception):
         self.status = status
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
-) -> tuple[str, str, bytes]:
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
     """Parse one request; returns (method, path, body)."""
     try:
         request_line = await reader.readline()
@@ -88,9 +89,9 @@ async def _read_request(
                 content_length = int(value.strip())
             except ValueError:
                 raise _BadRequest(400, "bad Content-Length")
-    if content_length > max_body:
+    if content_length > MAX_BODY_BYTES:
         raise _BadRequest(
-            413, f"body of {content_length} bytes exceeds the {max_body} cap"
+            413, f"body of {content_length} bytes exceeds the {MAX_BODY_BYTES} cap"
         )
     body = b""
     if content_length:
@@ -148,9 +149,7 @@ class ServeApp:
         route = "?"
         try:
             try:
-                method, path, body = await _read_request(
-                    reader, self.service.config.max_body_bytes
-                )
+                method, path, body = await _read_request(reader)
                 route = path
                 response = await self._dispatch(method, path, body, writer)
             except _BadRequest as error:
@@ -303,11 +302,21 @@ async def serve_forever(config: ServeConfig) -> int:
     the drain starts) — and closes once the drain completes.
     """
     service = VerificationService(config)
+    # Listen before recovering: a start refused for a busy address must
+    # leave the journal of the daemon that holds it alone.  Requests are
+    # handled only once this coroutine suspends, which it does not do
+    # between the bind and the recovery.
+    try:
+        server = await asyncio.start_server(
+            ServeApp(service).handle, config.host, config.port
+        )
+    except OSError as error:
+        raise ServeConfigError(
+            f"cannot listen on {config.host}:{config.port}: {error}"
+        ) from None
     # Recover before the dispatcher exists: the ready line must hit
     # stdout before a recovered job can re-trigger an injected crash.
     recovered = service.recover()
-    app = ServeApp(service)
-    server = await asyncio.start_server(app.handle, config.host, config.port)
     host, port = server.sockets[0].getsockname()[:2]
     _write_endpoint(config, host, port)
     print(
@@ -315,7 +324,7 @@ async def serve_forever(config: ServeConfig) -> int:
         f"(pid {os.getpid()}, {recovered} job(s) recovered from the journal)",
         flush=True,
     )
-    await service.start()  # idempotent recovery; starts the dispatcher
+    await service.start()  # recovery is done; this starts the dispatcher
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):

@@ -42,7 +42,6 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.engine import faults, store
-from repro.engine.cache import InferenceCache
 from repro.engine.engine import open_cache, verify_path
 from repro.frontend.model_ast import FrontendError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -83,17 +82,9 @@ _TICK = 0.05
 RETAINED_JOBS = 1000
 
 
-def execute_job(
-    target: str,
-    job_id: str,
-    *,
-    jobs: int,
-    executor: str,
-    cache: InferenceCache | None,
-    timeout: float,
-    retries: int,
-) -> dict[str, Any]:
-    """Run one verification job (thread-pool side).
+def execute_job(target: str, job_id: str, **engine: Any) -> dict[str, Any]:
+    """Run one verification job (thread-pool side); ``engine`` holds
+    the :class:`~repro.engine.engine.BatchVerifier` keywords.
 
     Returns the merged report plus shape numbers.  Raises on crashes —
     the dispatcher decides between retry, quarantine and breaker
@@ -102,15 +93,7 @@ def execute_job(
     """
     started = time.perf_counter()
     faults.fire("serve-dispatch", job_id)
-    batch = verify_path(
-        target,
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-        timeout=timeout,
-        retries=retries,
-        tracer=None,
-    )
+    batch = verify_path(target, **engine)
     merged = batch.merged()
     return {
         "ok": merged.ok,
@@ -143,6 +126,13 @@ class VerificationService:
         self.metrics = ServeMetrics()
         self.tracer: Any = Tracer() if config.trace else NULL_TRACER
         self.cache = open_cache(config.cache_dir, config.remote_cache)
+        #: The :class:`BatchVerifier` keywords of every job.
+        self.engine: dict[str, Any] = {
+            "jobs": config.engine_jobs,
+            "executor": config.engine_executor,
+            "cache": self.cache,
+            "timeout": config.effective_class_timeout,
+        }
         #: Every job this process holds, id → latest state: the queued
         #: and running ones, and the newest RETAINED_JOBS finished ones
         #: (loaded from the journal too, so a restarted daemon keeps
@@ -169,6 +159,8 @@ class VerificationService:
         self._wake: asyncio.Event | None = None
         self._update: asyncio.Event | None = None
         self.drained = False
+        #: What :meth:`recover` returned; ``None`` until it has run.
+        self._recovered: int | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -179,8 +171,11 @@ class VerificationService:
         vanished (cache cleared between runs) fails with a
         ``lost-spool`` verdict instead of blocking recovery.  Finished
         jobs past :data:`RETAINED_JOBS` retire as they load, oldest
-        first.
+        first.  The journal is read once: a later call returns the
+        first call's count.
         """
+        if self._recovered is not None:
+            return self._recovered
         loaded = self.journal.load_all()
         recovered = 0
         for job in loaded:
@@ -205,11 +200,13 @@ class VerificationService:
             self.metrics.jobs_queued_total += 1
             recovered += 1
         self._seq = self.journal.next_seq(loaded)
+        self._recovered = recovered
         return recovered
 
     async def start(self) -> int:
-        """Sweep the cache, recover the journal and start the
-        dispatcher; returns the number of recovered (re-enqueued) jobs.
+        """Sweep the cache, recover the journal (unless :meth:`recover`
+        already has) and start the dispatcher; returns the number of
+        recovered (re-enqueued) jobs.
 
         The sweep removes the ``.tmp-*`` files crashed writers left in
         the cache; the age gate keeps it away from the live writes of
@@ -379,15 +376,7 @@ class VerificationService:
         future = asyncio.ensure_future(
             loop.run_in_executor(
                 self._pool,
-                lambda: execute_job(
-                    str(target),
-                    job.id,
-                    jobs=self.config.engine_jobs,
-                    executor=self.config.engine_executor,
-                    cache=self.cache,
-                    timeout=self.config.effective_class_timeout,
-                    retries=2,
-                ),
+                lambda: execute_job(str(target), job.id, **self.engine),
             )
         )
         # The worker *thread* outlives a deadline expiry (Python cannot

@@ -1,12 +1,19 @@
 """The daemon over real HTTP: one ``repro serve`` subprocess per test
 (or shared where read-only), driven with stdlib urllib."""
 
+import asyncio
 import json
+import socket
 import urllib.request
 
 import pytest
 
+from repro.serve.config import ServeConfigError
+from repro.serve.http import MAX_BODY_BYTES, serve_forever
+from repro.serve.jobs import QUEUED, JobJournal
+from repro.serve.service import VerificationService
 from tests.serve.conftest import EXAMPLE
+from tests.serve.test_service import FILES, config_for
 
 
 class TestEndpoints:
@@ -57,6 +64,28 @@ class TestEndpoints:
         status, body = daemon.post("/v1/jobs", payload)
         assert status == 400
         assert "error" in body
+
+    def test_oversized_body_gets_413_and_the_daemon_keeps_serving(self, daemon):
+        """The cap is checked against Content-Length before any body is
+        read, so the claim alone is refused."""
+        host, port = daemon.base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as client:
+            client.sendall(
+                "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("latin-1")
+            )
+            raw = b""
+            while chunk := client.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"413"
+        assert json.loads(body) == {
+            "error": f"body of {MAX_BODY_BYTES + 1} bytes exceeds the {MAX_BODY_BYTES} cap"
+        }
+        status, health = daemon.get("/healthz")
+        assert status == 200 and health["ok"] is True
+        status, listing = daemon.get("/v1/jobs")
+        assert status == 200 and listing["jobs"] == []
 
     def test_method_and_route_errors(self, daemon):
         status, _body = daemon.post("/healthz")
@@ -153,6 +182,24 @@ def test_endpoint_file_records_the_listen_address(daemon_factory, tmp_path):
     )
     assert daemon.base.endswith(f":{endpoint['port']}")
     assert endpoint["pid"] == daemon.proc.pid
+
+
+def test_a_start_refused_for_a_bound_port_leaves_the_journal_alone(tmp_path):
+    """The listener binds before recovery, so a second daemon refused
+    for a busy port never rewrites the journal of the one holding it."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        config = config_for(tmp_path, port=taken.getsockname()[1])
+
+        async def scenario():
+            VerificationService(config).submit("alice", FILES)
+            with pytest.raises(ServeConfigError, match="cannot listen on"):
+                await asyncio.wait_for(serve_forever(config), timeout=30)
+
+        asyncio.run(scenario())
+    [record] = JobJournal(config.serve_root).load_all()
+    assert (record.state, record.recovered) == (QUEUED, 0)
 
 
 def test_bad_env_fault_spec_refuses_startup(tmp_path):

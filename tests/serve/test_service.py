@@ -16,7 +16,7 @@ import pytest
 from repro.engine import faults
 from repro.serve.breaker import OPEN
 from repro.serve.config import ServeConfig
-from repro.serve.jobs import DONE, FAILED, KIND_CRASH, KIND_DEADLINE
+from repro.serve.jobs import DONE, FAILED, KIND_CRASH, KIND_DEADLINE, JobJournal
 from repro.serve.queue import AdmissionError
 from repro.serve.service import VerificationService
 from repro.workloads.hierarchy import HierarchyShape, module_source
@@ -309,6 +309,39 @@ class TestRecovery:
 
         ids = asyncio.run(before())
         asyncio.run(after(ids))
+
+    def test_recover_then_start_reads_the_journal_once(self, tmp_path, monkeypatch):
+        """``repro serve`` recovers before its ready line and starts the
+        dispatcher after it: the journal is read once, and a journaled
+        queued job is re-enqueued and run once."""
+        config = config_for(tmp_path)
+
+        async def before():
+            return VerificationService(config).submit("alice", FILES).id
+
+        job_id = asyncio.run(before())
+        reads = []
+        load_all = JobJournal.load_all
+        monkeypatch.setattr(
+            JobJournal, "load_all", lambda journal: reads.append(1) or load_all(journal)
+        )
+
+        async def after():
+            service = VerificationService(config)
+            assert service.recover() == 1
+            assert await service.start() == 1
+            try:
+                done = await wait_terminal(service, job_id)
+            finally:
+                await service.drain()
+            assert done.state == DONE and done.recovered == 1
+            return service.metrics
+
+        metrics = asyncio.run(after())
+        assert len(reads) == 1
+        assert metrics.recovered_jobs_total == 1
+        assert metrics.jobs_queued_total == 1
+        assert metrics.jobs_started_total == 1
 
     def test_lost_spool_fails_cleanly_on_recovery(self, tmp_path):
         import shutil

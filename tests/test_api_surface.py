@@ -18,9 +18,11 @@ class TestPublicApi:
         import repro.lang
         import repro.ltlf
         import repro.micropython
+        import repro.mine
         import repro.nusmv
         import repro.regex
         import repro.runtime
+        import repro.serve
         import repro.testing
         import repro.viz
         import repro.workloads
@@ -32,9 +34,11 @@ class TestPublicApi:
             repro.lang,
             repro.ltlf,
             repro.micropython,
+            repro.mine,
             repro.nusmv,
             repro.regex,
             repro.runtime,
+            repro.serve,
             repro.testing,
             repro.viz,
             repro.workloads,

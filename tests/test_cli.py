@@ -1,9 +1,17 @@
 """The command-line interface, end to end (in-process)."""
 
+import socket
+import subprocess
+import sys
+from dataclasses import fields
+
 import pytest
 
 from repro.cli import main
+from repro.mine.config import CollectConfig
 from repro.paper import GOOD_MODULE, SECTION_2_MODULE, SECTOR_MODULE
+from repro.serve.config import ServeConfig
+from tests.serve.conftest import SRC_DIR
 
 
 @pytest.fixture
@@ -35,6 +43,157 @@ def _usage_error(argv, capsys) -> str:
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: ")
     return stderr
+
+
+def _daemon_usage_error(*argv) -> str:
+    """Run ``repro *argv`` in a subprocess, so a daemon that boots by
+    mistake cannot hang the suite; assert one ``error:`` line on stderr,
+    nothing on stdout and exit 2; return the line."""
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR},
+    )
+    assert completed.returncode == 2, completed
+    assert completed.stdout == ""
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
+    return lines[0]
+
+
+class _Built(Exception):
+    """Carries the config a command built out of :func:`main`."""
+
+    def __init__(self, config):
+        super().__init__()
+        self.config = config
+
+
+def _built_config(monkeypatch, runner: str, argv):
+    """The config ``main(argv)`` hands to ``runner`` (patched out)."""
+
+    def capture(*args, **kwargs):
+        raise _Built(kwargs.get("config", args[0]))
+
+    monkeypatch.setattr(runner, capture)
+    with pytest.raises(_Built) as built:
+        main(argv)
+    return built.value.config
+
+
+class TestConfigFlags:
+    """``repro serve`` and ``repro mine`` build their configs from flags
+    declared on the config fields: each flag lands in its field."""
+
+    def test_every_serve_flag_lands_in_its_field(self, tmp_path, monkeypatch):
+        argv = [
+            "serve", "--host", "0.0.0.0", "--port", "9000",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--remote-cache", "http://127.0.0.1:1", "--queue-depth", "5",
+            "--tenant-queue-cap", "3", "--tenant-concurrency", "4",
+            "--workers", "6", "--engine-jobs", "2", "--executor", "process",
+            "--deadline", "7.5", "--class-timeout", "2.5", "--job-retries", "0",
+            "--breaker-threshold", "9", "--breaker-backoff", "0.5",
+            "--breaker-max-backoff", "8", "--drain-grace", "0", "--trace",
+        ]
+        config = _built_config(monkeypatch, "repro.serve.http.serve_forever", argv)
+        assert config == ServeConfig(
+            host="0.0.0.0",
+            port=9000,
+            cache_dir=str(tmp_path / "cache"),
+            remote_cache="http://127.0.0.1:1",
+            queue_depth=5,
+            tenant_queue_cap=3,
+            tenant_concurrency=4,
+            workers=6,
+            engine_jobs=2,
+            engine_executor="process",
+            job_deadline=7.5,
+            class_timeout=2.5,
+            job_retries=0,
+            breaker_threshold=9,
+            breaker_backoff=0.5,
+            breaker_max_backoff=8.0,
+            drain_grace=0.0,
+            trace=True,
+        )
+        defaulted = [f.name for f in fields(ServeConfig) if getattr(config, f.name) == f.default]
+        assert defaulted == []
+
+    def test_every_mine_flag_lands_in_its_field(self, monkeypatch):
+        argv = [
+            "mine", "m.py", "--seed", "7", "--random-runs", "3",
+            "--max-random-len", "4", "--max-sequences", "5",
+        ]
+        config = _built_config(monkeypatch, "repro.mine.mine_path", argv)
+        assert config == CollectConfig(
+            seed=7, random_runs=3, max_random_len=4, max_sequences=5
+        )
+        defaulted = [f.name for f in fields(CollectConfig) if getattr(config, f.name) == f.default]
+        assert defaulted == []
+
+    def test_parser_defaults_are_the_config_defaults(self, monkeypatch):
+        serve = _built_config(monkeypatch, "repro.serve.http.serve_forever", ["serve"])
+        assert serve == ServeConfig()
+        mine = _built_config(monkeypatch, "repro.mine.mine_path", ["mine", "m.py"])
+        assert mine == CollectConfig()
+
+
+class TestUnusableDirectoryOrAddress:
+    """A cache directory that cannot be created or a listen address that
+    cannot be bound is a usage error: one ``error:`` line, exit 2."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "in-the-way"
+        path.write_text("", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "{good}", "--cache"], ["profile", "{good}", "--cache"], ["cache", "stats"]]
+    )
+    def test_cache_dir_is_a_file(self, argv, good, a_file, capsys):
+        argv = [arg.format(good=good) for arg in argv] + ["--cache-dir", a_file]
+        stderr = _usage_error(argv, capsys)
+        assert stderr.startswith(f"error: cannot use cache directory {a_file}: ")
+        assert stderr.count("\n") == 1
+
+    def test_coordinate_reports_each_shards_error(self, good, a_file, capsys):
+        argv = ["coordinate", good, "--shards", "2", "--cache", "--cache-dir", a_file]
+        stderr = _usage_error(argv, capsys)
+        for shard in (0, 1):
+            assert f"shard {shard}: exit 2: error: cannot use cache directory" in stderr
+        assert stderr.count("\n") == 1
+
+    def test_serve_cache_dir_is_a_file(self, a_file):
+        line = _daemon_usage_error("serve", "--port", "0", "--cache-dir", a_file)
+        assert line.startswith(f"error: cannot use cache directory {a_file}: ")
+
+    def test_serve_on_a_bound_port(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            line = _daemon_usage_error(
+                "serve", "--port", str(port), "--cache-dir", str(tmp_path / "cache")
+            )
+        assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "address already in use" in line.lower()
+
+    def test_serve_port_out_of_range(self, tmp_path):
+        line = _daemon_usage_error(
+            "serve", "--port", "70000", "--cache-dir", str(tmp_path / "cache")
+        )
+        assert line == "error: port must be in [0, 65535], got 70000"
+
+    def test_cache_serve_port_out_of_range(self, tmp_path):
+        line = _daemon_usage_error(
+            "cache", "serve", "--port", "70000", "--cache-dir", str(tmp_path / "cache")
+        )
+        assert line.startswith("error: cannot serve cache: ")
+        assert "65535" in line
 
 
 class TestCheck:

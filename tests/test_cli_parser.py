@@ -28,7 +28,13 @@ def _value(value):
 
 def describe(parser: argparse.ArgumentParser, path: str = "repro") -> dict:
     """``{command path: {"actions": [...], "exclusive": [...]}}`` for
-    ``parser`` and every parser below it."""
+    ``parser`` and every parser below it.
+
+    Each parser also renders its ``--help``: argparse %-formats help
+    text only then, so a stray ``%`` in a generated help string would
+    otherwise fail only when a user asks for help.
+    """
+    parser.format_help()
     actions = []
     below = {}
     for action in parser._actions:
