@@ -157,14 +157,10 @@ def _check_class_task(
 # Verification plans (the planner half of the planner/executor split)
 # ----------------------------------------------------------------------
 
-#: Bumped when the serialized plan shape changes.
-PLAN_VERSION = 1
-
-
 @dataclass(frozen=True)
 class VerificationPlan:
-    """A serializable wave schedule: exactly what :meth:`BatchVerifier.execute`
-    will run, and in which order.
+    """A wave schedule: exactly what :meth:`BatchVerifier.execute` will
+    run, and in which order.
 
     Produced by :meth:`BatchVerifier.plan` — topological waves over the
     subsystem DAG, already pruned to the ``only=`` restriction when one
@@ -172,14 +168,9 @@ class VerificationPlan:
     keep their indices: an empty tuple in :attr:`waves` is a wave whose
     classes all run elsewhere, so wave numbering — and therefore every
     trace and timing — matches the unrestricted run.
-
-    The plan is plain data (:meth:`to_dict` / :meth:`from_dict`), which
-    is what lets a coordinator compute it once and ship shard-sized
-    slices to worker processes (:mod:`repro.engine.shard`).
     """
 
     waves: tuple[tuple[str, ...], ...]
-    only: frozenset[str] | None = None
 
     @property
     def scheduled(self) -> int:
@@ -193,38 +184,6 @@ class VerificationPlan:
 
     def classes(self) -> frozenset[str]:
         return frozenset(name for wave in self.waves for name in wave)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "plan_version": PLAN_VERSION,
-            "waves": [list(wave) for wave in self.waves],
-            "only": None if self.only is None else sorted(self.only),
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "VerificationPlan":
-        if not isinstance(payload, Mapping):
-            raise EngineError("malformed plan: not a mapping")
-        if payload.get("plan_version") != PLAN_VERSION:
-            raise EngineError(
-                f"plan version skew: got {payload.get('plan_version')!r}, "
-                f"want {PLAN_VERSION}"
-            )
-        raw_waves = payload.get("waves")
-        if not isinstance(raw_waves, list) or not all(
-            isinstance(wave, list) and all(isinstance(n, str) for n in wave)
-            for wave in raw_waves
-        ):
-            raise EngineError("malformed plan: waves must be lists of names")
-        only = payload.get("only")
-        if only is not None and not (
-            isinstance(only, list) and all(isinstance(n, str) for n in only)
-        ):
-            raise EngineError("malformed plan: only must be null or a name list")
-        return VerificationPlan(
-            waves=tuple(tuple(wave) for wave in raw_waves),
-            only=None if only is None else frozenset(only),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -615,16 +574,13 @@ class BatchVerifier:
     def plan(self) -> VerificationPlan:
         """The planner half: the wave schedule this verifier would run.
 
-        Pure and cheap — no pools, no cache traffic — so coordinators
-        can plan centrally and ship slices to workers
-        (:mod:`repro.engine.shard`).
+        Pure and cheap — no pools, no cache traffic — so a shard
+        coordinator can deal it out (:mod:`repro.engine.shard`).
         """
         waves = schedule(self.module)
         if self.only is not None:
             waves = prune_waves(waves, self.only)
-        return VerificationPlan(
-            waves=tuple(tuple(wave) for wave in waves), only=self.only
-        )
+        return VerificationPlan(waves=tuple(tuple(wave) for wave in waves))
 
     def run(self) -> BatchResult:
         return self.execute(self.plan())
@@ -633,8 +589,7 @@ class BatchVerifier:
         """The executor half: run a previously computed plan.
 
         The plan must name only classes this module has; normally it
-        comes from :meth:`plan` (possibly round-tripped through
-        serialization by a shard coordinator).
+        comes from :meth:`plan`.
         """
         started = time.perf_counter()
         classes_by_name = {parsed.name: parsed for parsed in self.module.classes}

@@ -27,7 +27,8 @@ Sites and the ``key`` they match ``pattern`` against (``fnmatch``):
   file, so ``torn`` tears the payload *before* the rename publishes it;
 * ``store-rename`` — same write, immediately before ``os.replace``;
 * ``lock-acquire`` — entry of :meth:`repro.engine.locking.FileLock.acquire`;
-  key = the lock name (``state``, the project state's lock);
+  key = the lock name (``state``, the project state's lock, or
+  ``daemon``, the ``repro serve`` daemon's hold on its directory);
 * ``serve-accept`` — admission path of the ``repro serve`` daemon,
   fired before a submission is admitted; key = the tenant id;
 * ``serve-dispatch`` — the daemon's dispatcher, fired after a job is
@@ -370,3 +371,23 @@ def fire(site: str, key: str, path: str | Path | None = None) -> None:
     plan = active_plan()
     if plan is not None:
         plan.fire(site, key, path)
+
+
+def _fresh_locks_in_child() -> None:
+    """Replace every lock of this module in a forked child.
+
+    A process-pool worker is forked from a parent that also runs
+    threads (the write-behind uploader, the daemon's workers), and a
+    lock one of them held at the fork stays held in the child, which
+    has no thread left to release it: the worker's first ``fire``
+    would wait forever.
+    """
+    global _state_lock
+    _state_lock = threading.Lock()
+    for plan in (_installed, _env_cache[1] if _env_cache else None):
+        if plan is not None:
+            plan._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_locks_in_child)

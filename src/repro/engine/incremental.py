@@ -341,8 +341,8 @@ def verify_incremental(
     plans the dirty set, runs only the dirty classes through the batch
     engine, splices every clean class's stored verdict back into the
     report, and persists a fresh snapshot.  The merged report is
-    byte-identical to a cold run of the same parse — the differential
-    property pinned by ``tests/engine/test_incremental_differential.py``.
+    byte-identical to a cold run of the same parse — the property the
+    entry-path harness pins (``tests/engine/test_entry_paths.py``).
     Takes every :class:`BatchVerifier` keyword except ``only``, which
     the dirty set decides.
     """

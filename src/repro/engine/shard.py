@@ -35,12 +35,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.checker import module_diagnostics
 from repro.core.diagnostics import CheckResult
-from repro.engine.engine import (
-    BatchResult,
-    BatchVerifier,
-    EngineError,
-    VerificationPlan,
-)
+from repro.engine.engine import BatchResult, BatchVerifier, EngineError
 from repro.engine.metrics import ClassTiming, EngineMetrics
 from repro.engine.serialize import diagnostics_from_list, diagnostics_to_list
 from repro.frontend.model_ast import ParsedModule, SubsetViolation
@@ -52,53 +47,15 @@ SHARD_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """One shard's slice of a :class:`VerificationPlan`.
-
-    Carries the *full* wave schedule plus this shard's class set; the
-    worker prunes the waves to its classes (indices preserved), so wave
-    numbers in timings and traces agree across every shard and with the
-    serial run.
+    """One shard's slice of a :class:`VerificationPlan`: the classes this
+    worker checks.  The worker schedules them with the full wave
+    schedule pruned to this set (indices preserved), so wave numbers in
+    timings and traces agree across every shard and with the serial run.
     """
 
     shards: int
     index: int
-    waves: tuple[tuple[str, ...], ...]
     classes: frozenset[str]
-
-    @property
-    def scheduled(self) -> int:
-        return len(self.classes)
-
-    def shard_waves(self) -> tuple[tuple[str, ...], ...]:
-        """The full schedule pruned to this shard, indices preserved."""
-        return tuple(
-            tuple(name for name in wave if name in self.classes)
-            for wave in self.waves
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "shard_format": SHARD_FORMAT_VERSION,
-            "shards": self.shards,
-            "index": self.index,
-            "waves": [list(wave) for wave in self.waves],
-            "classes": sorted(self.classes),
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "ShardPlan":
-        if not isinstance(payload, Mapping):
-            raise EngineError("malformed shard plan: not a mapping")
-        if payload.get("shard_format") != SHARD_FORMAT_VERSION:
-            raise EngineError(
-                f"shard plan version skew: got {payload.get('shard_format')!r}"
-            )
-        return ShardPlan(
-            shards=int(payload["shards"]),
-            index=int(payload["index"]),
-            waves=tuple(tuple(wave) for wave in payload["waves"]),
-            classes=frozenset(payload["classes"]),
-        )
 
 
 def plan_shards(
@@ -116,12 +73,7 @@ def plan_shards(
         for position, name in enumerate(wave):
             assigned[position % shards].add(name)
     return tuple(
-        ShardPlan(
-            shards=shards,
-            index=index,
-            waves=plan.waves,
-            classes=frozenset(classes),
-        )
+        ShardPlan(shards=shards, index=index, classes=frozenset(classes))
         for index, classes in enumerate(assigned)
     )
 
@@ -133,13 +85,10 @@ def run_shard(
     **engine_kwargs: Any,
 ) -> BatchResult:
     """Execute one shard's slice locally; accepts every
-    :class:`BatchVerifier` keyword (``jobs``, ``cache``, ...)."""
-    verifier = BatchVerifier(
+    :class:`BatchVerifier` keyword but ``only`` (``jobs``, ``cache``, ...)."""
+    return BatchVerifier(
         module, violations, only=plan.classes, **engine_kwargs
-    )
-    return verifier.execute(
-        VerificationPlan(waves=plan.shard_waves(), only=plan.classes)
-    )
+    ).run()
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ module *is* that approach (substitution recorded in DESIGN.md).
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from typing import Iterable
@@ -41,6 +42,17 @@ NEGATION_MEMO_SIZE = 256
 
 _negations: OrderedDict[tuple, BitDFA] = OrderedDict()
 _negations_lock = threading.Lock()
+
+
+def _fresh_lock_in_child() -> None:
+    """A forked process-pool worker must not inherit the memo's lock
+    held by a parent thread that no longer exists in the child."""
+    global _negations_lock
+    _negations_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 class TranslationOverflowError(BudgetExceeded):

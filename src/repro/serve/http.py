@@ -33,6 +33,7 @@ import sys
 from typing import Any
 
 from repro.engine import faults, store
+from repro.engine.locking import LockTimeout, lock_for
 from repro.serve.config import ServeConfig, ServeConfigError
 from repro.serve.jobs import JobError
 from repro.serve.queue import REASON_DRAINING, AdmissionError
@@ -314,6 +315,27 @@ async def serve_forever(config: ServeConfig) -> int:
         raise ServeConfigError(
             f"cannot listen on {config.host}:{config.port}: {error}"
         ) from None
+    # One daemon per serve/ directory: a second one would re-enqueue
+    # and re-run the jobs the first is running.  The OS drops the lock
+    # with the process, so a killed daemon's successor takes it at once.
+    owner = lock_for(config.serve_root / "daemon")
+    try:
+        owner.acquire(timeout=0)
+    except LockTimeout:
+        server.close()
+        await server.wait_closed()
+        raise ServeConfigError(
+            f"another daemon owns {config.serve_root}"
+        ) from None
+    try:
+        return await _serve(service, server, config)
+    finally:
+        owner.release()
+
+
+async def _serve(
+    service: VerificationService, server: asyncio.Server, config: ServeConfig
+) -> int:
     # Recover before the dispatcher exists: the ready line must hit
     # stdout before a recovered job can re-trigger an injected crash.
     recovered = service.recover()

@@ -1,4 +1,7 @@
-"""The batch engine: parity with the serial checker, caching, pooling."""
+"""The batch engine: module-level results, caching, validation, metrics.
+
+Parity with the serial checker on every entry path lives in the
+entry-path harness (``test_entry_paths.py``)."""
 
 import json
 
@@ -37,25 +40,6 @@ def _reference(module, violations):
 
 
 class TestParityWithChecker:
-    @pytest.mark.parametrize("correct", [True, False])
-    def test_project_parity_serial(self, correct):
-        module, violations = _parse(project_source(SHAPE, pairs=3, correct=correct))
-        batch = BatchVerifier(module, violations, jobs=1).run()
-        assert batch.merged().format() == _reference(module, violations)
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_project_parity_parallel(self, jobs):
-        module, violations = _parse(project_source(SHAPE, pairs=3, correct=False))
-        batch = BatchVerifier(module, violations, jobs=jobs).run()
-        assert batch.merged().format() == _reference(module, violations)
-
-    def test_single_module_with_claim(self):
-        source = module_source(SHAPE, claim=lifecycle_claim(SHAPE))
-        module, violations = _parse(source)
-        batch = BatchVerifier(module, violations, jobs=2).run()
-        assert batch.merged().format() == _reference(module, violations)
-        assert batch.ok
-
     def test_subset_violations_surface_in_module_result(self):
         module, violations = _parse(
             "@sys\n"
@@ -103,10 +87,12 @@ class TestCacheIntegration:
         assert cold.metrics.cache_writes == 6  # one verdict per class
 
         warm = BatchVerifier(
-            module, violations, cache=InferenceCache(tmp_path)
+            module, violations, jobs=2, cache=InferenceCache(tmp_path)
         ).run()
         assert warm.metrics.fully_cached
         assert warm.metrics.class_hits == 6
+        assert warm.metrics.class_hit_rate == 1.0
+        assert warm.metrics.cache_writes == 0
         assert warm.merged().format() == cold.merged().format()
 
     def test_method_layer_survives_class_edit(self, tmp_path):
@@ -203,20 +189,10 @@ class TestCacheIntegration:
         assert not batch.metrics.fully_cached
 
 
-class TestProcessExecutor:
-    def test_process_pool_parity(self):
-        module, violations = _parse(project_source(SHAPE, pairs=2))
-        batch = BatchVerifier(
-            module, violations, jobs=2, executor="process"
-        ).run()
-        assert batch.merged().format() == _reference(module, violations)
-        assert batch.metrics.executor == "process"
-
-
 class TestVerifyPath:
     def test_file(self, tmp_path):
         target = tmp_path / "plant.py"
-        target.write_text(module_source(SHAPE))
+        target.write_text(module_source(SHAPE, claim=lifecycle_claim(SHAPE)))
         batch = verify_path(target)
         assert batch.ok
         assert batch.metrics.classes == 2

@@ -1,11 +1,30 @@
-"""The differential harness: incremental == cold, always.
+"""The entry-path harness: every way into the checker prints the serial
+checker's report.
 
-The incremental engine's whole contract is one equation — after any
-edit, ``verify_incremental`` must produce a report *byte-identical* to a
-fresh cold run of the same parse, while re-checking *exactly* the dirty
-set the documented rule predicts (docs/incremental.md).  This suite
-pins both halves over randomly generated projects and random edit
-sequences:
+Verdicts are per class and exact, so each entry path — the engine
+serial, on a thread pool or a process pool, incremental, sharded,
+answered from a warm local or remote cache, and served as a daemon job
+— must print ``Checker(module, violations).check().format()`` byte for
+byte.  :data:`ENTRY_PATHS` is one table of named rows, and every input
+runs every row:
+
+* **random projects and edit sequences** — every round of a sequence,
+  the cold first one included, runs the whole table, in memory and on
+  disk (below);
+* **fixed inputs** — the two shipped examples and a claim-bearing
+  generated module.
+
+Each input runs under one fault profile (:data:`FAULT_PROFILES`): none,
+worker delays, cache-entry corruption, a failing remote upload, or
+delayed cache writes; none of them may change a byte of any report.
+``raise`` and ``kill`` at the worker site either quarantine a class,
+which changes the report on purpose, or are absorbed by a retry; the
+supervisor suite covers both.  A divergence names its row and its
+profile, and Hypothesis prints the example that replays it.
+
+The incremental row keeps the incremental engine's second contract:
+it re-checks *exactly* the dirty set predicted independently from the
+edit (docs/incremental.md), not from the planner's own fingerprints.
 
 * **project model** — a dict of named classes, each either a base
   (linear ``step0 → … → []`` protocol, optional back-edge, blank-line
@@ -20,21 +39,17 @@ sequences:
   state file's re-read under the lock), with file-level edits too:
   add, delete and rename a file, and move a class into another file,
   which shifts the line numbers of the classes that follow it;
-* **prediction** — the dirty set is recomputed *independently* from the
-  model diff (not from the planner's own fingerprints): added classes,
-  classes whose rendered source changed, and classes naming a subsystem
-  that was added, removed, or spec-changed;
-* **fault profiles** — the same equation must hold under injected
-  worker delays and cache-entry corruption (the ``delay`` and
-  ``corrupt`` actions; ``raise``/``kill`` would make cold and
-  incremental runs consume a shared ``times=`` budget differently, so
-  they are exercised by the supervisor suite instead).
+* **prediction** — added classes, classes whose rendered source or
+  first line changed, and classes naming a subsystem that was added,
+  removed, or spec-changed.
 
 The nightly CI job re-runs this file with a larger budget; explicit
 ``max_examples`` would override any profile, so budgets here are scaled
 by ``REPRO_FUZZ_MULTIPLIER`` (the nightly workflow sets it to 20).
 """
 
+import asyncio
+import json
 import os
 import shutil
 import tempfile
@@ -44,13 +59,27 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import faults
-from repro.engine.cache import InferenceCache
-from repro.engine.engine import BatchVerifier
-from repro.engine.incremental import verify_incremental
-from repro.frontend.model_ast import ParsedModule
+from repro.core.checker import Checker
+from repro.engine import (
+    BatchVerifier,
+    InferenceCache,
+    faults,
+    merge_shard_results,
+    open_cache,
+    plan_shards,
+    run_shard,
+    shard_result_from_dict,
+    shard_result_to_dict,
+    verify_incremental,
+)
+from repro.engine.backends.server import run_cache_server
+from repro.frontend.model_ast import ParsedModule, SubsetViolation
 from repro.frontend.parse import parse_module
-from repro.frontend.project import parse_project
+from repro.frontend.project import parse_project, project_files
+from repro.serve.config import ServeConfig
+from repro.serve.jobs import DONE
+from repro.serve.service import VerificationService
+from repro.workloads.hierarchy import HierarchyShape, lifecycle_claim, module_source
 
 _MULTIPLIER = max(1, int(os.environ.get("REPRO_FUZZ_MULTIPLIER", "1")))
 
@@ -309,64 +338,218 @@ def apply_file_edit(draw, project, layout, fresh):
 
 
 # ----------------------------------------------------------------------
-# The differential property
+# The entry paths
 # ----------------------------------------------------------------------
 
 
-def run_differential(data, fault_spec=None, on_disk=False):
+@dataclass(frozen=True)
+class Round:
+    """One input, as every entry path sees it."""
+
+    module: ParsedModule
+    violations: list[SubsetViolation]
+    #: The project's sources in its file order (what the daemon is sent).
+    sources: tuple[str, ...]
+    #: Kept across an input's rounds: state file, cache trees, daemon.
+    workdir: Path
+    #: Endpoint of the remote cache tier.
+    remote: str
+    shards: int
+    #: The classes the incremental run must re-check.
+    dirty: frozenset[str]
+
+
+def report(r: Round, **engine) -> str:
+    return BatchVerifier(r.module, r.violations, **engine).run().merged().format()
+
+
+def serial(r: Round) -> str:
+    return report(r)
+
+
+def threads(r: Round) -> str:
+    batch = BatchVerifier(r.module, r.violations, jobs=2).run()
+    assert [name for name, _ in batch.class_results] == [
+        parsed.name for parsed in r.module.classes
+    ], "class results out of source order"
+    return batch.merged().format()
+
+
+def processes(r: Round) -> str:
+    # A class deadline sends even a one-class wave to the pool.
+    batch = BatchVerifier(
+        r.module, r.violations, jobs=2, executor="process", timeout=60.0
+    ).run()
+    assert batch.metrics.executor == "process"
+    return batch.merged().format()
+
+
+def incremental(r: Round) -> str:
+    result = verify_incremental(
+        r.module,
+        r.violations,
+        state_file=r.workdir / "state.json",
+        cache=InferenceCache(r.workdir / "incremental-cache"),
+    )
+    assert set(result.plan.dirty) == r.dirty, "planned dirty set"
+    executed = {
+        timing.class_name
+        for timing in result.batch.metrics.timings
+        if not timing.from_state
+    }
+    assert executed == r.dirty, "re-checked classes"
+    assert result.batch.metrics.reused_verdicts == len(r.module.classes) - len(
+        r.dirty
+    )
+    return result.batch.merged().format()
+
+
+def sharded(r: Round) -> str:
+    """``plan_shards`` → ``run_shard`` → JSON → ``merge_shard_results``,
+    the way ``repro coordinate`` moves shard results between processes."""
+    results = []
+    for plan in plan_shards(r.module, r.shards):
+        batch = run_shard(r.module, r.violations, plan)
+        wire = json.loads(json.dumps(shard_result_to_dict(plan, batch)))
+        results.append(shard_result_from_dict(wire))
+    return merge_shard_results(r.module, r.violations, results).merged().format()
+
+
+def warm_local_cache(r: Round) -> str:
+    """Fill a local tree through the tiered cache, which also warms the
+    remote tier, then answer from the tree alone."""
+    seeding = open_cache(r.workdir / "local-cache", r.remote)
+    try:
+        BatchVerifier(r.module, r.violations, jobs=2, cache=seeding).run()
+    finally:
+        seeding.close()
+    return report(r, jobs=2, cache=open_cache(r.workdir / "local-cache"))
+
+
+def warm_remote_cache(r: Round) -> str:
+    """A local tree of its own, empty in an input's first round, in front
+    of the remote tier that :func:`warm_local_cache` filled: what a round
+    changed comes over the wire."""
+    cache = open_cache(r.workdir / "remote-cache", r.remote)
+    try:
+        return report(r, cache=cache)
+    finally:
+        cache.close()
+
+
+def served(r: Round) -> str:
+    """A job of an in-process daemon; it accepts flat ``<name>.py`` files
+    only, so the files are numbered in the project's file order."""
+    files = {f"m{index:03d}.py": text for index, text in enumerate(r.sources)}
+
+    async def job():
+        service = VerificationService(ServeConfig(cache_dir=str(r.workdir / "serve")))
+        await service.start()
+        try:
+            submitted = service.submit("harness", files)
+            while not service.jobs[submitted.id].terminal:
+                await service.updated(1.0)
+        finally:
+            await service.drain()
+        return service.jobs[submitted.id]
+
+    done = asyncio.run(job())
+    assert done.state == DONE, done.error
+    return done.report
+
+
+#: Every way into the checker, in the order each round runs them (the
+#: warm remote row reads what the warm local row stored).
+ENTRY_PATHS = (
+    ("serial", serial),
+    ("threads", threads),
+    ("processes", processes),
+    ("incremental", incremental),
+    ("shards", sharded),
+    ("warm local cache", warm_local_cache),
+    ("warm remote cache", warm_remote_cache),
+    ("serve job", served),
+)
+
+#: Fault profiles no report may notice; each input runs under one.
+FAULT_PROFILES = {
+    "none": "",
+    "worker-delay": "worker:delay:*:arg=0.001",
+    "cache-put-corrupt": "cache-put:corrupt:*:p=0.5",
+    "remote-put-raise": "remote-put:raise:*",
+    "store-write-delay": "seed=3;store-write:delay:class/*:arg=0.001:p=0.3",
+}
+
+
+def check_every_path(r: Round, profile: str) -> None:
+    """Run every row on ``r``; a divergence names its row and profile."""
+    expected = Checker(r.module, list(r.violations)).check().format()
+    for name, path in ENTRY_PATHS:
+        where = f"entry path {name!r} under fault profile {profile!r}"
+        try:
+            report = path(r)
+        except Exception as error:
+            raise AssertionError(f"{where} failed: {error}") from error
+        assert report == expected, f"{where} diverged from the serial checker"
+
+
+@pytest.fixture(scope="module")
+def remote_tier(tmp_path_factory):
+    server = run_cache_server(tmp_path_factory.mktemp("remote-tier"))
+    yield server.endpoint
+    server.shutdown()
+    server.server_close()
+
+
+# ----------------------------------------------------------------------
+# Random projects and edit sequences
+# ----------------------------------------------------------------------
+
+
+def run_rounds(data, profile, remote, on_disk=False):
     # Installed per example (not via a function-scoped fixture, which
-    # Hypothesis rejects): an empty plan shields the run from ambient
-    # REPRO_FAULTS; the engine conftest clears the install afterwards.
-    if fault_spec is not None:
-        faults.install(faults.parse_faults(fault_spec))
-    else:
-        faults.install(faults.FaultPlan(()))
+    # Hypothesis rejects); the profile's plan also shields the run from
+    # ambient REPRO_FAULTS, and the engine conftest clears it afterwards.
+    faults.install(faults.parse_faults(FAULT_PROFILES[profile]))
     project = initial_project(data.draw)
     layout = {f"{name.lower()}.py": [name] for name in sorted(project)}
     fresh = iter(range(10_000))
     with tempfile.TemporaryDirectory() as scratch:
-        state_file = Path(scratch) / "state.json"
-        root = Path(scratch) / "project"
-        cache = InferenceCache(Path(scratch) / "cache")
+        workdir = Path(scratch)
+        root = workdir / "project"
         previous, previous_lines = {}, {}
         edits = data.draw(st.integers(1, 5))
         for _round in range(edits + 1):  # round 0 is the cold first run
             if on_disk:
                 first_lines = write_project(root, project, layout)
                 module, violations = parse_project(root)
+                sources = tuple(
+                    path.read_text(encoding="utf-8") for path in project_files(root)
+                )
             else:
                 first_lines = {}
                 module, violations = build_module(project)
-            incremental = verify_incremental(
-                module,
-                list(violations),
-                state_file=state_file,
-                cache=cache,
-            )
-            cold = BatchVerifier(module, list(violations)).run()
-
-            assert (
-                incremental.batch.merged().format() == cold.merged().format()
-            ), "incremental report diverged from the cold run"
+                sources = tuple(render(name, project[name]) for name in sorted(project))
             # A class that moved within its file, or to another line of
             # another file, changed its line numbers: dirty, no cascade.
-            predicted = predict_dirty(previous, project) | {
+            dirty = predict_dirty(previous, project) | {
                 name
                 for name in project
                 if name in previous
                 and first_lines.get(name) != previous_lines.get(name)
             }
-            assert set(incremental.plan.dirty) == predicted
-            executed = {
-                timing.class_name
-                for timing in incremental.batch.metrics.timings
-                if not timing.from_state
-            }
-            assert executed == predicted
-            assert incremental.batch.metrics.reused_verdicts == len(
-                project
-            ) - len(predicted)
-
+            check_every_path(
+                Round(
+                    module,
+                    violations,
+                    sources,
+                    workdir,
+                    remote,
+                    shards=data.draw(st.integers(1, 5)),
+                    dirty=frozenset(dirty),
+                ),
+                profile,
+            )
             previous, previous_lines = dict(project), first_lines
             if on_disk:
                 apply_file_edit(data.draw, project, layout, fresh)
@@ -374,27 +557,57 @@ def run_differential(data, fault_spec=None, on_disk=False):
                 apply_edit(data.draw, project, fresh)
 
 
+@pytest.mark.parametrize("profile", FAULT_PROFILES)
 @given(st.data())
-@settings(max_examples=_examples(25), deadline=None)
-def test_incremental_equals_cold(data):
-    run_differential(data)
+@settings(max_examples=_examples(3), deadline=None)
+def test_random_projects(remote_tier, profile, data):
+    run_rounds(data, profile, remote_tier)
 
 
+@pytest.mark.parametrize("profile", FAULT_PROFILES)
 @given(st.data())
-@settings(max_examples=_examples(25), deadline=None)
-def test_incremental_equals_cold_on_disk(data):
-    run_differential(data, on_disk=True)
+@settings(max_examples=_examples(3), deadline=None)
+def test_random_projects_on_disk(remote_tier, profile, data):
+    run_rounds(data, profile, remote_tier, on_disk=True)
 
 
+# ----------------------------------------------------------------------
+# Fixed inputs
+# ----------------------------------------------------------------------
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+CLAIM_SHAPE = HierarchyShape(base_operations=4, subsystems=2, seed=13)
+FIXED_INPUTS = {
+    "greenhouse_monitor": (EXAMPLES / "greenhouse_monitor.py").read_text("utf-8"),
+    "wireless_fleet": (EXAMPLES / "wireless_fleet.py").read_text("utf-8"),
+    "lifecycle_claim": module_source(CLAIM_SHAPE, claim=lifecycle_claim(CLAIM_SHAPE)),
+}
+
+
+# Each profile brings its own shard count, so every input is sharded
+# every way from one to five.
 @pytest.mark.parametrize(
-    "fault_spec",
+    "shards, profile",
     [
-        "worker:delay:*:arg=0.001",
-        "cache-put:corrupt:*:p=0.5",
+        pytest.param(shards, profile, id=profile)
+        for shards, profile in enumerate(FAULT_PROFILES, start=1)
     ],
-    ids=["delay", "corrupt"],
 )
-@given(st.data())
-@settings(max_examples=_examples(8), deadline=None)
-def test_incremental_equals_cold_under_faults(fault_spec, data):
-    run_differential(data, fault_spec=fault_spec)
+@pytest.mark.parametrize("name", FIXED_INPUTS)
+def test_fixed_inputs(remote_tier, tmp_path, name, shards, profile):
+    faults.install(faults.parse_faults(FAULT_PROFILES[profile]))
+    source = FIXED_INPUTS[name]
+    module, violations = parse_module(source)
+    assert module.classes, f"{name} must define @sys classes"
+    check_every_path(
+        Round(
+            module,
+            violations,
+            (source,),
+            tmp_path,
+            remote_tier,
+            shards=shards,
+            dirty=frozenset(parsed.name for parsed in module.classes),
+        ),
+        profile,
+    )

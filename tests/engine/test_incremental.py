@@ -1,8 +1,8 @@
 """The incremental planner, state file, and splice path.
 
-The differential harness (``test_incremental_differential.py``) pins
-the global equation; this suite pins the *pieces*: the dirtiness rule
-on hand-built edits, propagation termination on dependency cycles, the
+The entry-path harness (``test_entry_paths.py``) pins the global
+equation; this suite pins the *pieces*: the dirtiness rule on
+hand-built edits, propagation termination on dependency cycles, the
 state file's every failure mode falling back to a cold run, and the
 quarantine contract (re-check the victim, spare its dependents).
 """
@@ -31,6 +31,8 @@ from repro.engine.state import (
 )
 from repro.frontend.model_ast import ParsedModule
 from repro.frontend.parse import parse_module
+from repro.frontend.project import parse_project
+from repro.workloads.hierarchy import HierarchyShape, grid_project_files
 
 
 def base_source(name, pad=0, extra_step=False):
@@ -458,3 +460,22 @@ class TestVerifyIncremental:
         by_name = {t.class_name: t for t in outcome.batch.metrics.timings}
         assert by_name["Meta"].wave == 2 and not by_name["Meta"].from_state
         assert by_name["Base"].wave == 0 and by_name["Base"].from_state
+
+    def test_one_leaf_edit_on_a_200_class_grid_rechecks_that_leaf(
+        self, tmp_path
+    ):
+        """Padding one layer-0 leaf of a 10 × 20 grid (one file per
+        class) shifts its line numbers but not its spec: exactly that
+        class is re-checked, and the report is a cold run's."""
+        root, state_file = tmp_path / "project", tmp_path / "state.json"
+        grid_project_files(HierarchyShape(base_operations=4), 10, 20, root)
+        cold = verify_incremental(*parse_project(root), state_file=state_file)
+        assert cold.plan.cold and cold.batch.ok
+        leaf = root / "G0_000.py"
+        leaf.write_text("\n\n" + leaf.read_text(encoding="utf-8"), encoding="utf-8")
+        module, violations = parse_project(root)
+        warm = verify_incremental(module, violations, state_file=state_file)
+        assert warm.plan.dirty == ("G0_000",)
+        assert warm.batch.metrics.reuse_ratio >= 0.95
+        reference = BatchVerifier(module, violations).run().merged().format()
+        assert warm.batch.merged().format() == reference

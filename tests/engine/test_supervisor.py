@@ -1,7 +1,14 @@
 """The supervisor: deadlines, budgets, retries, crash recovery."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.checker import Checker, check_parsed_class
 from repro.core.limits import BudgetExceeded, Limits
 from repro.engine import (
@@ -233,6 +240,75 @@ class TestProcessPoolCrashRecovery:
         assert healed.quarantined() == ()
         assert healed.merged().format() == reference
         assert healed.metrics.class_misses == 1  # only Device0 re-checked
+
+
+#: Holds every module-level lock of the loaded ``repro`` modules, and
+#: the installed fault plan's, in another thread while a claim-bearing
+#: module is checked on forked workers; prints the held locks' names.
+_LOCKS_HELD_AT_FORK = """
+import sys, threading
+from repro.engine import BatchVerifier, faults
+from repro.frontend.parse import parse_module
+from repro.workloads.hierarchy import HierarchyShape, lifecycle_claim, module_source
+
+shape = HierarchyShape(base_operations=4, subsystems=2, seed=13)
+module, violations = parse_module(module_source(shape, claim=lifecycle_claim(shape)))
+faults.install(faults.parse_faults("worker:delay:*:arg=0"))
+held = {
+    f"{name}.{attribute}": value
+    for name, loaded in list(sys.modules.items())
+    if name.split(".")[0] == "repro"
+    for attribute, value in vars(loaded).items()
+    if isinstance(value, type(threading.Lock()))
+}
+held["installed plan"] = faults.active_plan()._lock
+taken, release = threading.Event(), threading.Event()
+
+def hold():
+    for lock in held.values():
+        lock.acquire()
+    taken.set()
+    release.wait()
+    for lock in held.values():
+        lock.release()
+
+threading.Thread(target=hold).start()
+taken.wait()
+batch = BatchVerifier(
+    module, violations, jobs=2, executor="process", timeout=3, retries=0
+).run()
+release.set()
+assert batch.quarantined() == (), batch.merged().format()
+print(sorted(held))
+"""
+
+
+@pytest.mark.slow
+class TestForkSafety:
+    def test_locks_held_by_other_threads_at_fork_do_not_hang_workers(self):
+        """A forked worker inherits the parent's locks in whatever state
+        other threads left them; it must not wait on one forever."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        # A hung worker keeps the interpreter from exiting: bound the
+        # run, and kill the whole process group, workers included.
+        process = subprocess.Popen(
+            [sys.executable, "-c", _LOCKS_HELD_AT_FORK],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("a forked worker hung on a lock held at the fork")
+        assert process.returncode == 0, stderr
+        assert "repro.engine.faults._state_lock" in stdout
+        assert "repro.ltlf.translate._negations_lock" in stdout
 
 
 class TestFailFast:

@@ -4,15 +4,18 @@
 import asyncio
 import json
 import socket
+import subprocess
+import sys
+import time
 import urllib.request
 
 import pytest
 
 from repro.serve.config import ServeConfigError
 from repro.serve.http import MAX_BODY_BYTES, serve_forever
-from repro.serve.jobs import QUEUED, JobJournal
+from repro.serve.jobs import QUEUED, RUNNING, JobJournal
 from repro.serve.service import VerificationService
-from tests.serve.conftest import EXAMPLE
+from tests.serve.conftest import EXAMPLE, SRC_DIR
 from tests.serve.test_service import FILES, config_for
 
 
@@ -138,6 +141,9 @@ class TestOverloadOverHttp:
         assert statuses.count(202) >= 1
         assert statuses.count(429) >= 1
         assert retry_after is not None and int(retry_after) >= 1
+        # Shedding is not an outage: liveness still answers.
+        status, health = daemon.get("/healthz")
+        assert status == 200 and health["ok"] is True
 
 
 class TestDrain:
@@ -150,6 +156,8 @@ class TestDrain:
         status, ready = daemon.get("/readyz")
         assert status == 503
         assert "draining" in ready["blockers"]
+        status, text = daemon.get("/metrics")
+        assert status == 200 and "repro_serve_draining 1" in text
         status, body, _headers = daemon.submit({"m.py": example_source})
         assert status == 503
         assert body["reason"] == "draining"
@@ -202,12 +210,35 @@ def test_a_start_refused_for_a_bound_port_leaves_the_journal_alone(tmp_path):
     assert (record.state, record.recovered) == (QUEUED, 0)
 
 
+def test_a_second_daemon_on_one_cache_directory_is_refused(
+    daemon_factory, tmp_path, example_source
+):
+    """A daemon owns its serve/ directory: a second one on the same
+    cache directory would re-enqueue and re-run the first one's jobs."""
+    first = daemon_factory("--faults", "serve-dispatch:delay:*:arg=30")
+    _status, job, _headers = first.submit({"greenhouse.py": example_source})
+    deadline = time.monotonic() + 60
+    while first.get(f"/v1/jobs/{job['id']}")[1]["state"] != RUNNING:
+        assert time.monotonic() < deadline, "the job never started"
+        time.sleep(0.05)
+    second = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port", "0", "--cache-dir", str(tmp_path / "cache"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR},
+    )
+    assert second.returncode == 2
+    assert second.stderr.startswith("error: another daemon owns")
+    assert len(second.stderr.splitlines()) == 1
+    [record] = JobJournal(tmp_path / "cache" / "serve").load_all()
+    assert (record.id, record.state, record.recovered) == (job["id"], RUNNING, 0)
+
+
 def test_bad_env_fault_spec_refuses_startup(tmp_path):
-    import subprocess
-    import sys
-
-    from tests.serve.conftest import SRC_DIR
-
     completed = subprocess.run(
         [
             sys.executable, "-m", "repro.cli", "serve",
