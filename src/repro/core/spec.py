@@ -177,7 +177,9 @@ class SpecTable:
         self.accepting = sum(map(bit.get, spec.accepting_states()))  # distinct bits
         #: Every exit of each declared operation name.
         self.exits = dict.fromkeys(spec.operation_names(), 0)
-        self._narrow: dict[tuple[str, tuple[str, ...]], int] = {}
+        #: The exits of each ``(name, declared next-method list)``; the
+        #: monitor looks a plain list return up here directly.
+        self.narrowing: dict[tuple[str, tuple[str, ...]], int] = {}
         self._allowed = dict.fromkeys([0, *bit.values()], frozenset())
         self._allowed[START_BIT] = frozenset(op.name for op in spec.initial_operations())
         for name in self.exits:
@@ -186,7 +188,7 @@ class SpecTable:
                 self._allowed[exit_bit] |= frozenset(point.next_methods)
                 self.exits[name] |= exit_bit
                 key = (name, point.next_methods)
-                self._narrow[key] = self._narrow.get(key, 0) | exit_bit
+                self.narrowing[key] = self.narrowing.get(key, 0) | exit_bit
 
     def allowed(self, states: int) -> frozenset[str]:
         """The names allowed from any of ``states``."""
@@ -198,4 +200,4 @@ class SpecTable:
 
     def narrow(self, name: str, declared: tuple[str, ...]) -> int:
         """The exits of ``name`` whose next-method list is ``declared``."""
-        return self._narrow.get((name, declared), 0)
+        return self.narrowing.get((name, declared), 0)

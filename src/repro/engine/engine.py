@@ -46,7 +46,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.behavior import class_exit_regexes
 from repro.core.checker import check_parsed_class, module_diagnostics
@@ -255,6 +255,38 @@ class _WaveCounters:
     quarantined_names: list[str] = field(default_factory=list)
 
 
+class _RunPool:
+    """The one worker pool of a run.
+
+    Made at the run's first pooled wave and shut down when the run
+    ends.  It is replaced after it breaks, and after a class overruns
+    its deadline, because the abandoned worker keeps its slot; futures
+    already running on the old pool still finish there.
+    """
+
+    def __init__(self, make: Callable[[], Executor]):
+        self._make = make
+        self._pool: Executor | None = None
+
+    def get(self) -> Executor:
+        if self._pool is None:
+            self._pool = self._make()
+        return self._pool
+
+    def replace(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
+            self._pool = None
+
+    def __enter__(self) -> "_RunPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -417,11 +449,11 @@ class BatchVerifier:
         pending: list[_Attempt],
         tasks: Mapping[str, tuple],
         counters: _WaveCounters,
+        pool: _RunPool,
     ) -> dict[str, dict[str, Any]]:
         limits = self._limits()
         trace = self.tracer.enabled
         workers = min(self.jobs, len(pending))
-        pool = self._make_pool(len(pending))
         raw: dict[str, dict[str, Any]] = {}
         ready: deque[_Attempt] = deque(pending)
         waiting: list[tuple[float, _Attempt]] = []
@@ -448,125 +480,124 @@ class BatchVerifier:
                 )
             )
 
-        try:
-            while ready or waiting or inflight:
-                now = time.monotonic()
-                if waiting:
-                    still_waiting = []
-                    for eligible, attempt in waiting:
-                        if eligible <= now:
-                            ready.append(attempt)
-                        else:
-                            still_waiting.append((eligible, attempt))
-                    waiting[:] = still_waiting
-                capacity = 1 if serial_mode else workers
-                while ready and len(inflight) < capacity:
-                    attempt = ready.popleft()
-                    attempt.attempt += 1
-                    attempt.dispatched = time.monotonic()
-                    try:
-                        future = pool.submit(
-                            _check_class_task, *tasks[attempt.name], limits, trace
-                        )
-                    except (BrokenExecutor, RuntimeError) as error:
-                        # The pool died between waves of submissions.
-                        pool.shutdown(wait=False)
-                        pool = self._make_pool(len(pending))
-                        counters.pool_restarts += 1
-                        self.tracer.event("pool-restart", at="submit")
-                        serial_mode = True
-                        requeue(
-                            attempt,
-                            ENGINE_CRASH,
-                            f"worker pool broken at submit: {error}",
-                        )
-                        continue
-                    deadline = (
-                        None
-                        if self.timeout is None
-                        else attempt.dispatched + self.timeout
+        while ready or waiting or inflight:
+            now = time.monotonic()
+            if waiting:
+                still_waiting = []
+                for eligible, attempt in waiting:
+                    if eligible <= now:
+                        ready.append(attempt)
+                    else:
+                        still_waiting.append((eligible, attempt))
+                waiting[:] = still_waiting
+            capacity = 1 if serial_mode else workers
+            while ready and len(inflight) < capacity:
+                attempt = ready.popleft()
+                attempt.attempt += 1
+                attempt.dispatched = time.monotonic()
+                try:
+                    future = pool.get().submit(
+                        _check_class_task, *tasks[attempt.name], limits, trace
                     )
-                    inflight[future] = (attempt, deadline)
-
-                if not inflight:
-                    if waiting:
-                        pause = min(e for e, _ in waiting) - time.monotonic()
-                        if pause > 0:
-                            time.sleep(pause)
-                    continue
-
-                bounds = [d for _, d in inflight.values() if d is not None]
-                bounds.extend(e for e, _ in waiting)
-                wait_timeout = None
-                if bounds:
-                    wait_timeout = max(0.0, min(bounds) - time.monotonic())
-                done, _ = wait(
-                    set(inflight), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-
-                broken: list[_Attempt] = []
-                for future in done:
-                    attempt, _deadline = inflight.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenExecutor:
-                        broken.append(attempt)
-                    except Exception as error:  # noqa: BLE001 - quarantine path
-                        requeue(
-                            attempt,
-                            ENGINE_CRASH,
-                            f"{type(error).__name__}: {error}",
-                        )
-                    else:
-                        if "failure" in outcome:
-                            outcome["failure"]["attempts"] = attempt.attempt
-                            if outcome["failure"]["kind"] == ENGINE_TIMEOUT:
-                                counters.timeouts += 1
-                        raw[attempt.name] = outcome
-
-                if broken:
-                    # Every other in-flight future died with the pool.
-                    for future, (attempt, _deadline) in inflight.items():
-                        future.cancel()
-                        broken.append(attempt)
-                    inflight.clear()
-                    pool.shutdown(wait=False)
-                    pool = self._make_pool(len(pending))
+                except (BrokenExecutor, RuntimeError) as error:
+                    # The pool died between waves of submissions.
+                    pool.replace()
                     counters.pool_restarts += 1
-                    self.tracer.event("pool-restart", at="result")
-                    if len(broken) == 1:
-                        # Sole suspect: the crash is attributable.
-                        requeue(
-                            broken[0],
-                            ENGINE_CRASH,
-                            "worker process died (BrokenProcessPool)",
-                        )
-                    else:
-                        # Ambiguous: re-enqueue everyone uncharged and
-                        # switch to serial draining for attribution.
-                        for attempt in broken:
-                            attempt.attempt -= 1
-                            ready.append(attempt)
+                    self.tracer.event("pool-restart", at="submit")
                     serial_mode = True
+                    requeue(
+                        attempt,
+                        ENGINE_CRASH,
+                        f"worker pool broken at submit: {error}",
+                    )
                     continue
+                deadline = (
+                    None
+                    if self.timeout is None
+                    else attempt.dispatched + self.timeout
+                )
+                inflight[future] = (attempt, deadline)
 
-                now = time.monotonic()
-                for future in list(inflight):
-                    attempt, deadline = inflight[future]
-                    if deadline is not None and now >= deadline:
-                        del inflight[future]
-                        future.cancel()
-                        counters.timeouts += 1
-                        self.tracer.event("timeout", cls=attempt.name)
-                        requeue(
-                            attempt,
-                            ENGINE_TIMEOUT,
-                            f"exceeded the {self.timeout}s per-class "
-                            "wall-clock deadline",
-                        )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if not inflight:
+                if waiting:
+                    pause = min(e for e, _ in waiting) - time.monotonic()
+                    if pause > 0:
+                        time.sleep(pause)
+                continue
+
+            bounds = [d for _, d in inflight.values() if d is not None]
+            bounds.extend(e for e, _ in waiting)
+            wait_timeout = None
+            if bounds:
+                wait_timeout = max(0.0, min(bounds) - time.monotonic())
+            done, _ = wait(
+                set(inflight), timeout=wait_timeout,
+                return_when=FIRST_COMPLETED,
+            )
+
+            broken: list[_Attempt] = []
+            for future in done:
+                attempt, _deadline = inflight.pop(future)
+                try:
+                    outcome = future.result()
+                except BrokenExecutor:
+                    broken.append(attempt)
+                except Exception as error:  # noqa: BLE001 - quarantine path
+                    requeue(
+                        attempt,
+                        ENGINE_CRASH,
+                        f"{type(error).__name__}: {error}",
+                    )
+                else:
+                    if "failure" in outcome:
+                        outcome["failure"]["attempts"] = attempt.attempt
+                        if outcome["failure"]["kind"] == ENGINE_TIMEOUT:
+                            counters.timeouts += 1
+                    raw[attempt.name] = outcome
+
+            if broken:
+                # Every other in-flight future died with the pool.
+                for future, (attempt, _deadline) in inflight.items():
+                    future.cancel()
+                    broken.append(attempt)
+                inflight.clear()
+                pool.replace()
+                counters.pool_restarts += 1
+                self.tracer.event("pool-restart", at="result")
+                if len(broken) == 1:
+                    # Sole suspect: the crash is attributable.
+                    requeue(
+                        broken[0],
+                        ENGINE_CRASH,
+                        "worker process died (BrokenProcessPool)",
+                    )
+                else:
+                    # Ambiguous: re-enqueue everyone uncharged and
+                    # switch to serial draining for attribution.
+                    for attempt in broken:
+                        attempt.attempt -= 1
+                        ready.append(attempt)
+                serial_mode = True
+                continue
+
+            now = time.monotonic()
+            overran = False
+            for future in list(inflight):
+                attempt, deadline = inflight[future]
+                if deadline is not None and now >= deadline:
+                    del inflight[future]
+                    future.cancel()
+                    counters.timeouts += 1
+                    self.tracer.event("timeout", cls=attempt.name)
+                    requeue(
+                        attempt,
+                        ENGINE_TIMEOUT,
+                        f"exceeded the {self.timeout}s per-class "
+                        "wall-clock deadline",
+                    )
+                    overran = True
+            if overran:
+                pool.replace()
         return raw
 
     # ------------------------------------------------------------------
@@ -606,6 +637,7 @@ class BatchVerifier:
         counters = _WaveCounters()
         class_hits = class_misses = cache_writes = 0
 
+        widest = max(map(len, waves), default=1)
         # The span deliberately omits jobs/executor: the exported trace
         # is byte-stable across job counts (modulo durations); the run
         # configuration lives in the metrics payload instead.
@@ -614,7 +646,7 @@ class BatchVerifier:
             "run",
             classes=scheduled,
             waves=sum(1 for wave in waves if wave),
-        ):
+        ), _RunPool(lambda: self._make_pool(widest)) as pool:
             for wave_index, wave in enumerate(waves):
                 if not wave:  # fully pruned by an incremental plan
                     continue
@@ -624,7 +656,7 @@ class BatchVerifier:
                 ) as wave_span:
                     hits, misses, writes = self._run_wave(
                         wave, wave_index, classes_by_name,
-                        outcomes, timings, counters, wave_span,
+                        outcomes, timings, counters, wave_span, pool,
                     )
                     class_hits += hits
                     class_misses += misses
@@ -668,6 +700,7 @@ class BatchVerifier:
         timings: list[ClassTiming],
         counters: _WaveCounters,
         wave_span,
+        pool: _RunPool,
     ) -> tuple[int, int, int]:
         """Verify one wave; returns the class hits, misses and cache
         writes it added.
@@ -729,7 +762,7 @@ class BatchVerifier:
             if self.timeout is None and (self.jobs == 1 or len(pending) == 1):
                 raw = self._execute_inline(pending, tasks, counters)
             else:
-                raw = self._execute_pooled(pending, tasks, counters)
+                raw = self._execute_pooled(pending, tasks, counters, pool)
 
             for attempt in pending:
                 name, key = attempt.name, attempt.key

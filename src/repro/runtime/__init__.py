@@ -17,6 +17,7 @@ from repro.runtime.monitor import (
     history_of,
     is_finalizable,
     lifecycle,
+    monitor_state,
     monitored,
     set_recorder,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "history_of",
     "is_finalizable",
     "lifecycle",
+    "monitor_state",
     "monitored",
     "set_recorder",
 ]

@@ -21,7 +21,7 @@ from repro.engine import faults
 from repro.frontend.parse import parse_module
 from repro.ltlf import translate
 from repro.paper import SECTION_2_MODULE
-from repro.workloads.hierarchy import HierarchyShape, project_source
+from repro.workloads.hierarchy import HierarchyShape, base_class_source, project_source
 
 SHAPE = HierarchyShape(base_operations=4, subsystems=2, seed=13)
 
@@ -309,6 +309,51 @@ class TestForkSafety:
         assert process.returncode == 0, stderr
         assert "repro.engine.faults._state_lock" in stdout
         assert "repro.ltlf.translate._negations_lock" in stdout
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """The widths of the pools ``BatchVerifier`` makes, in order."""
+    made = []
+    make = BatchVerifier._make_pool
+
+    def counting(self, width):
+        made.append(width)
+        return make(self, width)
+
+    monkeypatch.setattr(BatchVerifier, "_make_pool", counting)
+    return made
+
+
+class TestOnePoolPerRun:
+    @pytest.mark.slow
+    def test_a_two_wave_process_run_forks_one_pool(self, pools_made):
+        module, violations = _parse(project_source(SHAPE, pairs=3))
+        batch = BatchVerifier(module, violations, jobs=2, executor="process").run()
+        assert batch.metrics.waves == 2
+        assert pools_made == [3]  # the widest wave; min(jobs, 3) workers
+        assert batch.merged().format() == _reference(module, violations)
+
+    def test_an_overrun_replaces_the_pool(self, pools_made):
+        # One wave.  The abandoned worker keeps its slot, so the retry
+        # runs on a fresh pool.
+        module, violations = _parse(
+            base_class_source("Left", 3) + "\n\n" + base_class_source("Right", 3)
+        )
+        faults.install(parse_faults("worker:delay:Left:arg=1.0:times=1"))
+        batch = BatchVerifier(
+            module, violations, jobs=2, timeout=0.2, retries=1, backoff=0.0
+        ).run()
+        assert batch.metrics.waves == 1
+        assert batch.quarantined() == ()
+        assert batch.merged().format() == _reference(module, violations)
+        assert pools_made == [2, 2]
+        assert (batch.metrics.timeouts, batch.metrics.pool_restarts) == (1, 0)
+
+    def test_an_inline_run_makes_no_pool(self, pools_made):
+        module, violations = _parse(project_source(SHAPE, pairs=2))
+        BatchVerifier(module, violations).run()
+        assert pools_made == []
 
 
 class TestFailFast:

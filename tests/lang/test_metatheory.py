@@ -96,3 +96,41 @@ class TestCounterexampleReporting:
         assert report.programs_checked == 1
         assert report.holds
         assert report.counterexamples == []
+
+
+class TestOnePass:
+    """``check_all_theorems`` runs its checks in one pass over the
+    programs, sharing each program's facts; every report must read as if
+    its check had run alone."""
+
+    def test_reports_match_each_check_run_alone(self, monkeypatch):
+        from repro.lang import metatheory
+        from repro.lang.ast import format_program
+        from repro.lang.generator import all_programs
+
+        checks = {
+            "fails on two-word languages": lambda p: len(p.language) != 2,
+            "fails on five inferred words": lambda p: len(p.inferred_words) != 5,
+            "never fails": lambda p: True,
+            "always fails": lambda p: False,
+            "Theorem 1 (soundness)": metatheory._Program.soundness,
+        }
+        monkeypatch.setattr(metatheory, "_CHECKS", checks)
+
+        def alone(name: str) -> metatheory.TheoremReport:
+            report = metatheory.TheoremReport(
+                name=name, max_program_size=3, max_trace_length=4
+            )
+            for program in all_programs(3, ("a", "b")):
+                report.programs_checked += 1
+                if not checks[name](metatheory._Program(program, 4)):
+                    report.counterexamples.append(format_program(program))
+                    if len(report.counterexamples) >= 3:
+                        break
+            return report
+
+        together = check_all_theorems(max_program_size=3, max_trace_length=4)
+        assert together == [alone(name) for name in checks]
+        assert [report.holds for report in together] == [False, False, True, False, True]
+        assert together[1].programs_checked < together[2].programs_checked == 44
+        assert together[3].programs_checked == 3

@@ -238,6 +238,91 @@ class TestSpecMismatch:
         )
 
 
+class _Names(list):
+    """A ``list`` subclass: the monitor reads it as a plain list."""
+
+
+#: A return value of ``Probe.go`` and what the monitor makes of it: the
+#: names it allows next, or the error it raises.  A plain ``list`` is
+#: decided by one lookup in the spec table; every other form goes
+#: through the full next-method-set check, and so does a list the
+#: lookup misses.
+RETURNS = [
+    (["stop"], {"stop"}),
+    (("stop",), {"stop"}),
+    (_Names(["stop"]), {"stop"}),
+    ((["stop"], 42), {"stop"}),
+    ([], set()),
+    (([], 42), set()),
+    (
+        ["go", 1],
+        (SpecMismatchError, "operation returned ['go', 1], which does not carry a next-method list"),
+    ),
+    (
+        [["stop"]],
+        (SpecMismatchError, "operation returned [['stop']], which does not carry a next-method list"),
+    ),
+    (None, (SpecMismatchError, "operation returned None, which does not carry a next-method list")),
+    (
+        ["undeclared"],
+        (
+            SpecMismatchError,
+            "Probe.go returned next-method set ['undeclared'], which no declared exit point produces",
+        ),
+    ),
+    (
+        ["stop", "go"],
+        (
+            SpecMismatchError,
+            "Probe.go returned next-method set ['stop', 'go'], which no declared exit point produces",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "result, expected", RETURNS, ids=[repr(result) for result, _ in RETURNS]
+)
+def test_return_forms_narrow_or_refuse_as_before(result, expected):
+    from repro.core.spec import ClassSpec
+    from repro.frontend.parse import parse_module
+    from repro.runtime.monitor import allowed_now
+
+    module, _ = parse_module(
+        "@sys\n"
+        "class Probe:\n"
+        "    @op_initial\n"
+        "    def go(self):\n"
+        "        if self.x:\n"
+        "            return ['stop']\n"
+        "        return []\n"
+        "    @op_final\n"
+        "    def stop(self):\n"
+        "        return []\n"
+    )
+
+    class Probe:
+        def go(self):
+            return result
+
+        def stop(self):
+            return []
+
+    probe = monitored(Probe, spec=ClassSpec.of(module.get_class("Probe")))()
+    if isinstance(expected, set):
+        assert probe.go() is result
+        assert allowed_now(probe) == expected
+        assert history_of(probe) == ("go",)
+        return
+    error_type, message = expected
+    with pytest.raises(MonitorError) as exc:
+        probe.go()
+    assert type(exc.value) is error_type
+    assert str(exc.value) == message
+    assert allowed_now(probe) == {"go"}
+    assert history_of(probe) == ()
+
+
 class TestUserValueForm:
     def test_tuple_returns_narrow_state(self):
         @sys
